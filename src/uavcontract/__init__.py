@@ -21,8 +21,8 @@ from .game import (ContractItem, ContractMenu, FeasibilityReport, Scenario,
                    gcs_utility, item_for, uav_utility, verify_feasibility)
 from .phc import (EpisodeLog, PhcParams, PolicyTables, TrainResult,
                   action_grids, convergence_check, convergence_slot,
-                  hotboot, perturb_scenario, phc_update, quantize_state,
-                  select_action, train, with_default_r_max)
+                  hotboot, perturb_scenario, phc_update, select_action,
+                  train, with_default_r_max)
 from .runner import (MetricsRow, run_compare, run_mode, run_phc, run_solve,
                      run_sweep_cost, run_sweep_population)
 from .solver import (SolverTrace, brute_force_oracle, iron, linear_contract,
@@ -45,8 +45,8 @@ __all__ = [
     "item_for", "uav_utility", "verify_feasibility",
     "EpisodeLog", "PhcParams", "PolicyTables", "TrainResult",
     "action_grids", "convergence_check", "convergence_slot", "hotboot",
-    "perturb_scenario", "phc_update", "quantize_state", "select_action",
-    "train", "with_default_r_max",
+    "perturb_scenario", "phc_update", "select_action", "train",
+    "with_default_r_max",
     "MetricsRow", "run_compare", "run_mode", "run_phc", "run_solve",
     "run_sweep_cost", "run_sweep_population",
     "SolverTrace", "brute_force_oracle", "iron", "linear_contract",

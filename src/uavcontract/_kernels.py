@@ -1,12 +1,24 @@
 """Hot numeric kernels with a compiled path and a pure-numpy fallback.
 
-Every kernel here is written as a plain function and then, unless the
-environment variable ``UAVCONTRACT_DISABLE_JIT`` is set (or numba is
-missing), rebound to a ``numba.njit(cache=True)`` compilation of itself at
-import time.  Callers never notice the difference; the selected path is
-reported in ``JIT_ENABLED``.  The two paths walk identical pre-generated
-random numbers and identical expression trees, so trajectories agree across
-paths to floating-point noise and are bit-identical within a path.
+Every kernel here is written as a plain function.  Unless the environment
+variable ``UAVCONTRACT_DISABLE_JIT`` is set (or numba is missing), the
+scalar kernels are rebound at import time to ``numba.njit(cache=True)``
+compilations of themselves: `sample_index`, `phc_step`, the whole-row
+`sample_index_wide` and `phc_step_wide`, `update_many`, `explore_rate`,
+the scalar training body `train_loop` and the three `oracle_scan_*`
+scans.  The selected path is reported in ``JIT_ENABLED``.
+
+On the pure path, where a scalar loop pays per element, three kernels are
+rebound instead to numpy forms with the same name and signature:
+`oracle_scan_2` and `oracle_scan_3` to `_vector_oracle_scan_2/3`, and
+`train_loop` to `_row_train_loop`, which steps every (seed, type) row of
+a batch at once per slot.  Each form does the scalar body's arithmetic in
+the same order with the same tie-breaking, so it gives the same bits;
+`_scalar_train_loop` keeps the scalar training body reachable on both
+paths as the reference the tests compare the row-stepped one against.
+The compiled path has not been run since the committed contract game
+and the row-stepped body were added, so it, and its agreement with the
+pure path, are unverified.
 
 ``benchmarks/jit_benchmark.py`` times both paths on the same workloads.
 """
@@ -19,22 +31,6 @@ import os
 import numpy as np
 
 JIT_REQUESTED = os.environ.get("UAVCONTRACT_DISABLE_JIT", "") in ("", "0")
-
-
-def nearest_bin(value, step, nbins):
-    """Index of the nearest grid point on {0, step, ..., (nbins-1)*step}.
-
-    Exact midpoints round down; out-of-range values clamp to the edges.
-    A degenerate single-point grid (step 0) always maps to bin 0.
-    """
-    if nbins <= 1 or step <= 0.0:
-        return 0
-    k = int(math.ceil(value / step - 0.5))
-    if k < 0:
-        return 0
-    if k > nbins - 1:
-        return nbins - 1
-    return k
 
 
 def sample_index(row, u):
@@ -201,6 +197,123 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
             gcs_pay[t, j] = g_pay
 
 
+def _row_train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost,
+                    weight, count, c0, rate_g, disc_g, step_g, rate_u,
+                    disc_u, step_u, visits_g, visits_u, explore_visits,
+                    explore_floor, reward_idx, size_idx, gcs_state, uav_state,
+                    uav_pay, gcs_pay):
+    """`train_loop` stepping every row at once, one slot per iteration.
+
+    Rows (types, or (seed, type) pairs) share nothing, so each slot runs
+    the scalar body's operations for all rows as whole-array numpy calls.
+    They give the scalar body's bits: the same additions in the same order,
+    running sums as sequential cumsums, ties to the first index, and the
+    GCS's log term read from a ``math.log1p`` table.  Draws that do not
+    depend on the tables (the GCS's explore coin, whose visits rise by one
+    a slot, and both exploring picks) are taken for all slots up front; the
+    GCS's running sums are taken only for the rows that sample pi.  Only
+    the posted item and the answer are kept per slot, and the other
+    trajectory columns are filled from them at the end.  The tables must be
+    C-contiguous, since they are updated through flat views.
+    """
+    for table in (q_g, pi_g, q_u, pi_u, visits_u):
+        if not table.flags.c_contiguous:
+            raise ValueError("train tables must be C-contiguous")
+    slots, rows = uniforms.shape[0], uniforms.shape[1]
+    na = rgrid.shape[0]
+    items = na * sgrid.shape[0]
+    floor = explore_floor
+    # what a signed item pays each side, per row and item, built in place
+    # so that no (rows, items) temporaries pile up
+    size_of = np.arange(items) // na
+    reward_of = rgrid[np.arange(items) - size_of * na]
+    size_at = sgrid[size_of]
+    log_at = np.array([math.log1p(s) for s in sgrid])[size_of]
+    u_signed = np.multiply(cost[:, None], size_at)
+    np.subtract(reward_of, u_signed, out=u_signed)
+    u_signed -= c0
+    g_signed = np.multiply(count[:, None], reward_of)
+    np.subtract(np.multiply(weight[:, None], log_at), g_signed, out=g_signed)
+    u_signed = u_signed.ravel()
+    g_signed = g_signed.ravel()
+    horizon = explore_visits * items
+    g_sample = np.empty((slots, rows), dtype=bool)
+    for r in range(rows):
+        seen = visits_g[r, 0] + np.arange(slots)
+        g_sample[:, r] = uniforms[:, r, 0] >= np.where(
+            seen >= horizon, floor,
+            1.0 - (1.0 - floor) * seen / max(horizon, 1))
+    g_pick = np.minimum((uniforms[:, :, 1] * items).astype(np.int64),
+                        items - 1)
+    # min(int(2u), 1) is 1 exactly when u >= 0.5, since doubling is exact
+    u_pick = uniforms[:, :, 3] >= 0.5
+    # the UAV's exploring share by visits; take(mode="clip") holds the floor
+    visits = np.arange(explore_visits + 1)
+    u_share = np.where(visits >= explore_visits, floor,
+                       1.0 - (1.0 - floor) * visits / max(explore_visits, 1))
+    visits_g[:, 0] += slots
+    qg = q_g.reshape(rows, items)
+    pg = pi_g.reshape(rows, items)
+    qg_flat = qg.ravel()
+    pg_flat = pg.ravel()
+    qu = q_u.ravel()
+    pu = pi_u.reshape(rows * items, 2)
+    vu = visits_u.ravel()
+    offset = np.arange(rows) * items
+    best_g = qg.max(axis=1)
+    keep_g = 1.0 - rate_g
+    keep_u = 1.0 - rate_u
+    dec_g = step_g / items
+    # pi_u's nudge by greedy answer: +step on it, -step/2 on the other
+    nudge = np.array([[step_u, -(step_u / 2)], [-(step_u / 2), step_u]])
+    first_above = np.ones((rows, items), dtype=bool)
+    for t in range(slots):
+        u = uniforms[t]
+        k = g_pick[t].copy()
+        sampling = np.flatnonzero(g_sample[t])
+        if sampling.size:
+            # first index whose running sum passes u, else the last index
+            above = first_above[:sampling.size]
+            np.greater(np.cumsum(pg[sampling], axis=1)[:, :-1],
+                       u[sampling, 1, None], out=above[:, :-1])
+            k[sampling] = above.argmax(axis=1)
+        at_k = k + offset
+        seen_k = vu.take(at_k)
+        vu[at_k] = seen_k + 1
+        sign_at = at_k + at_k
+        decline_at = sign_at + 1
+        d = np.where(u[:, 2] < u_share.take(seen_k, mode="clip"), u_pick[t],
+                     u[:, 3] >= pu.take(sign_at))
+        at = sign_at + d
+        u_pay = np.where(d, 0.0, u_signed.take(at_k))
+        g_pay = np.where(d, 0.0, g_signed.take(at_k))
+        q_sign = qu.take(sign_at)
+        q_decline = qu.take(decline_at)
+        qu[at] = keep_u * qu.take(at) + rate_u * (
+            u_pay + disc_u * np.where(q_decline > q_sign, q_decline, q_sign))
+        p = pu.take(at_k, axis=0) + nudge.take(
+            qu.take(decline_at) > qu.take(sign_at), axis=0)
+        np.clip(p, 0.0, 1.0, out=p)
+        pu[at_k] = p / (p[:, 0] + p[:, 1])[:, None]
+        qg_flat[at_k] = (keep_g * qg_flat.take(at_k)
+                         + rate_g * (g_pay + disc_g * best_g))
+        greedy = qg.argmax(axis=1) + offset
+        best_g = qg_flat.take(greedy)
+        top = np.minimum(pg_flat.take(greedy) + step_g, 1.0)
+        np.subtract(pg, dec_g, out=pg)
+        np.maximum(pg, 0.0, out=pg)
+        pg_flat[greedy] = top
+        pg /= np.cumsum(pg, axis=1)[:, -1:]
+        uav_state[t] = k
+        gcs_state[t] = d
+    size_idx[:] = uav_state // na
+    reward_idx[:] = uav_state - size_idx * na
+    at = uav_state + offset
+    uav_pay[:] = np.where(gcs_state, 0.0, u_signed.take(at))
+    gcs_pay[:] = np.where(gcs_state, 0.0, g_signed.take(at))
+    gcs_state[:] = 1 - gcs_state
+
+
 def oracle_scan_1(grid, w1, c1, n1, c0):
     """Best single size on the grid under the binding reward."""
     best_val = -np.inf
@@ -299,7 +412,6 @@ if JIT_REQUESTED:
         njit = None
     if njit is not None:
         # rebind in dependency order so compiled kernels call compiled helpers
-        nearest_bin = njit(cache=True)(nearest_bin)
         sample_index = njit(cache=True)(sample_index)
         phc_step = njit(cache=True)(phc_step)
         sample_index_wide = njit(cache=True)(sample_index_wide)
@@ -312,11 +424,16 @@ if JIT_REQUESTED:
         oracle_scan_3 = njit(cache=True)(oracle_scan_3)
         JIT_ENABLED = True
 
+# the scalar training body, kept as the reference the row-stepped one is
+# tested against
+_scalar_train_loop = train_loop
+
 if not JIT_ENABLED:
-    # the scalar scans are far too slow in plain python; swap in the
-    # vectorised equivalents (identical search order and tie handling)
+    # the scalar loops are far too slow in plain python; swap in the
+    # vectorised equivalents (identical arithmetic, order and tie handling)
     oracle_scan_2 = _vector_oracle_scan_2
     oracle_scan_3 = _vector_oracle_scan_3
+    train_loop = _row_train_loop
 
 
 def warmup():

@@ -35,6 +35,7 @@ from .game import Scenario, UavType, eligible_types
 
 EXPLORE_VISITS = 30
 EXPLORE_FLOOR = 0.01
+SLOT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,6 @@ def action_grids(params: PhcParams,
     reward_grid = np.linspace(0.0, params.r_max, params.reward_levels + 1)
     size_grid = np.linspace(0.0, s_max, params.size_levels + 1)
     return reward_grid, size_grid
-
-
-def quantize_state(value: float, grid: np.ndarray) -> int:
-    """Index of the grid point nearest to value; exact midpoints round down."""
-    step = float(grid[1] - grid[0]) if grid.shape[0] > 1 else 0.0
-    return int(_kernels.nearest_bin(float(value), step, grid.shape[0]))
 
 
 @dataclass
@@ -245,70 +240,129 @@ def cold_tables(params: PhcParams, ntypes: int
             tuple(PolicyTables.cold(items, 2) for _ in range(ntypes)))
 
 
-def train(scenario: Scenario, params: PhcParams, slots: int,
-          init: InitTables | None, rng: np.random.Generator) -> TrainResult:
+def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
+          slots: int, init: InitTables | Sequence[InitTables | None] | None,
+          rng: np.random.Generator | Sequence[np.random.Generator]
+          ) -> TrainResult | list[TrainResult]:
     """Run the learning game for ``slots`` slots over all eligible types.
 
-    ``init`` carries (GCS tables, UAV tables) from a previous run, one pair
-    per eligible type, visit counts included; None starts cold (Q zero, pi
-    uniform, no visits).  The tables passed in are not modified.  All
-    randomness comes from ``rng``: uniforms are pre-generated as one
-    (slots, types, 4) block, draws 0-1 for the GCS's item and 2-3 for the
-    UAV's answer, so trajectories are reproducible for a given seed
-    regardless of the execution path.
+    One run: ``rng`` is a Generator and ``init`` carries (GCS tables, UAV
+    tables) from a previous run, one pair per eligible type, visit counts
+    included; None starts cold (Q zero, pi uniform, no visits).  Returns a
+    TrainResult.
+
+    Batch form: ``rng`` is a sequence of generators, one per seed;
+    ``scenario`` is one Scenario for every seed or a sequence with one per
+    seed, and ``init`` is None (every seed cold) or a sequence with one
+    entry, tables or None, per seed.  Returns a list with one TrainResult
+    per seed, the one a one-run call with that seed's arguments gives:
+    every (seed, type) pair is a row of one kernel call, and rows share
+    nothing.  The seeds' scenarios must give the same action grids and
+    deployment cost.  A one-run call is a batch of one.
+
+    The tables passed in are not modified.  All randomness comes from the
+    generators: each seed draws four uniforms per type and slot, 0-1 for
+    the GCS's item and 2-3 for the UAV's answer, in the order of one
+    (slots, types, 4) draw, though they are drawn and used `SLOT_BLOCK`
+    slots at a time.  Trajectories are therefore reproducible for a given
+    seed regardless of the execution path or the batch.
     """
+    single = isinstance(rng, np.random.Generator)
+    if single:
+        scenario, init, rng = [scenario], [init], [rng]
+    rngs = list(rng)
+    scenarios = (len(rngs) * [scenario] if isinstance(scenario, Scenario)
+                 else list(scenario))
+    inits = len(rngs) * [None] if init is None else list(init)
     if slots < 1:
         raise ValidationError("slots", "must be at least 1")
-    params = with_default_r_max(params, scenario)
-    order = eligible_types(scenario)
-    if not order:
-        raise ValidationError("scenario", "no eligible types to train")
-    reward_grid, size_grid = action_grids(params, scenario.s_max)
-    items = reward_grid.shape[0] * size_grid.shape[0]
-    j = len(order)
-    gcs_init, uav_init = init if init is not None else cold_tables(params, j)
-    if len(gcs_init) != j or len(uav_init) != j:
-        raise ValidationError("init", "one table pair per eligible type")
-    for t in list(gcs_init) + list(uav_init):
+    if not rngs or not len(scenarios) == len(inits) == len(rngs):
+        raise ValidationError("rng", "one scenario and init per generator")
+    orders, gcs_tables, uav_tables = [], [], []
+    for k, (sc, tables) in enumerate(zip(scenarios, inits)):
+        resolved = with_default_r_max(params, sc)
+        order = eligible_types(sc)
+        if not order:
+            raise ValidationError("scenario", "no eligible types to train")
+        grids = action_grids(resolved, sc.s_max)
+        if k == 0:
+            reward_grid, size_grid = grids
+        elif not (np.array_equal(grids[0], reward_grid)
+                  and np.array_equal(grids[1], size_grid)
+                  and sc.deployment_cost == scenarios[0].deployment_cost):
+            raise ValidationError(
+                "scenario", "a batch must share action grids and "
+                            "deployment cost")
+        gcs_init, uav_init = (tables if tables is not None
+                              else cold_tables(resolved, len(order)))
+        if len(gcs_init) != len(order) or len(uav_init) != len(order):
+            raise ValidationError("init", "one table pair per eligible type")
+        orders.append(order)
+        gcs_tables.extend(gcs_init)
+        uav_tables.extend(uav_init)
+    for t in gcs_tables + uav_tables:
         t.check()
-    q_g = np.stack([t.q for t in gcs_init])
-    pi_g = np.stack([t.pi for t in gcs_init])
-    visits_g = np.stack([t.visits for t in gcs_init])
-    q_u = np.stack([t.q for t in uav_init])
-    pi_u = np.stack([t.pi for t in uav_init])
-    visits_u = np.stack([t.visits for t in uav_init])
+    items = reward_grid.shape[0] * size_grid.shape[0]
+    q_g = np.stack([t.q for t in gcs_tables])
+    pi_g = np.stack([t.pi for t in gcs_tables])
+    visits_g = np.stack([t.visits for t in gcs_tables])
+    q_u = np.stack([t.q for t in uav_tables])
+    pi_u = np.stack([t.pi for t in uav_tables])
+    visits_u = np.stack([t.visits for t in uav_tables])
     if q_g.shape[1:] != (1, items) or q_u.shape[1:] != (items, 2):
         raise ValidationError("init", "table shapes do not match grids")
-    uniforms = rng.random((slots, j, 4))
-    cost = np.array([ty.c for ty in order])
-    weight = np.array([scenario.satisfaction_factor * ty.n / ty.t
+    rows = len(gcs_tables)
+    bounds = np.cumsum([0] + [len(order) for order in orders]).tolist()
+    types = [ty for order in orders for ty in order]
+    cost = np.array([ty.c for ty in types])
+    weight = np.array([sc.satisfaction_factor * ty.n / ty.t
+                       for sc, order in zip(scenarios, orders)
                        for ty in order])
-    count = np.array([float(ty.n) for ty in order])
-    reward_index = np.zeros((slots, j), dtype=np.int64)
-    size_index = np.zeros((slots, j), dtype=np.int64)
-    gcs_state = np.zeros((slots, j), dtype=np.int64)
-    uav_state = np.zeros((slots, j), dtype=np.int64)
-    uav_utility = np.zeros((slots, j))
-    gcs_term = np.zeros((slots, j))
-    _kernels.train_loop(q_g, pi_g, q_u, pi_u, uniforms, reward_grid,
-                        size_grid, cost, weight, count,
-                        scenario.deployment_cost,
-                        params.learning_rate_gcs, params.discount_gcs,
-                        params.step_gcs, params.learning_rate_uav,
-                        params.discount_uav, params.step_uav,
-                        visits_g, visits_u, EXPLORE_VISITS, EXPLORE_FLOOR,
-                        reward_index, size_index, gcs_state, uav_state,
-                        uav_utility, gcs_term)
-    log = EpisodeLog(type_indices=tuple(ty.index for ty in order),
-                     reward_grid=reward_grid, size_grid=size_grid,
-                     reward_index=reward_index, size_index=size_index,
-                     gcs_state=gcs_state, uav_state=uav_state,
-                     uav_utility=uav_utility, gcs_term=gcs_term)
-    gcs_tables = tuple(PolicyTables(q=q_g[i], pi=pi_g[i], visits=visits_g[i])
-                       for i in range(j))
-    uav_tables = tuple(PolicyTables(q=q_u[i], pi=pi_u[i], visits=visits_u[i])
-                       for i in range(j))
-    return TrainResult(log=log, gcs_tables=gcs_tables, uav_tables=uav_tables)
+    count = np.array([float(ty.n) for ty in types])
+    reward_index = np.zeros((slots, rows), dtype=np.int64)
+    size_index = np.zeros((slots, rows), dtype=np.int64)
+    gcs_state = np.zeros((slots, rows), dtype=np.int64)
+    uav_state = np.zeros((slots, rows), dtype=np.int64)
+    uav_utility = np.zeros((slots, rows))
+    gcs_term = np.zeros((slots, rows))
+    # the kernel runs a block of slots at a time, so the uniforms it reads
+    # stay SLOT_BLOCK slots long; blocks drawn in turn give each seed the
+    # numbers one (slots, types, 4) draw would
+    for start in range(0, slots, SLOT_BLOCK):
+        block = slice(start, min(start + SLOT_BLOCK, slots))
+        uniforms = np.empty((block.stop - start, rows, 4))
+        for g, lo, hi in zip(rngs, bounds, bounds[1:]):
+            uniforms[:, lo:hi] = g.random((block.stop - start, hi - lo, 4))
+        _kernels.train_loop(q_g, pi_g, q_u, pi_u, uniforms, reward_grid,
+                            size_grid, cost, weight, count,
+                            scenarios[0].deployment_cost,
+                            params.learning_rate_gcs, params.discount_gcs,
+                            params.step_gcs, params.learning_rate_uav,
+                            params.discount_uav, params.step_uav,
+                            visits_g, visits_u, EXPLORE_VISITS,
+                            EXPLORE_FLOOR, reward_index[block],
+                            size_index[block], gcs_state[block],
+                            uav_state[block], uav_utility[block],
+                            gcs_term[block])
+    results = []
+    for order, lo, hi in zip(orders, bounds, bounds[1:]):
+        log = EpisodeLog(type_indices=tuple(ty.index for ty in order),
+                         reward_grid=reward_grid, size_grid=size_grid,
+                         reward_index=reward_index[:, lo:hi],
+                         size_index=size_index[:, lo:hi],
+                         gcs_state=gcs_state[:, lo:hi],
+                         uav_state=uav_state[:, lo:hi],
+                         uav_utility=uav_utility[:, lo:hi],
+                         gcs_term=gcs_term[:, lo:hi])
+        results.append(TrainResult(
+            log=log,
+            gcs_tables=tuple(PolicyTables(q=q_g[i], pi=pi_g[i],
+                                          visits=visits_g[i])
+                             for i in range(lo, hi)),
+            uav_tables=tuple(PolicyTables(q=q_u[i], pi=pi_u[i],
+                                          visits=visits_u[i])
+                             for i in range(lo, hi))))
+    return results[0] if single else results
 
 
 def perturb_scenario(scenario: Scenario, rng: np.random.Generator,
@@ -337,31 +391,51 @@ def perturb_scenario(scenario: Scenario, rng: np.random.Generator,
                     total_uavs=sum(t.n for t in new_types))
 
 
-def hotboot(family: Sequence[Scenario], episodes: int, params: PhcParams,
-            rng: np.random.Generator, slots_per_episode: int = 2000
-            ) -> tuple[tuple[PolicyTables, ...], tuple[PolicyTables, ...]]:
+def hotboot(family: Sequence[Scenario] | Sequence[Sequence[Scenario]],
+            episodes: int, params: PhcParams,
+            rng: np.random.Generator | Sequence[np.random.Generator],
+            slots_per_episode: int = 2000
+            ) -> InitTables | list[InitTables]:
     """Pre-train tables offline on scenarios drawn from a family.
 
     Each episode picks a family member at random and continues training the
     same tables on it.  Zero episodes returns cold tables.  Grids are fixed
     from the first family member so action indices keep one meaning across
     the whole chain; every member must expose the same eligible type count.
+    One run (``rng`` a Generator) returns the (GCS tables, UAV tables) pair.
+
+    Batch form: ``rng`` is a sequence of generators, one per seed, and
+    ``family`` a sequence with one family per seed; every episode trains
+    all seeds in one `train` call.  Returns one table pair per seed, the
+    one a one-run call with that seed's family and generator gives: each
+    generator draws, per episode, its pick and then that episode's
+    uniforms.  The families must resolve to the same grids.
     """
-    if not family:
+    single = isinstance(rng, np.random.Generator)
+    families, rngs = ([family], [rng]) if single else (list(family),
+                                                       list(rng))
+    if not rngs or len(families) != len(rngs):
+        raise ValidationError("family", "one family per generator")
+    if not all(families):
         raise ValidationError("family", "must contain at least one scenario")
     if episodes < 0:
         raise ValidationError("episodes", "must be non-negative")
-    params = with_default_r_max(params, family[0])
-    j = len(eligible_types(family[0]))
-    gcs, uav = cold_tables(params, j)
+    resolved = [with_default_r_max(params, fam[0]) for fam in families]
+    params = resolved[0]
+    if any(p.r_max != params.r_max for p in resolved):
+        raise ValidationError("family", "families must share the reward grid")
+    counts = [len(eligible_types(fam[0])) for fam in families]
+    tables = [cold_tables(params, j) for j in counts]
     for _ in range(episodes):
-        pick = int(rng.integers(0, len(family)))
-        scenario = family[pick]
-        if len(eligible_types(scenario)) != j:
-            raise ValidationError("family", "eligible type counts differ")
-        result = train(scenario, params, slots_per_episode, (gcs, uav), rng)
-        gcs, uav = result.gcs_tables, result.uav_tables
-    return gcs, uav
+        picked = []
+        for fam, g, j in zip(families, rngs, counts):
+            scenario = fam[int(g.integers(0, len(fam)))]
+            if len(eligible_types(scenario)) != j:
+                raise ValidationError("family", "eligible type counts differ")
+            picked.append(scenario)
+        tables = [(r.gcs_tables, r.uav_tables) for r in
+                  train(picked, params, slots_per_episode, tables, rngs)]
+    return tables[0] if single else tables
 
 
 @dataclass(frozen=True)
@@ -423,7 +497,7 @@ def convergence_slot(log: EpisodeLog, window: int,
         for j in range(len(log.type_indices)):
             onehot = np.zeros((slots + 1, n_actions), dtype=np.int64)
             np.add.at(onehot, (np.arange(slots) + 1, column[:, j]), 1)
-            cum = np.cumsum(onehot, axis=0)
+            cum = np.cumsum(onehot, axis=0, out=onehot)
             win = cum[window:] - cum[:-window]
             ok &= (win.max(axis=1) / window) >= tolerance
     hits = np.flatnonzero(ok)

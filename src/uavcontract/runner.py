@@ -44,7 +44,6 @@ class MetricsRow:
     type_utilities: tuple[float, ...]
     gcs_utility: float
     zeta: float
-    convergence_slot: float | None = None
     wall_clock: float | None = None
 
 
@@ -94,18 +93,6 @@ def _prepare_dir(config: ExperimentConfig, out_dir) -> Path:
 def default_linear_price(scenario: Scenario) -> float:
     """Default unit price: the top marginal cost among the scenario types."""
     return max(ty.c for ty in scenario.types)
-
-
-def scheme_menus(config: ExperimentConfig, scenario: Scenario) -> dict:
-    """All four schemes solved on one scenario, keyed by scheme label."""
-    price = (config.linear_price if config.linear_price is not None
-             else default_linear_price(scenario))
-    return {
-        "partial": solve_partial_info(scenario)[0],
-        "complete": solve_complete_info(scenario),
-        "linear": linear_contract(scenario, price),
-        "uniform": uniform_contract(scenario),
-    }
 
 
 def metrics_rows(config: ExperimentConfig,
@@ -305,9 +292,11 @@ def _trajectory_lines(log: EpisodeLog) -> list[str]:
 
 def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
             config_digest: str | None = None) -> list[PhcSeedSummary]:
-    """Train per seed (optionally hotbooted), log trajectories and verdicts.
+    """Train every seed (optionally hotbooted), log trajectories and verdicts.
 
-    Each seed owns an isolated RNG stream.  The closed-form menu for the
+    Each seed owns an isolated RNG stream; all seeds are trained in one
+    batch, so each (seed, type) pair is a row of one kernel call, and each
+    seed is then checked and written in turn.  The closed-form menu for the
     same scenario rides along as the reference columns.  With ``strict``
     a NotConverged is raised after all outputs are written whenever any
     (seed, type) pair fails the trailing-window test.
@@ -317,17 +306,17 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
     params = with_default_r_max(config.phc, scenario)
     run = config.phc_run
     reference, _ = solve_partial_info(scenario)
+    rngs = [np.random.default_rng(seed) for seed in config.seeds]
+    inits = None
+    if run.hotboot_episodes > 0:
+        families = [[scenario] + [
+            perturb_scenario(scenario, rng, run.perturbation)
+            for _ in range(run.family_size - 1)] for rng in rngs]
+        inits = hotboot(families, run.hotboot_episodes, params, rngs,
+                        run.slots_per_episode)
+    results = train(scenario, params, run.slots, inits, rngs)
     summaries = []
-    for seed in config.seeds:
-        rng = np.random.default_rng(seed)
-        init = None
-        if run.hotboot_episodes > 0:
-            family = [scenario] + [
-                perturb_scenario(scenario, rng, run.perturbation)
-                for _ in range(run.family_size - 1)]
-            init = hotboot(family, run.hotboot_episodes, params, rng,
-                           run.slots_per_episode)
-        result = train(scenario, params, run.slots, init, rng)
+    for seed, result in zip(config.seeds, results):
         verdicts = convergence_check(result.log, run.window, run.tolerance)
         slot = convergence_slot(result.log, run.window, run.tolerance)
         write_text_atomic(out / f"phc_seed{seed}.csv",

@@ -162,8 +162,9 @@ def test_criterion_06_learners_reach_reference_menu():
     tic = time.perf_counter()
     hits = 0
     outcomes = []
-    for seed in range(10):
-        result = train(sc, params, 20_000, None, np.random.default_rng(seed))
+    results = train(sc, params, 20_000, None,
+                    [np.random.default_rng(seed) for seed in range(10)])
+    for seed, result in enumerate(results):
         verdict = convergence_check(result.log, 500, 0.95)[0]
         if (abs(verdict.size - 11.0) <= sstep + 1e-9
                 and abs(verdict.reward - 6.5) <= rstep + 1e-9):
@@ -229,13 +230,17 @@ def test_criterion_08_hotboot_speeds_convergence():
     params = PhcParams(reward_levels=6, size_levels=6)
     tic = time.perf_counter()
     wins = 0
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        family = [sc] + [perturb_scenario(sc, rng) for _ in range(7)]
-        init = hotboot(family, 10, params, rng, 2000)
-        hot = train(sc, params, 20_000, init, rng)
+    seeds = range(20)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    families = [[sc] + [perturb_scenario(sc, rng) for _ in range(7)]
+                for rng in rngs]
+    inits = hotboot(families, 10, params, rngs, 2000)
+    # hot and cold runs of every seed share one batch; each seed's cold
+    # run has a fresh generator of its own
+    results = train(sc, params, 20_000, inits + [None] * len(seeds),
+                    rngs + [np.random.default_rng(seed) for seed in seeds])
+    for hot, cold in zip(results[:len(seeds)], results[len(seeds):]):
         hot_slot = convergence_slot(hot.log, 500, 0.95)
-        cold = train(sc, params, 20_000, None, np.random.default_rng(seed))
         cold_slot = convergence_slot(cold.log, 500, 0.95)
         if math.isfinite(hot_slot) and hot_slot <= cold_slot:
             wins += 1

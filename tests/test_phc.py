@@ -13,8 +13,7 @@ from uavcontract import (InsufficientData, PhcParams, PolicyTables, Scenario,
                          UavType, ValidationError, action_grids,
                          convergence_check, convergence_slot, eligible_types,
                          hotboot, perturb_scenario, phc_update,
-                         quantize_state, select_action, train,
-                         with_default_r_max)
+                         select_action, train, with_default_r_max)
 from uavcontract import _kernels
 from uavcontract.phc import (EXPLORE_FLOOR, EXPLORE_VISITS, EpisodeLog,
                              default_r_max)
@@ -71,30 +70,6 @@ class TestGrids:
         assert params.r_max == 15.75
         pinned = with_default_r_max(PhcParams(r_max=7.0), make_scenario_a())
         assert pinned.r_max == 7.0
-
-
-class TestQuantize:
-    GRID = np.arange(0.0, 22.0, 2.0)  # step 2, 11 bins
-
-    def test_grid_points_map_to_self(self):
-        for k, v in enumerate(self.GRID):
-            assert quantize_state(float(v), self.GRID) == k
-
-    def test_midpoint_rounds_down(self):
-        assert quantize_state(5.0, self.GRID) == 2
-        assert quantize_state(5.0 + 1e-9, self.GRID) == 3
-
-    def test_clamping(self):
-        assert quantize_state(-3.0, self.GRID) == 0
-        assert quantize_state(1e9, self.GRID) == 10
-
-    def test_just_above_grid_point(self):
-        grid = np.array([0.0, 30.0])
-        assert quantize_state(31.0, grid) == 1
-        assert quantize_state(14.0, grid) == 0
-
-    def test_single_point_grid(self):
-        assert quantize_state(123.0, np.array([0.0])) == 0
 
 
 class TestPhcUpdate:
@@ -511,6 +486,175 @@ class TestTrain:
         assert np.array_equal(pure["qu"], here.uav_tables[0].q)
         assert np.array_equal(pure["pg"], here.gcs_tables[0].pi)
         assert np.array_equal(pure["pu"], here.uav_tables[0].pi)
+
+
+def kernel_args(rows, slots, reward_levels, size_levels, seed, hot):
+    """Arguments for one training-kernel call over ``rows`` independent rows.
+
+    Each row has its own cost, weight and count.  Hot tables carry random
+    values and visits past both exploration horizons, so every pick samples
+    pi except on the floor share.
+    """
+    rng = np.random.default_rng(seed)
+    na, nb = reward_levels + 1, size_levels + 1
+    items = na * nb
+    if hot:
+        q_g = rng.normal(scale=5.0, size=(rows, 1, items))
+        pi_g = rng.dirichlet(np.ones(items), size=(rows, 1))
+        q_u = rng.normal(scale=5.0, size=(rows, items, 2))
+        pi_u = rng.dirichlet(np.ones(2), size=(rows, items))
+        visits_g = np.full((rows, 1), EXPLORE_VISITS * items + 7)
+        visits_u = rng.integers(EXPLORE_VISITS, 3 * EXPLORE_VISITS,
+                                (rows, items))
+    else:
+        q_g = np.zeros((rows, 1, items))
+        pi_g = np.full((rows, 1, items), 1.0 / items)
+        q_u = np.zeros((rows, items, 2))
+        pi_u = np.full((rows, items, 2), 0.5)
+        visits_g = np.zeros((rows, 1), dtype=np.int64)
+        visits_u = np.zeros((rows, items), dtype=np.int64)
+    args = dict(
+        q_g=q_g, pi_g=pi_g, q_u=q_u, pi_u=pi_u,
+        uniforms=rng.random((slots, rows, 4)),
+        rgrid=np.linspace(0.0, 13.0, na), sgrid=np.linspace(0.0, 13.75, nb),
+        cost=rng.uniform(0.1, 0.9, rows), weight=rng.uniform(5.0, 40.0, rows),
+        count=rng.integers(1, 9, rows).astype(np.float64), c0=1.0,
+        rate_g=0.7, disc_g=0.8, step_g=0.01, rate_u=0.7, disc_u=0.8,
+        step_u=0.05, visits_g=visits_g.astype(np.int64),
+        visits_u=visits_u.astype(np.int64), explore_visits=EXPLORE_VISITS,
+        explore_floor=EXPLORE_FLOOR)
+    for name in ("reward_idx", "size_idx", "gcs_state", "uav_state"):
+        args[name] = np.zeros((slots, rows), dtype=np.int64)
+    for name in ("uav_pay", "gcs_pay"):
+        args[name] = np.zeros((slots, rows))
+    return args
+
+
+class TestRowKernel:
+    """The row-stepped training body against the scalar one, bit for bit."""
+
+    @pytest.mark.parametrize("rows, slots, levels, hot", [
+        (1, 600, (20, 20), False),
+        (3, 600, (20, 20), False),
+        (24, 300, (20, 20), False),
+        (3, 600, (6, 4), True),
+        (24, 300, (20, 20), True),
+        (4, 400, (0, 0), False),
+        (5, 300, (0, 0), True),
+    ])
+    def test_matches_scalar_body(self, rows, slots, levels, hot):
+        args = kernel_args(rows, slots, *levels, seed=rows + slots, hot=hot)
+        scalar = {k: v.copy() if isinstance(v, np.ndarray) else v
+                  for k, v in args.items()}
+        row = {k: v.copy() if isinstance(v, np.ndarray) else v
+               for k, v in args.items()}
+        _kernels._scalar_train_loop(**scalar)
+        _kernels._row_train_loop(**row)
+        for name, value in scalar.items():
+            if isinstance(value, np.ndarray):
+                assert row[name].dtype == value.dtype, name
+                assert np.array_equal(row[name], value), name
+        # the run moved every table and took both answers
+        assert not np.array_equal(scalar["q_u"], args["q_u"])
+        assert not np.array_equal(scalar["pi_u"], args["pi_u"])
+        assert np.array_equal(scalar["visits_g"],
+                              args["visits_g"] + slots)
+        assert 0 < scalar["gcs_state"].sum() < scalar["gcs_state"].size
+
+    def test_ties_follow_scalar_body(self):
+        # uniforms placed exactly on the thresholds a slot compares them
+        # with: both explore shares, the GCS's running sums (the last one
+        # included) and the UAV's sign probability and answer midpoint
+        rows, items = 4, 20
+        args = kernel_args(rows, 6, 4, 3, seed=3, hot=True)
+        u = args["uniforms"]
+        every = np.arange(rows)
+        running = np.cumsum(args["pi_g"][:, 0], axis=1)
+        tie = np.array([2, 7, 11, items - 1])
+        posted = np.minimum(tie + 1, items - 1)
+        u[0, :, 0] = EXPLORE_FLOOR
+        u[0, :, 1] = running[every, tie]
+        u[0, :, 2] = EXPLORE_FLOOR
+        u[0, :, 3] = args["pi_u"][every, posted, 0]
+        u[1:, :, 2] = 0.0
+        u[1:, :, 3] = 0.5
+        scalar = {k: v.copy() if isinstance(v, np.ndarray) else v
+                  for k, v in args.items()}
+        _kernels._scalar_train_loop(**scalar)
+        _kernels._row_train_loop(**args)
+        for name, value in scalar.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(args[name], value), name
+        # the ties went the scalar body's way: past the running sum, and
+        # declined both on pi(sign) and at the exploring midpoint
+        assert np.array_equal(scalar["uav_state"][0], posted)
+        assert not scalar["gcs_state"].any()
+
+    def test_rejects_non_contiguous_tables(self):
+        args = kernel_args(2, 10, 2, 2, seed=0, hot=False)
+        args["q_u"] = np.asfortranarray(args["q_u"])
+        with pytest.raises(ValueError):
+            _kernels._row_train_loop(**args)
+
+
+class TestBatchTrain:
+    def test_batch_equals_one_run_calls(self):
+        # a batch of seeds with their own scenarios and inits gives what
+        # each seed's one-run call gives, tables and visits included
+        sc = make_scenario_a()
+        params = PhcParams(reward_levels=4, size_levels=3, r_max=12.0)
+        warm = train(sc, params, 50, None, np.random.default_rng(9))
+        family = [sc, perturb_scenario(sc, np.random.default_rng(4))]
+        scenarios = [family[0], family[1], family[1]]
+        inits = [None, (warm.gcs_tables, warm.uav_tables), None]
+        batch = train(scenarios, params, 120, inits,
+                      [np.random.default_rng(s) for s in (1, 2, 3)])
+        assert len(batch) == 3
+        for got, seed, sc_k, init in zip(batch, (1, 2, 3), scenarios, inits):
+            want = train(sc_k, params, 120, init,
+                         np.random.default_rng(seed))
+            assert got.log.equals(want.log)
+            for a, b in zip(got.gcs_tables + got.uav_tables,
+                            want.gcs_tables + want.uav_tables):
+                assert np.array_equal(a.q, b.q)
+                assert np.array_equal(a.pi, b.pi)
+                assert np.array_equal(a.visits, b.visits)
+        # the warm tables passed in are left as they were
+        again = train(sc, params, 50, None, np.random.default_rng(9))
+        assert np.array_equal(warm.uav_tables[0].q, again.uav_tables[0].q)
+
+    def test_hotboot_batch_equals_one_run_chains(self):
+        sc = make_scenario_a()
+        params = PhcParams(reward_levels=4, size_levels=3)
+        families = [[sc, perturb_scenario(sc, np.random.default_rng(s))]
+                    for s in (5, 6)]
+        batch = hotboot(families, 3, params,
+                        [np.random.default_rng(s) for s in (5, 6)],
+                        slots_per_episode=80)
+        for (gcs, uav), fam, seed in zip(batch, families, (5, 6)):
+            want_gcs, want_uav = hotboot(fam, 3, params,
+                                         np.random.default_rng(seed),
+                                         slots_per_episode=80)
+            for a, b in zip(gcs + uav, want_gcs + want_uav):
+                assert np.array_equal(a.q, b.q)
+                assert np.array_equal(a.pi, b.pi)
+                assert np.array_equal(a.visits, b.visits)
+
+    def test_batch_validation(self):
+        sc = make_single_type()
+        params = PhcParams(reward_levels=3, size_levels=3)
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(ValidationError):
+            train(sc, params, 10, None, [])
+        with pytest.raises(ValidationError):
+            train([sc], params, 10, None, rngs)
+        with pytest.raises(ValidationError):
+            train(sc, params, 10, [None], rngs)
+        # seeds whose grids differ cannot share one kernel call
+        with pytest.raises(ValidationError):
+            train([sc, make_single_type(s_max=20.0)], params, 10, None, rngs)
+        with pytest.raises(ValidationError):
+            hotboot([[sc]], 1, params, rngs)
 
 
 class TestTrajectoryShape:

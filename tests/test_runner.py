@@ -9,8 +9,11 @@ from uavcontract import (JIT_ENABLED, NotConverged, ValidationError,
                          gcs_utility, load_config, parse_config,
                          run_compare, run_phc, run_solve, run_sweep_cost,
                          run_sweep_population, solve_partial_info)
-from uavcontract.runner import (SCHEME_ORDER, default_linear_price, fmt,
-                                metrics_rows, scale_counts)
+from uavcontract.phc import (hotboot, perturb_scenario, train,
+                             with_default_r_max)
+from uavcontract.runner import (SCHEME_ORDER, _trajectory_lines,
+                                default_linear_price, fmt, metrics_rows,
+                                scale_counts)
 
 from conftest import make_scenario_a
 
@@ -249,6 +252,35 @@ class TestRunPhc:
         run_phc(cold, tmp_path / "c")
         assert ((tmp_path / "a" / "phc_seed0.csv").read_bytes()
                 != (tmp_path / "c" / "phc_seed0.csv").read_bytes())
+
+    def test_batch_matches_per_seed_chain(self, tmp_path):
+        # run_phc trains every seed in one batch; each seed's trajectory
+        # must be the bytes a chain of one-run hotboot and train calls on
+        # that seed's generator writes
+        import dataclasses
+        cfg = load_config(DATA / "phc_single_type.yaml")
+        two_types = dataclasses.replace(cfg.scenario, types=(
+            cfg.scenario.types[0],
+            dataclasses.replace(cfg.scenario.types[0], index=2, c1=0.3,
+                                n=4)), total_uavs=9)
+        run = dataclasses.replace(cfg.phc_run, slots=300, window=100,
+                                  hotboot_episodes=3, family_size=3,
+                                  slots_per_episode=60)
+        cfg = dataclasses.replace(cfg, scenario=two_types, phc_run=run,
+                                  seeds=(4, 11, 12))
+        run_phc(cfg, tmp_path)
+        params = with_default_r_max(cfg.phc, cfg.scenario)
+        for seed in cfg.seeds:
+            rng = np.random.default_rng(seed)
+            family = [cfg.scenario] + [
+                perturb_scenario(cfg.scenario, rng, run.perturbation)
+                for _ in range(run.family_size - 1)]
+            init = hotboot(family, run.hotboot_episodes, params, rng,
+                           run.slots_per_episode)
+            result = train(cfg.scenario, params, run.slots, init, rng)
+            want = "\n".join(_trajectory_lines(result.log)) + "\n"
+            assert ((tmp_path / f"phc_seed{seed}.csv").read_bytes()
+                    == want.encode("utf-8"))
 
     def test_strict_raises_after_writing(self, tmp_path):
         cfg = load_config(DATA / "phc_single_type.yaml")
