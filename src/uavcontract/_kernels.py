@@ -442,6 +442,8 @@ def warmup():
     Timed code should call this first so compile time never lands inside a
     measured region.
     """
+    if not JIT_ENABLED:
+        return
     grid = np.linspace(0.0, 1.0, 3)
     oracle_scan_1(grid, 1.0, 1.0, 1.0, 1.0)
     oracle_scan_2(grid, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0)

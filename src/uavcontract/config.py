@@ -1,9 +1,11 @@
 """Experiment configuration: a YAML key tree parsed into typed settings.
 
 The schema is documented field by field in the README.  Parsing is strict:
-unknown keys, wrong types, and invariant breaches raise ValidationError
+unknown keys, missing keys and wrong types or shapes raise ValidationError
 naming the offending field, while malformed YAML raises ParseError with
-the line and column when the parser can point at one.
+the line and column when the parser can point at one.  Value invariants
+(ranges, finiteness, sums) live in the dataclasses the keys map onto; this
+module re-raises their errors under the YAML path of the field.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from pathlib import Path
 import yaml
 
 from .environment import ChannelParams, derived_delay
-from .errors import ParseError, ValidationError
+from .errors import (ParseError, ValidationError, ZeroCapacity,
+                     check_positive)
 from .game import Scenario, UavType
 from .phc import PhcParams
 
@@ -37,27 +40,27 @@ class PhcRun:
 
     def __post_init__(self) -> None:
         if self.slots < 1:
-            raise ValidationError("phc.slots", "must be at least 1")
+            raise ValidationError("slots", "must be at least 1")
         if self.hotboot_episodes < 0:
-            raise ValidationError("phc.hotboot_episodes",
-                                  "must be non-negative")
+            raise ValidationError("hotboot_episodes", "must be non-negative")
         if self.family_size < 1:
-            raise ValidationError("phc.family_size", "must be at least 1")
+            raise ValidationError("family_size", "must be at least 1")
         if self.slots_per_episode < 1:
-            raise ValidationError("phc.slots_per_episode",
-                                  "must be at least 1")
+            raise ValidationError("slots_per_episode", "must be at least 1")
         if not 0.0 <= self.perturbation < 1.0:
-            raise ValidationError("phc.perturbation", "must lie in [0, 1)")
+            raise ValidationError("perturbation", "must lie in [0, 1)")
         if self.window < 1 or self.window > self.slots:
-            raise ValidationError("phc.window",
-                                  "must lie in [1, slots]")
+            raise ValidationError("window", "must lie in [1, slots]")
         if not 0.0 < self.tolerance <= 1.0:
-            raise ValidationError("phc.tolerance", "must lie in (0, 1]")
+            raise ValidationError("tolerance", "must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run needs: scenario, mode, seeds, and mode blocks."""
+    """Everything one run needs: scenario, mode, seeds, and mode blocks.
+
+    Its errors name the YAML path of the field, as CLI overrides need.
+    """
 
     mode: str
     scenario: Scenario
@@ -80,15 +83,18 @@ class ExperimentConfig:
             if not self.seeds:
                 raise ValidationError("seeds",
                                       "phc mode requires at least one seed")
-        if self.grid_oracle is not None and not self.grid_oracle > 0.0:
-            raise ValidationError("grid_oracle", "must be positive")
-        if self.linear_price is not None and not self.linear_price > 0.0:
-            raise ValidationError("linear_price", "must be positive")
+        for i, seed in enumerate(self.seeds):
+            if not 0 <= seed < _MAX_SEED:
+                raise ValidationError(f"seeds[{i}]",
+                                      f"must lie in [0, 2**64), got {seed}")
+        check_positive(self, [name for name in ("grid_oracle", "linear_price")
+                              if getattr(self, name) is not None])
         if not self.populations:
             raise ValidationError("sweep.populations", "must be non-empty")
-        if any(p < 1 for p in self.populations):
-            raise ValidationError("sweep.populations",
-                                  "entries must be positive")
+        for i, population in enumerate(self.populations):
+            if population < 1:
+                raise ValidationError(f"sweep.populations[{i}]",
+                                      "must be at least 1")
         if self.cost_points < 2:
             raise ValidationError("sweep.cost_points", "must be at least 2")
 
@@ -105,25 +111,53 @@ def _reject_unknown(block: dict, allowed, field: str) -> None:
             raise ValidationError(f"{field}.{key}", "unknown field")
 
 
-def _as_float(value, field: str, minimum: float | None = None,
-              exclusive: bool = False) -> float:
+def _as_float(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(field, "must be a number")
-    v = float(value)
-    if minimum is not None:
-        if exclusive and not v > minimum:
-            raise ValidationError(field, f"must be greater than {minimum}")
-        if not exclusive and v < minimum:
-            raise ValidationError(field, f"must be at least {minimum}")
-    return v
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(field, "is too large for a float") from None
 
 
-def _as_int(value, field: str, minimum: int | None = None) -> int:
+def _as_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(field, "must be an integer")
-    if minimum is not None and value < minimum:
-        raise ValidationError(field, f"must be at least {minimum}")
     return value
+
+
+def _as_int_list(value, field: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValidationError(field, "must be a list of integers")
+    return tuple(_as_int(v, f"{field}[{i}]") for i, v in enumerate(value))
+
+
+def _build(path: str, make, **kwargs):
+    """Construct a domain object, re-raising its ValidationError under the
+    YAML path of the block it came from."""
+    try:
+        return make(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}.{exc.field}", exc.message) from exc
+
+
+def _position_delay(pos, field: str, channel: ChannelParams,
+                    reference_bytes: float | None) -> float:
+    if not isinstance(pos, (list, tuple)) or len(pos) != 3:
+        raise ValidationError(field, "must be a 3-vector of numbers")
+    uav_pos = tuple(_as_float(x, field) for x in pos)
+    if reference_bytes is None:
+        raise ValidationError(
+            "scenario.reference_bytes",
+            "required when any type derives its delay from a position")
+    try:
+        return derived_delay(reference_bytes, uav_pos,
+                             (0.0, 0.0, channel.gcs_height), channel)
+    except ValidationError as exc:
+        # the reference volume is a scenario key, not a type key
+        raise ValidationError(f"scenario.{exc.field}", exc.message) from exc
+    except (ValueError, ArithmeticError, ZeroCapacity) as exc:
+        raise ValidationError(field, str(exc)) from exc
 
 
 def _parse_type(block, position: int, channel: ChannelParams,
@@ -133,33 +167,17 @@ def _parse_type(block, position: int, channel: ChannelParams,
     _reject_unknown(block, ("index", "c1", "c2", "t", "n", "position"), field)
     if "c1" not in block or "n" not in block:
         raise ValidationError(field, "needs c1 and n")
-    index = _as_int(block.get("index", position + 1), f"{field}.index", 1)
-    c1 = _as_float(block["c1"], f"{field}.c1", 0.0)
-    c2 = _as_float(block.get("c2", 0.0), f"{field}.c2", 0.0)
-    n = _as_int(block["n"], f"{field}.n", 0)
-    has_t = "t" in block
-    has_pos = "position" in block
-    if has_t == has_pos:
+    if ("t" in block) == ("position" in block):
         raise ValidationError(field, "give exactly one of t or position")
-    if has_t:
-        t = _as_float(block["t"], f"{field}.t", 0.0, exclusive=True)
-    else:
-        pos = block["position"]
-        if (not isinstance(pos, (list, tuple)) or len(pos) != 3
-                or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                       for x in pos)):
-            raise ValidationError(f"{field}.position",
-                                  "must be a 3-vector of numbers")
-        if reference_bytes is None:
-            raise ValidationError(
-                "scenario.reference_bytes",
-                "required when any type derives its delay from a position")
-        t = derived_delay(reference_bytes, tuple(float(x) for x in pos),
-                          (0.0, 0.0, channel.gcs_height), channel)
-    try:
-        return UavType(index=index, c1=c1, c2=c2, t=t, n=n)
-    except ValueError as exc:
-        raise ValidationError(field, str(exc)) from exc
+    t = (_as_float(block["t"], f"{field}.t") if "t" in block
+         else _position_delay(block["position"], f"{field}.position",
+                              channel, reference_bytes))
+    return _build(field, UavType,
+                  index=_as_int(block.get("index", position + 1),
+                                f"{field}.index"),
+                  c1=_as_float(block["c1"], f"{field}.c1"),
+                  c2=_as_float(block.get("c2", 0.0), f"{field}.c2"),
+                  t=t, n=_as_int(block["n"], f"{field}.n"))
 
 
 def _parse_scenario(block, channel: ChannelParams) -> Scenario:
@@ -174,53 +192,36 @@ def _parse_scenario(block, channel: ChannelParams) -> Scenario:
     reference_bytes = None
     if "reference_bytes" in block:
         reference_bytes = _as_float(block["reference_bytes"],
-                                    "scenario.reference_bytes", 0.0,
-                                    exclusive=True)
-    types_block = block["types"]
-    if not isinstance(types_block, list) or not types_block:
-        raise ValidationError("scenario.types", "must be a non-empty list")
+                                    "scenario.reference_bytes")
+    if not isinstance(block["types"], list):
+        raise ValidationError("scenario.types", "must be a list")
     types = tuple(_parse_type(tb, i, channel, reference_bytes)
-                  for i, tb in enumerate(types_block))
-    counted = sum(ty.n for ty in types)
-    total = counted
+                  for i, tb in enumerate(block["types"]))
     if "total_uavs" in block:
-        total = _as_int(block["total_uavs"], "scenario.total_uavs", 1)
-        if total != counted:
-            raise ValidationError(
-                "scenario.total_uavs",
-                f"is {total} but type counts sum to {counted}")
-    try:
-        return Scenario(
-            types=types,
-            satisfaction_factor=_as_float(block["satisfaction_factor"],
-                                          "scenario.satisfaction_factor",
-                                          0.0, exclusive=True),
-            deployment_cost=_as_float(block.get("deployment_cost", 0.0),
-                                      "scenario.deployment_cost", 0.0),
-            s_max=_as_float(block["s_max"], "scenario.s_max", 0.0,
-                            exclusive=True),
-            t_max=_as_float(block["t_max"], "scenario.t_max", 0.0,
-                            exclusive=True),
-            vdd_demand=_as_float(block["vdd_demand"], "scenario.vdd_demand",
-                                 0.0, exclusive=True),
-            total_uavs=total)
-    except ValueError as exc:
-        raise ValidationError("scenario", str(exc)) from exc
+        total = _as_int(block["total_uavs"], "scenario.total_uavs")
+    else:
+        total = sum(ty.n for ty in types)
+    floats = {key: _as_float(block[key], f"scenario.{key}")
+              for key in ("satisfaction_factor", "s_max", "t_max",
+                          "vdd_demand")}
+    return _build("scenario", Scenario, types=types,
+                  deployment_cost=_as_float(block.get("deployment_cost", 0.0),
+                                            "scenario.deployment_cost"),
+                  total_uavs=total, **floats)
 
 
 def _parse_channel(block) -> ChannelParams:
     block = _require_mapping(block, "channel")
     allowed = tuple(f.name for f in dataclass_fields(ChannelParams))
     _reject_unknown(block, allowed, "channel")
-    kwargs = {key: _as_float(value, f"channel.{key}")
-              for key, value in block.items()}
-    try:
-        return ChannelParams(**kwargs)
-    except ValueError as exc:
-        raise ValidationError("channel", str(exc)) from exc
+    return _build("channel", ChannelParams,
+                  **{key: _as_float(value, f"channel.{key}")
+                     for key, value in block.items()})
 
 
-_PHC_INT_PARAMS = ("reward_levels", "size_levels")
+# the phc keys read as integers; every other phc key is a float
+_PHC_INTS = ("reward_levels", "size_levels", "slots", "hotboot_episodes",
+             "family_size", "slots_per_episode", "window")
 
 
 def _parse_phc(block) -> tuple[PhcParams, PhcRun]:
@@ -228,20 +229,13 @@ def _parse_phc(block) -> tuple[PhcParams, PhcRun]:
     param_names = tuple(f.name for f in dataclass_fields(PhcParams))
     run_names = tuple(f.name for f in dataclass_fields(PhcRun))
     _reject_unknown(block, param_names + run_names, "phc")
-    params_kwargs = {}
-    run_kwargs = {}
-    for key, value in block.items():
-        if key in param_names:
-            if key in _PHC_INT_PARAMS:
-                params_kwargs[key] = _as_int(value, f"phc.{key}", 0)
-            else:
-                params_kwargs[key] = _as_float(value, f"phc.{key}")
-        else:
-            if key in ("perturbation", "tolerance"):
-                run_kwargs[key] = _as_float(value, f"phc.{key}")
-            else:
-                run_kwargs[key] = _as_int(value, f"phc.{key}")
-    return PhcParams(**params_kwargs), PhcRun(**run_kwargs)
+    values = {key: (_as_int if key in _PHC_INTS else _as_float)(
+        value, f"phc.{key}") for key, value in block.items()}
+
+    def pick(names):
+        return {key: values[key] for key in names if key in values}
+    return (_build("phc", PhcParams, **pick(param_names)),
+            _build("phc", PhcRun, **pick(run_names)))
 
 
 def parse_config(raw) -> ExperimentConfig:
@@ -260,56 +254,29 @@ def parse_config(raw) -> ExperimentConfig:
     channel = (_parse_channel(raw["channel"]) if "channel" in raw
                else ChannelParams())
     scenario = _parse_scenario(raw["scenario"], channel)
-    seeds: tuple[int, ...] = ()
-    if "seeds" in raw:
-        block = raw["seeds"]
-        if not isinstance(block, list):
-            raise ValidationError("seeds", "must be a list of integers")
-        out = []
-        for i, s in enumerate(block):
-            v = _as_int(s, f"seeds[{i}]", 0)
-            if v >= _MAX_SEED:
-                raise ValidationError(f"seeds[{i}]",
-                                      "must fit in 64 bits")
-            out.append(v)
-        seeds = tuple(out)
-    phc_params = None
-    phc_run = None
-    if "phc" in raw:
-        phc_params, phc_run = _parse_phc(raw["phc"])
-    grid_oracle = None
-    if "grid_oracle" in raw:
-        grid_oracle = _as_float(raw["grid_oracle"], "grid_oracle", 0.0,
-                                exclusive=True)
-    linear_price = None
-    if "linear_price" in raw:
-        linear_price = _as_float(raw["linear_price"], "linear_price", 0.0,
-                                 exclusive=True)
-    populations = (2, 4, 6, 8, 10)
-    cost_points = 25
+    seeds = _as_int_list(raw["seeds"], "seeds") if "seeds" in raw else ()
+    phc_params, phc_run = (_parse_phc(raw["phc"]) if "phc" in raw
+                           else (None, None))
+    optional = {key: _as_float(raw[key], key)
+                for key in ("grid_oracle", "linear_price") if key in raw}
+    sweep = {}
     if "sweep" in raw:
-        sweep = _require_mapping(raw["sweep"], "sweep")
-        _reject_unknown(sweep, ("populations", "cost_points"), "sweep")
-        if "populations" in sweep:
-            pops = sweep["populations"]
-            if not isinstance(pops, list) or not pops:
-                raise ValidationError("sweep.populations",
-                                      "must be a non-empty list")
-            populations = tuple(
-                _as_int(p, f"sweep.populations[{i}]", 1)
-                for i, p in enumerate(pops))
-        if "cost_points" in sweep:
-            cost_points = _as_int(sweep["cost_points"], "sweep.cost_points",
-                                  2)
+        block = _require_mapping(raw["sweep"], "sweep")
+        _reject_unknown(block, ("populations", "cost_points"), "sweep")
+        if "populations" in block:
+            sweep["populations"] = _as_int_list(block["populations"],
+                                                "sweep.populations")
+        if "cost_points" in block:
+            sweep["cost_points"] = _as_int(block["cost_points"],
+                                           "sweep.cost_points")
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         raise ValidationError("output_dir", "must be a non-empty string")
+    # ExperimentConfig names its fields by their YAML paths already
     return ExperimentConfig(mode=mode, scenario=scenario, seeds=seeds,
                             output_dir=output_dir, channel=channel,
-                            phc=phc_params, phc_run=phc_run,
-                            grid_oracle=grid_oracle,
-                            linear_price=linear_price,
-                            populations=populations, cost_points=cost_points)
+                            phc=phc_params, phc_run=phc_run, **optional,
+                            **sweep)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SpeedViolation, ZeroCapacity
+from .errors import (SpeedViolation, ValidationError, ZeroCapacity,
+                     check_positive)
 
 LIGHT_SPEED = 2.99792458e8
 
@@ -60,13 +61,14 @@ class ChannelParams:
     slot_length: float = 1.0
 
     def __post_init__(self):
-        for name in ("carrier_freq", "light_speed", "iota1", "iota2",
-                     "gcs_height", "bandwidth", "tx_power", "noise_power",
-                     "slot_length"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_positive(self, ("carrier_freq", "light_speed", "iota1", "iota2",
+                              "gcs_height", "bandwidth", "tx_power",
+                              "noise_power", "slot_length"))
+        for name in ("kappa_los", "kappa_nlos"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(name, "must be finite")
         if self.kappa_nlos < self.kappa_los:
-            raise ValueError("kappa_nlos must be at least kappa_los")
+            raise ValidationError("kappa_nlos", "must be at least kappa_los")
 
 
 def step_mobility(kinematics: UavKinematics, direction: tuple[float, float, float],
@@ -148,6 +150,14 @@ def derived_delay(reference_bytes: float, uav_pos: tuple[float, float, float],
                   gcs_pos: tuple[float, float, float],
                   params: ChannelParams) -> float:
     """Per-type delay from geometry: pathloss at the given positions, then
-    the transmission time of a reference VDD volume."""
+    the transmission time of a reference VDD volume.
+
+    A bad volume raises ValidationError; a position the channel model
+    cannot price raises ValueError or ZeroCapacity.
+    """
+    if not 0.0 < reference_bytes < math.inf:
+        raise ValidationError("reference_bytes", "must be positive and finite")
+    if not all(map(math.isfinite, uav_pos)):
+        raise ValueError(f"non-finite component in {uav_pos}")
     return transmission_delay(reference_bytes,
                               a2g_pathloss(uav_pos, gcs_pos, params), params)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class UavContractError(Exception):
     """Base class for all package-specific errors."""
@@ -32,12 +34,26 @@ class ParseError(UavContractError):
         self.column = column
 
 
-class ValidationError(UavContractError):
-    """Config parsed but violates an invariant; names the offending field."""
+class ValidationError(UavContractError, ValueError):
+    """An input breaks an invariant; names the offending field."""
 
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
+
+
+def check_positive(obj, names, zero_ok: bool = False) -> None:
+    """Raise ValidationError for the first of ``obj``'s fields ``names``
+    that is not finite and positive (non-negative with ``zero_ok``)."""
+    for name in names:
+        value = getattr(obj, name)
+        # every comparison with NaN is false
+        above = value >= 0.0 if zero_ok else value > 0.0
+        if not (above and value < math.inf):
+            sign = "non-negative" if zero_ok else "positive"
+            raise ValidationError(name, f"must be {sign} and finite, "
+                                        f"got {value}")
 
 
 class NotConverged(UavContractError):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import ValidationError, check_positive
+
 # IC binds with exact equality at the optimum, so feasibility comparisons
 # need slack; strict comparisons would flag spurious violations.
 FEASIBILITY_TOL = 1e-9
@@ -39,14 +41,12 @@ class UavType:
 
     def __post_init__(self):
         if self.index < 1:
-            raise ValueError(f"type index must be positive, got {self.index}")
-        if self.c1 < 0 or self.c2 < 0 or self.c1 + self.c2 <= 0:
-            raise ValueError(f"marginal cost components must be non-negative "
-                             f"with a positive sum, got c1={self.c1}, c2={self.c2}")
-        if self.t <= 0:
-            raise ValueError(f"delay must be positive, got {self.t}")
+            raise ValidationError("index",
+                                  f"must be at least 1, got {self.index}")
+        check_positive(self, ("c1", "c2"), zero_ok=True)
+        check_positive(self, ("c", "t"))
         if self.n < 0:
-            raise ValueError(f"count must be non-negative, got {self.n}")
+            raise ValidationError("n", f"must be non-negative, got {self.n}")
 
     @property
     def c(self) -> float:
@@ -56,16 +56,20 @@ class UavType:
 
 @dataclass(frozen=True)
 class ContractItem:
-    """A single menu entry: VDD size in bytes and its reward."""
+    """A single menu entry: VDD size in bytes and its reward.
+
+    Items come from the solvers, so a bad one is a solver fault: it raises
+    a plain ValueError.
+    """
 
     s: float
     r: float
 
     def __post_init__(self):
-        if self.s < 0:
-            raise ValueError(f"vdd size must be non-negative, got {self.s}")
-        if self.r < 0:
-            raise ValueError(f"reward must be non-negative, got {self.r}")
+        for name in ("s", "r"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"item {name} must be non-negative and "
+                                 f"finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,9 @@ class ContractMenu:
     items: tuple[ContractItem, ...]
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, "
+                             f"got {self.t_max}")
         object.__setattr__(self, "items", tuple(self.items))
 
 
@@ -96,22 +101,22 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "types", tuple(self.types))
         if not self.types:
-            raise ValueError("scenario needs at least one type")
-        if self.satisfaction_factor <= 0:
-            raise ValueError("satisfaction_factor must be positive")
-        if self.deployment_cost < 0:
-            raise ValueError("deployment_cost must be non-negative")
-        if self.s_max <= 0:
-            raise ValueError("s_max must be positive")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+            raise ValidationError("types", "needs at least one type")
+        check_positive(self, ("satisfaction_factor", "s_max", "t_max",
+                              "vdd_demand"))
+        check_positive(self, ("deployment_cost",), zero_ok=True)
         indices = [ty.index for ty in self.types]
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"type indices must be distinct, got {indices}")
+        for i, index in enumerate(indices):
+            if index in indices[:i]:
+                raise ValidationError(f"types[{i}].index",
+                                      f"repeats index {index}")
         counted = sum(ty.n for ty in self.types)
         if counted != self.total_uavs:
-            raise ValueError(f"type counts sum to {counted} but total_uavs is "
-                             f"{self.total_uavs}")
+            raise ValidationError(
+                "total_uavs",
+                f"is {self.total_uavs} but type counts sum to {counted}")
+        if self.total_uavs < 1:
+            raise ValidationError("total_uavs", "must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -257,8 +262,6 @@ def defensive_effectiveness(scenario: Scenario, menu: ContractMenu) -> float:
     The numerator weights each eligible type's size by its count, so the
     metric responds to population sweeps.
     """
-    if scenario.vdd_demand <= 0:
-        raise ValueError("vdd_demand must be positive")
     total = 0.0
     for ty in scenario.types:
         if ty.t <= scenario.t_max:

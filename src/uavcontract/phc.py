@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import InsufficientData, ValidationError
+from .errors import InsufficientData, ValidationError, check_positive
 from .game import Scenario, UavType, eligible_types
 
 EXPLORE_VISITS = 30
@@ -75,8 +75,8 @@ class PhcParams:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 0:
                 raise ValidationError(name, "must be a non-negative integer")
-        if self.r_max is not None and not self.r_max > 0.0:
-            raise ValidationError("r_max", "must be positive when given")
+        if self.r_max is not None:
+            check_positive(self, ("r_max",))
 
 
 def default_r_max(scenario: Scenario) -> float:

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +43,6 @@ class MetricsRow:
     type_utilities: tuple[float, ...]
     gcs_utility: float
     zeta: float
-    wall_clock: float | None = None
 
 
 def fmt(value) -> str:
@@ -107,14 +105,12 @@ def metrics_rows(config: ExperimentConfig,
     }
     rows = []
     for scheme in SCHEME_ORDER:
-        tic = time.perf_counter()
         menu = solvers[scheme]()
         rows.append(MetricsRow(
             scheme=scheme,
             type_utilities=tuple(menu_utilities(scenario, menu)),
             gcs_utility=gcs_utility(scenario, menu),
-            zeta=defensive_effectiveness(scenario, menu),
-            wall_clock=time.perf_counter() - tic))
+            zeta=defensive_effectiveness(scenario, menu)))
     return rows
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -61,7 +62,75 @@ class TestParser:
             build_parser().parse_args([])
 
 
+def _solve_raw():
+    return {"mode": "solve",
+            "scenario": {"satisfaction_factor": 6.0, "deployment_cost": 1.0,
+                         "s_max": 300.0, "t_max": 2.0, "vdd_demand": 800.0,
+                         "reference_bytes": 300.0,
+                         "types": [{"c1": 1.0, "n": 5, "t": 1.0},
+                                   {"c1": 0.5, "n": 5, "t": 1.0}]}}
+
+
+def _set_position(raw, position):
+    first = raw["scenario"]["types"][0]
+    del first["t"]
+    first["position"] = position
+
+
+# (verb, edit of _solve_raw(), field named in the error)
+NON_FINITE_INPUTS = {
+    "c1_nan": ("solve",
+               lambda raw: raw["scenario"]["types"][0].update(c1=math.nan),
+               "scenario.types[0].c1"),
+    "s_max_inf": ("compare",
+                  lambda raw: raw["scenario"].update(s_max=math.inf),
+                  "scenario.s_max"),
+    "deployment_cost_inf": ("solve",
+                            lambda raw: raw["scenario"].update(
+                                deployment_cost=math.inf),
+                            "scenario.deployment_cost"),
+    "cost_sum_overflows": ("compare",
+                           lambda raw: raw["scenario"]["types"][0].update(
+                               c1=1.0e308, c2=1.0e308),
+                           "scenario.types[0].c"),
+    "kappa_los_nan": ("compare",
+                      lambda raw: (_set_position(raw, [100.0, 0.0, 30.0]),
+                                   raw.update(channel={"kappa_los": math.nan})),
+                      "channel.kappa_los"),
+    "position_nan": ("solve",
+                     lambda raw: _set_position(raw, [math.nan, 0.0, 30.0]),
+                     "scenario.types[0].position"),
+    "position_unreachable": ("solve",
+                             lambda raw: _set_position(raw,
+                                                       [1.0e300, 0.0, 30.0]),
+                             "scenario.types[0].position"),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+    def test_non_finite_input_names_field(self, case, tmp_path, capsys):
+        verb, edit, field = NON_FINITE_INPUTS[case]
+        raw = _solve_raw()
+        edit(raw)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        code = main([verb, "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_out_of_range(self, seed, tmp_path, capsys):
+        cfg = write_fast_phc(tmp_path)
+        out = tmp_path / "run"
+        code = main(["phc", "--config", str(cfg), "--out", str(out),
+                     "--seed", seed])
+        assert code == 2
+        assert "config error: seeds[0]: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_success(self, tmp_path, capsys):
         code = main(["compare", "--config", str(DATA / "scenario_a.yaml"),
                      "--out", str(tmp_path)])

@@ -1,10 +1,18 @@
 import copy
+import dataclasses
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uavcontract import (ChannelParams, ExperimentConfig, ParseError, PhcRun,
                          ValidationError, derived_delay, load_config,
-                         parse_config)
+                         parse_config, run_compare, run_solve,
+                         solve_partial_info, verify_feasibility)
 
 DATA = "tests/data"
 
@@ -115,7 +123,7 @@ class TestScenarioBlock:
         raw["scenario"]["types"][0]["index"] = 1
         with pytest.raises(ValidationError) as err:
             parse_config(raw)
-        assert err.value.field == "scenario"
+        assert err.value.field == "scenario.types[1].index"
 
     def test_type_needs_c1_and_n(self):
         raw = base_raw()
@@ -283,6 +291,187 @@ class TestModeRequirements:
             dataclasses.replace(cfg, populations=(0,))
         with pytest.raises(ValidationError):
             dataclasses.replace(cfg, cost_points=1)
+
+
+class TestOneBoundary:
+    """Domain types own the value checks; the parser adds the YAML path."""
+
+    @pytest.mark.parametrize("path,value,field", [
+        pytest.param(("scenario", "types", 0, "c1"), 10 ** 400,
+                     "scenario.types[0].c1", id="c1-beyond-float"),
+        (("scenario", "types", 1, "t"), math.inf, "scenario.types[1].t"),
+        (("scenario", "types", 1, "n"), -1, "scenario.types[1].n"),
+        (("scenario", "types", 1, "index"), 0, "scenario.types[1].index"),
+        (("scenario", "deployment_cost"), -math.inf,
+         "scenario.deployment_cost"),
+        (("scenario", "vdd_demand"), 0.0, "scenario.vdd_demand"),
+        (("scenario", "types"), [], "scenario.types"),
+        (("grid_oracle",), math.inf, "grid_oracle"),
+        (("linear_price",), math.nan, "linear_price"),
+    ])
+    def test_field_named(self, path, value, field):
+        with pytest.raises(ValidationError) as err:
+            parse_config(variant((path, value)))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("block,field", [
+        ({"learning_rate_gcs": 2.0}, "phc.learning_rate_gcs"),
+        ({"r_max": math.inf}, "phc.r_max"),
+        ({"slots": 0}, "phc.slots"),
+        ({"slots": 100, "window": 200}, "phc.window"),
+    ])
+    def test_phc_fields_carry_block_path(self, block, field):
+        raw = base_raw()
+        raw["phc"] = block
+        with pytest.raises(ValidationError) as err:
+            parse_config(raw)
+        assert err.value.field == field
+
+    def test_sweep_entry_named(self):
+        raw = base_raw()
+        raw["sweep"] = {"populations": [3, 0]}
+        with pytest.raises(ValidationError) as err:
+            parse_config(raw)
+        assert err.value.field == "sweep.populations[1]"
+
+    def test_reference_bytes_named(self):
+        raw = base_raw()
+        raw["scenario"]["reference_bytes"] = math.inf
+        raw["scenario"]["types"][0] = {"c1": 1.0, "n": 5,
+                                       "position": [100.0, 0.0, 30.0]}
+        with pytest.raises(ValidationError) as err:
+            parse_config(raw)
+        assert err.value.field == "scenario.reference_bytes"
+
+    def test_infinite_altitude_named(self):
+        # directly overhead the path loss never reads the altitude, so only
+        # the finiteness check refuses it
+        raw = base_raw()
+        raw["scenario"]["reference_bytes"] = 300.0
+        raw["scenario"]["types"][0] = {"c1": 1.0, "n": 5,
+                                       "position": [0.0, 0.0, math.inf]}
+        with pytest.raises(ValidationError) as err:
+            parse_config(raw)
+        assert err.value.field == "scenario.types[0].position"
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_override_checked(self, seed):
+        cfg = parse_config(base_raw())
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(cfg, seeds=(0, seed))
+        assert err.value.field == "seeds[1]"
+
+
+def full_raw():
+    """The base config with every optional block and a derived delay."""
+    raw = base_raw()
+    raw["seeds"] = [0, 1]
+    raw["output_dir"] = "out"
+    raw["linear_price"] = 1.0
+    raw["scenario"]["reference_bytes"] = 300.0
+    raw["scenario"]["total_uavs"] = 12
+    raw["scenario"]["types"].append(
+        {"index": 3, "c1": 0.3, "c2": 0.1, "n": 2,
+         "position": [80.0, 0.0, 60.0]})
+    raw["channel"] = {"kappa_los": 1.0, "kappa_nlos": 20.0,
+                      "gcs_height": 2.0, "bandwidth": 1.0e6,
+                      "noise_power": 1.0e-13}
+    raw["phc"] = {"learning_rate_gcs": 0.7, "discount_uav": 0.8,
+                  "reward_levels": 4, "r_max": 10.0, "slots": 100,
+                  "window": 50, "tolerance": 0.9, "perturbation": 0.2}
+    raw["sweep"] = {"populations": [3, 5], "cost_points": 3}
+    return raw
+
+
+def full_variant(path, value):
+    raw = full_raw()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+def leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from leaf_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from leaf_paths(child, path + (i,))
+    else:
+        yield path
+
+
+LEAVES = sorted(leaf_paths(full_raw()), key=repr)
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 1.0e308, -1.0e308, 5e-324,
+               0, 0.0, -0.0, -1, 2 ** 63, 2 ** 64, -(2 ** 64), 10 ** 400,
+               True, False, None, "", "1.0", [], [1.0, 2.0, 3.0], {}]
+
+yaml_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(), st.text(max_size=4))
+yaml_values = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.recursive(yaml_scalars,
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+                 max_leaves=6))
+
+
+def realistic(value) -> bool:
+    """A number a real deployment could write: zero, or 1e-3..1e4 in size."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return value == 0 or 1e-3 <= abs(value) <= 1e4
+
+
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def parse_or_reject(raw):
+    """parse_config's result, or None when it refuses with a config error."""
+    try:
+        return parse_config(raw)
+    except (ParseError, ValidationError):
+        return None
+
+
+# the leaves that reach the compare and solve outputs
+OUTPUT_LEAVES = [path for path in LEAVES
+                 if path[0] in ("scenario", "channel", "linear_price")]
+
+
+class TestArbitraryLeaf:
+    """One leaf of the full config set to an arbitrary YAML value."""
+
+    def test_every_leaf_takes_every_edge_value(self):
+        for value in EDGE_VALUES:
+            for path in LEAVES:
+                parse_or_reject(full_variant(path, value))
+
+    @given(value=yaml_values)
+    def test_parse_raises_only_config_errors(self, value):
+        for path in LEAVES:
+            parse_or_reject(full_variant(path, value))
+
+    @given(value=st.one_of(st.floats(-1e4, 1e4), st.integers(-10, 10 ** 4)))
+    def test_accepted_configs_give_finite_feasible_output(self, value):
+        if not realistic(value):
+            return
+        for path in OUTPUT_LEAVES:
+            cfg = parse_or_reject(full_variant(path, value))
+            if cfg is None:
+                continue
+            with tempfile.TemporaryDirectory() as tmp:
+                run_compare(cfg, tmp)
+                run_solve(cfg, tmp)
+                for name in ("compare.csv", "menu.csv", "summary.json"):
+                    text = (Path(tmp) / name).read_text()
+                    assert not NON_FINITE.search(text), (path, name, text)
+            # the complete-information menu is not IC by design
+            menu, _ = solve_partial_info(cfg.scenario)
+            assert verify_feasibility(cfg.scenario, menu).feasible, path
 
 
 class TestLoadConfig:

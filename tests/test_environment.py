@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uavcontract import (ChannelParams, SpeedViolation, UavKinematics,
-                         ZeroCapacity, a2g_pathloss, derived_delay,
-                         los_probability, step_mobility, transmission_delay)
+                         ValidationError, ZeroCapacity, a2g_pathloss,
+                         derived_delay, los_probability, step_mobility,
+                         transmission_delay)
 
 P = ChannelParams()
 
@@ -183,3 +184,24 @@ def test_channel_params_validation():
         ChannelParams(bandwidth=0.0)
     with pytest.raises(ValueError):
         ChannelParams(kappa_los=5.0, kappa_nlos=1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("kappa_los", math.nan), ("kappa_nlos", math.inf),
+    ("carrier_freq", math.inf), ("noise_power", math.nan),
+    ("bandwidth", -1.0)])
+def test_channel_params_name_the_field(field, value):
+    with pytest.raises(ValidationError) as err:
+        ChannelParams(**{field: value})
+    assert err.value.field == field
+
+
+def test_derived_delay_checks_its_inputs():
+    gcs = (0.0, 0.0, P.gcs_height)
+    for volume in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError) as err:
+            derived_delay(volume, (100.0, 0.0, 30.0), gcs, P)
+        assert err.value.field == "reference_bytes"
+    for pos in ((math.nan, 0.0, 30.0), (0.0, 0.0, math.inf)):
+        with pytest.raises(ValueError):
+            derived_delay(300.0, pos, gcs, P)

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uavcontract import (ContractItem, ContractMenu, Scenario, UavType,
-                         defensive_effectiveness, eligible_types,
-                         gcs_utility, item_for, uav_utility,
+                         ValidationError, defensive_effectiveness,
+                         eligible_types, gcs_utility, item_for, uav_utility,
                          verify_feasibility)
 from uavcontract.game import FEASIBILITY_TOL
 
@@ -284,3 +284,58 @@ class TestDefensiveEffectiveness:
                       s_max=300.0, t_max=2.0, vdd_demand=800.0,
                       total_uavs=10)
         assert defensive_effectiveness(sc, menu_a()) == 15.0 / 800.0
+
+
+SCENARIO_A = dict(satisfaction_factor=6.0, deployment_cost=1.0, s_max=300.0,
+                  t_max=2.0, vdd_demand=800.0, total_uavs=10)
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("field,value", [
+        ("index", 0), ("c1", -0.1), ("c1", math.nan), ("c2", math.inf),
+        ("t", 0.0), ("t", math.inf), ("t", math.nan), ("n", -1)])
+    def test_type_field_named(self, field, value):
+        kwargs = dict(index=1, c1=1.0, c2=0.0, t=1.0, n=5)
+        kwargs[field] = value
+        with pytest.raises(ValidationError) as err:
+            UavType(**kwargs)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("c1,c2", [(0.0, 0.0), (1.0e308, 1.0e308)])
+    def test_cost_sum_named(self, c1, c2):
+        with pytest.raises(ValidationError) as err:
+            UavType(index=1, c1=c1, c2=c2, t=1.0, n=5)
+        assert err.value.field == "c"
+
+    @pytest.mark.parametrize("field,value", [
+        ("satisfaction_factor", math.nan), ("deployment_cost", -1.0),
+        ("deployment_cost", math.inf), ("s_max", math.inf),
+        ("t_max", 0.0), ("vdd_demand", 0.0), ("vdd_demand", math.nan),
+        ("total_uavs", 11)])
+    def test_scenario_field_named(self, field, value):
+        kwargs = dict(SCENARIO_A, types=make_scenario_a().types)
+        kwargs[field] = value
+        with pytest.raises(ValidationError) as err:
+            Scenario(**kwargs)
+        assert err.value.field == field
+
+    def test_scenario_needs_a_member(self):
+        empty = (UavType(index=1, c1=1.0, c2=0.0, t=1.0, n=0),)
+        with pytest.raises(ValidationError) as err:
+            Scenario(**dict(SCENARIO_A, types=empty, total_uavs=0))
+        assert err.value.field == "total_uavs"
+
+    def test_validation_error_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            UavType(index=1, c1=math.nan, c2=0.0, t=1.0, n=5)
+
+    @pytest.mark.parametrize("s,r", [(math.inf, 1.0), (1.0, math.nan),
+                                     (-1.0, 1.0)])
+    def test_bad_item_is_a_solver_fault(self, s, r):
+        with pytest.raises(ValueError) as err:
+            ContractItem(s=s, r=r)
+        assert not isinstance(err.value, ValidationError)
+
+    def test_menu_deadline_finite(self):
+        with pytest.raises(ValueError):
+            ContractMenu(t_max=math.inf, items=())

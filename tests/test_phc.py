@@ -815,9 +815,11 @@ class TestValidation:
                        {"discount_gcs": 1.0}, {"discount_uav": -0.1},
                        {"step_gcs": 0.0}, {"step_uav": 1.0},
                        {"reward_levels": -1}, {"size_levels": 2.5},
-                       {"r_max": 0.0}):
-            with pytest.raises(ValidationError):
+                       {"r_max": 0.0}, {"r_max": math.inf},
+                       {"r_max": math.nan}, {"step_uav": math.nan}):
+            with pytest.raises(ValidationError) as err:
                 PhcParams(**kwargs)
+            assert err.value.field == next(iter(kwargs))
 
     def test_policy_tables_checks(self):
         with pytest.raises(ValidationError):
