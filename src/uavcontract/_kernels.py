@@ -8,14 +8,14 @@ compilations of themselves: `sample_index`, `phc_step`, the whole-row
 the scalar training body `train_loop` and the three `oracle_scan_*`
 scans.  The selected path is reported in ``JIT_ENABLED``.
 
-On the pure path, where a scalar loop pays per element, three kernels are
+On the pure path, where a scalar loop pays per element, four kernels are
 rebound instead to numpy forms with the same name and signature:
-`oracle_scan_2` and `oracle_scan_3` to `_vector_oracle_scan_2/3`, and
-`train_loop` to `_row_train_loop`, which steps every (seed, type) row of
-a batch at once per slot.  Each form does the scalar body's arithmetic in
-the same order with the same tie-breaking, so it gives the same bits;
-`_scalar_train_loop` keeps the scalar training body reachable on both
-paths as the reference the tests compare the row-stepped one against.
+`oracle_scan_2/3` to `_vector_oracle_scan_2/3`, `train_loop` to
+`_row_train_loop`, which steps every (seed, type) row of a batch at once
+per slot, and `update_many` to `_row_update_many`.  Each form does the
+scalar body's arithmetic in the same order with the same tie-breaking, so
+it gives the same bits; `_scalar_train_loop` and `_scalar_update_many`
+keep the scalar bodies reachable on both paths as the tests' references.
 The compiled path has not been run since the committed contract game
 and the row-stepped body were added, so it, and its agreement with the
 pure path, are unverified.
@@ -113,6 +113,14 @@ def update_many(q, pi, states, actions, payoffs, next_states, rate, discount,
     for k in range(states.shape[0]):
         phc_step(q, pi, states[k], actions[k], payoffs[k], next_states[k],
                  rate, discount, step)
+
+
+def _row_update_many(q, pi, states, actions, payoffs, next_states, rate,
+                     discount, step):
+    """`update_many` through `phc_step_wide`, whole-row numpy calls."""
+    for update in zip(states.tolist(), actions.tolist(), payoffs.tolist(),
+                      next_states.tolist()):
+        phc_step_wide(q, pi, *update, rate, discount, step)
 
 
 def explore_rate(visits, horizon, floor):
@@ -424,9 +432,10 @@ if JIT_REQUESTED:
         oracle_scan_3 = njit(cache=True)(oracle_scan_3)
         JIT_ENABLED = True
 
-# the scalar training body, kept as the reference the row-stepped one is
-# tested against
+# the scalar bodies, kept as the references the numpy forms are tested
+# against
 _scalar_train_loop = train_loop
+_scalar_update_many = update_many
 
 if not JIT_ENABLED:
     # the scalar loops are far too slow in plain python; swap in the
@@ -434,6 +443,7 @@ if not JIT_ENABLED:
     oracle_scan_2 = _vector_oracle_scan_2
     oracle_scan_3 = _vector_oracle_scan_3
     train_loop = _row_train_loop
+    update_many = _row_update_many
 
 
 def warmup():

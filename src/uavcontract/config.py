@@ -17,7 +17,7 @@ import yaml
 
 from .environment import ChannelParams, derived_delay
 from .errors import (ParseError, ValidationError, ZeroCapacity,
-                     check_positive)
+                     check_count, check_positive)
 from .game import Scenario, UavType
 from .phc import PhcParams
 
@@ -92,9 +92,7 @@ class ExperimentConfig:
         if not self.populations:
             raise ValidationError("sweep.populations", "must be non-empty")
         for i, population in enumerate(self.populations):
-            if population < 1:
-                raise ValidationError(f"sweep.populations[{i}]",
-                                      "must be at least 1")
+            check_count(f"sweep.populations[{i}]", population, 1)
         if self.cost_points < 2:
             raise ValidationError("sweep.cost_points", "must be at least 2")
 

@@ -153,11 +153,16 @@ def derived_delay(reference_bytes: float, uav_pos: tuple[float, float, float],
     the transmission time of a reference VDD volume.
 
     A bad volume raises ValidationError; a position the channel model
-    cannot price raises ValueError or ZeroCapacity.
+    cannot price, or one where the volume's delay underflows to zero or
+    overflows, raises ValueError or ZeroCapacity.
     """
     if not 0.0 < reference_bytes < math.inf:
         raise ValidationError("reference_bytes", "must be positive and finite")
     if not all(map(math.isfinite, uav_pos)):
         raise ValueError(f"non-finite component in {uav_pos}")
-    return transmission_delay(reference_bytes,
-                              a2g_pathloss(uav_pos, gcs_pos, params), params)
+    delay = transmission_delay(reference_bytes,
+                               a2g_pathloss(uav_pos, gcs_pos, params), params)
+    if not 0.0 < delay < math.inf:
+        raise ValueError(f"reference_bytes {reference_bytes} takes {delay} s "
+                         f"from this position, not a positive finite delay")
+    return delay

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import math
+import sys
 
 
 class UavContractError(Exception):
@@ -54,6 +55,16 @@ def check_positive(obj, names, zero_ok: bool = False) -> None:
             sign = "non-negative" if zero_ok else "positive"
             raise ValidationError(name, f"must be {sign} and finite, "
                                         f"got {value}")
+
+
+def check_count(field: str, value: int, minimum: int) -> None:
+    """Raise ValidationError unless ``value`` is at least ``minimum`` and,
+    since counts enter the utilities as floats, at most the largest float."""
+    if value < minimum:
+        raise ValidationError(field, f"must be at least {minimum}, "
+                                     f"got {value}")
+    if value > sys.float_info.max:
+        raise ValidationError(field, "is too large for a float")
 
 
 class NotConverged(UavContractError):

@@ -12,9 +12,10 @@ incentive-compatibility (IC) and monotonicity conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import ValidationError, check_positive
+from .errors import ValidationError, check_count, check_positive
 
 # IC binds with exact equality at the optimum, so feasibility comparisons
 # need slack; strict comparisons would flag spurious violations.
@@ -45,8 +46,7 @@ class UavType:
                                   f"must be at least 1, got {self.index}")
         check_positive(self, ("c1", "c2"), zero_ok=True)
         check_positive(self, ("c", "t"))
-        if self.n < 0:
-            raise ValidationError("n", f"must be non-negative, got {self.n}")
+        check_count("n", self.n, 0)
 
     @property
     def c(self) -> float:
@@ -88,7 +88,12 @@ class ContractMenu:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full problem instance: the type set and the GCS-side constants."""
+    """Full problem instance: the type set and the GCS-side constants.
+
+    Derived state is computed once and cached outside the fields, so
+    equality, hash and repr see the fields alone, and a scenario made by
+    ``dataclasses.replace`` derives its own.
+    """
 
     types: tuple[UavType, ...]
     satisfaction_factor: float
@@ -115,8 +120,22 @@ class Scenario:
             raise ValidationError(
                 "total_uavs",
                 f"is {self.total_uavs} but type counts sum to {counted}")
-        if self.total_uavs < 1:
-            raise ValidationError("total_uavs", "must be at least 1")
+        check_count("total_uavs", self.total_uavs, 1)
+
+    @cached_property
+    def eligible(self) -> tuple[UavType, ...]:
+        """Types meeting the deadline, by strictly descending marginal cost:
+        the solver's canonical index 1..J'.  Equal costs are ordered by
+        nudging each down by ``1e-12 * index``; the types are unmodified."""
+        chosen = [ty for ty in self.types if ty.t <= self.t_max]
+        chosen.sort(key=lambda ty: -(ty.c - _COST_TIE_EPS * ty.index))
+        return tuple(chosen)
+
+    @cached_property
+    def partial_info(self):
+        """The partial-information optimum as (menu, SolverTrace)."""
+        from .solver import _solve_partial_info  # solver imports this module
+        return _solve_partial_info(self)
 
 
 @dataclass(frozen=True)
@@ -176,35 +195,25 @@ def gcs_utility(scenario: Scenario, menu: ContractMenu) -> float:
     log) minus ``n * r`` of payment, with both terms suppressed entirely for
     types missing the deadline.
     """
-    if len(menu.items) != len(scenario.types):
-        raise ValueError(f"menu has {len(menu.items)} items for "
-                         f"{len(scenario.types)} types")
     total = 0.0
-    for ty, item in zip(scenario.types, menu.items):
-        total += gcs_type_term(scenario, ty, item)
+    for ty, item in zip(scenario.types, _items(scenario, menu)):
+        if ty.t <= scenario.t_max:
+            w = scenario.satisfaction_factor * ty.n / ty.t
+            total += w * math.log1p(item.s) - ty.n * item.r
     return total
 
 
-def gcs_type_term(scenario: Scenario, uav_type: UavType,
-                  item: ContractItem) -> float:
-    """One type's additive term of the GCS utility."""
-    if uav_type.t > scenario.t_max:
-        return 0.0
-    w = scenario.satisfaction_factor * uav_type.n / uav_type.t
-    return w * math.log1p(item.s) - uav_type.n * item.r
+def _items(scenario: Scenario, menu: ContractMenu) -> tuple[ContractItem, ...]:
+    """The menu's items, checked to be one per scenario type."""
+    if len(menu.items) != len(scenario.types):
+        raise ValueError(f"menu has {len(menu.items)} items for "
+                         f"{len(scenario.types)} types")
+    return menu.items
 
 
 def eligible_types(scenario: Scenario) -> list[UavType]:
-    """Types meeting the deadline, sorted by strictly descending marginal cost.
-
-    The returned order is the solver's canonical index 1..J'.  Exactly equal
-    costs are broken deterministically by nudging each cost down by
-    ``1e-12 * index`` before sorting; the types themselves are returned
-    unmodified.
-    """
-    chosen = [ty for ty in scenario.types if ty.t <= scenario.t_max]
-    chosen.sort(key=lambda ty: -(ty.c - _COST_TIE_EPS * ty.index))
-    return chosen
+    """The scenario's eligible order (`Scenario.eligible`) as a new list."""
+    return list(scenario.eligible)
 
 
 def item_for(scenario: Scenario, menu: ContractMenu,
@@ -224,32 +233,35 @@ def verify_feasibility(scenario: Scenario, menu: ContractMenu,
     Ineligible types are required to hold the null contract (s = r = 0) and
     are otherwise excluded from the IR/IC comparisons.  All utility
     comparisons carry tolerance ``tol`` because the optimal menu makes IR
-    and adjacent IC bind with equality.
+    and adjacent IC bind with equality.  Items are paired with types once,
+    so the check is O(J^2).
     """
-    order = eligible_types(scenario)
+    items = _items(scenario, menu)
+    offers = {ty.index: (item.s, item.r)
+              for ty, item in zip(scenario.types, items)}
+    priced = [(ty.index, *offers[ty.index]) for ty in scenario.eligible]
+    c0 = scenario.deployment_cost
     ir = []
     ic = []
-    for ty in order:
-        own = uav_utility(ty, item_for(scenario, menu, ty), scenario.t_max,
-                          scenario.deployment_cost)
+    for ty, (index, s_own, r_own) in zip(scenario.eligible, priced):
+        # uav_utility of an eligible type, with its arithmetic and order
+        c = ty.c
+        own = r_own - (c * s_own + c0)
         if own < -tol:
-            ir.append((ty.index, own))
-        for other in order:
-            if other.index == ty.index:
-                continue
-            foreign = uav_utility(ty, item_for(scenario, menu, other),
-                                  scenario.t_max, scenario.deployment_cost)
-            if foreign > own + tol:
-                ic.append((ty.index, other.index, foreign - own))
-    sizes = [item_for(scenario, menu, ty).s for ty in order]
-    rewards = [item_for(scenario, menu, ty).r for ty in order]
+            ir.append((index, own))
+        bar = own + tol
+        for other, s, r in priced:
+            if other != index:
+                foreign = r - (c * s + c0)
+                if foreign > bar:
+                    ic.append((index, other, foreign - own))
+    sizes = [s for _, s, _ in priced]
+    rewards = [r for _, _, r in priced]
     size_mono = all(a <= b + tol for a, b in zip(sizes, sizes[1:]))
     reward_mono = all(a <= b + tol for a, b in zip(rewards, rewards[1:]))
     bad_ineligible = tuple(
-        ty.index for ty in scenario.types
-        if ty.t > scenario.t_max
-        and (item_for(scenario, menu, ty).s != 0.0
-             or item_for(scenario, menu, ty).r != 0.0))
+        ty.index for ty, item in zip(scenario.types, items)
+        if ty.t > scenario.t_max and (item.s != 0.0 or item.r != 0.0))
     return FeasibilityReport(ir_violations=tuple(ir), ic_violations=tuple(ic),
                              size_monotone=size_mono,
                              reward_monotone=reward_mono,
@@ -263,7 +275,7 @@ def defensive_effectiveness(scenario: Scenario, menu: ContractMenu) -> float:
     metric responds to population sweeps.
     """
     total = 0.0
-    for ty in scenario.types:
+    for ty, item in zip(scenario.types, _items(scenario, menu)):
         if ty.t <= scenario.t_max:
-            total += ty.n * item_for(scenario, menu, ty).s
+            total += ty.n * item.s
     return total / scenario.vdd_demand

@@ -23,7 +23,7 @@ from ._kernels import JIT_ENABLED
 from .config import ExperimentConfig
 from .errors import NotConverged, ValidationError
 from .game import (Scenario, defensive_effectiveness, eligible_types,
-                   gcs_utility, item_for)
+                   gcs_utility)
 from .phc import (EpisodeLog, convergence_check, convergence_slot, hotboot,
                   perturb_scenario, train, with_default_r_max)
 from .solver import (brute_force_oracle, linear_contract, menu_utilities,
@@ -137,13 +137,11 @@ def _oracle_report(config: ExperimentConfig, scenario: Scenario,
     step = (config.grid_oracle if config.grid_oracle is not None
             else DEFAULT_ORACLE_STEP)
     oracle_menu = brute_force_oracle(scenario, step)
-    order = eligible_types(scenario)
+    positions = [scenario.types.index(ty) for ty in eligible_types(scenario)]
     return {
         "grid_step": step,
-        "closed_form_sizes": [item_for(scenario, closed_menu, ty).s
-                              for ty in order],
-        "oracle_sizes": [item_for(scenario, oracle_menu, ty).s
-                         for ty in order],
+        "closed_form_sizes": [closed_menu.items[k].s for k in positions],
+        "oracle_sizes": [oracle_menu.items[k].s for k in positions],
         "closed_form_gcs_utility": gcs_utility(scenario, closed_menu),
         "oracle_gcs_utility": gcs_utility(scenario, oracle_menu),
         "resolution_bound": oracle_resolution_bound(scenario, step),
@@ -158,8 +156,7 @@ def run_solve(config: ExperimentConfig, out_dir=None, oracle: bool = False,
     menu, trace = solve_partial_info(scenario)
     utilities = menu_utilities(scenario, menu)
     lines = ["type,cost,delay,count,size,reward,utility"]
-    for ty, u in zip(scenario.types, utilities):
-        item = item_for(scenario, menu, ty)
+    for ty, item, u in zip(scenario.types, menu.items, utilities):
         lines.append(",".join([str(ty.index), fmt(ty.c), fmt(ty.t),
                                str(ty.n), fmt(item.s), fmt(item.r), fmt(u)]))
     write_text_atomic(out / "menu.csv", "\n".join(lines) + "\n")
@@ -302,6 +299,8 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
     params = with_default_r_max(config.phc, scenario)
     run = config.phc_run
     reference, _ = solve_partial_info(scenario)
+    reference_items = {ty.index: item
+                       for ty, item in zip(scenario.types, reference.items)}
     rngs = [np.random.default_rng(seed) for seed in config.seeds]
     inits = None
     if run.hotboot_episodes > 0:
@@ -318,8 +317,7 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
         write_text_atomic(out / f"phc_seed{seed}.csv",
                           "\n".join(_trajectory_lines(result.log)) + "\n")
         for type_index, verdict in zip(result.log.type_indices, verdicts):
-            ty = next(t for t in scenario.types if t.index == type_index)
-            ref_item = item_for(scenario, reference, ty)
+            ref_item = reference_items[type_index]
             summaries.append(PhcSeedSummary(
                 seed=seed, type_index=type_index,
                 converged=verdict.converged, modal_size=verdict.size,

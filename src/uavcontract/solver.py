@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import _kernels
 from .errors import TooManyTypes
-from .game import (ContractItem, ContractMenu, Scenario, UavType,
-                   eligible_types, gcs_utility)
+from .game import (ContractItem, ContractMenu, Scenario, eligible_types,
+                   gcs_utility, uav_utility)
 
 
 @dataclass(frozen=True)
@@ -35,19 +36,18 @@ class SolverTrace:
     eligible_order: tuple[int, ...]
     unconstrained_sizes: tuple[float, ...]
     pools: tuple[tuple[int, int], ...]
-    final_menu: ContractMenu
 
 
-def _coefficients(scenario: Scenario, order: list[UavType]):
+def _coefficients(scenario: Scenario, order):
     """Per eligible position: satisfaction weight w_j and the linear cost
     coefficient a_j of the relaxed objective.
 
     a_j couples type j's own payment to the information rents it creates for
     every cheaper type below it in the order; for the last type it reduces
-    to the plain cost times count.
+    to the plain cost times count.  The count suffix sums are exact
+    integers.
     """
-    counts = [ty.n for ty in order]
-    suffix = list(np.cumsum(counts[::-1])[::-1])
+    suffix = list(accumulate(ty.n for ty in reversed(order)))[::-1]
     suffix.append(0)
     w = []
     a = []
@@ -67,61 +67,47 @@ def objective_term(scenario: Scenario, j: int, s: float) -> float:
     return w[j - 1] * math.log1p(s) - a[j - 1] * s
 
 
-def optimal_vdd_unconstrained(scenario: Scenario) -> list[float]:
-    """Relaxed per-type size maximizers, clamped to [0, s_max].
+def _maximizer(scenario: Scenario, w: float, a: float) -> float:
+    """Maximizer of w*ln(1+s) - a*s over [0, s_max].
 
-    The stationary point of w*ln(1+s) - a*s is w/a - 1.  A non-positive a
-    (possible only for degenerate inputs such as zero-count types tied in
-    cost) makes the objective non-decreasing, so the boundary s_max is the
-    maximizer.
+    The stationary point is w/a - 1.  A non-positive a (possible only for
+    degenerate inputs such as zero-count types tied in cost) makes the
+    objective non-decreasing, so the boundary s_max is the maximizer.
     """
-    order = eligible_types(scenario)
-    if not order:
-        raise ValueError("no eligible types: every delay exceeds t_max")
-    w, a = _coefficients(scenario, order)
-    sizes = []
-    for wj, aj in zip(w, a):
-        if aj <= 0.0:
-            sizes.append(scenario.s_max)
-        else:
-            sizes.append(min(max(wj / aj - 1.0, 0.0), scenario.s_max))
-    return sizes
-
-
-def _pooled_size(scenario, w, a, start, end) -> float:
-    """Maximizer of the pooled concave objective over positions [start, end]."""
-    wsum = sum(w[start:end + 1])
-    asum = sum(a[start:end + 1])
-    if asum <= 0.0:
+    if a <= 0.0:
         return scenario.s_max
-    return min(max(wsum / asum - 1.0, 0.0), scenario.s_max)
+    return min(max(w / a - 1.0, 0.0), scenario.s_max)
 
 
-def _iron_trace(scenario: Scenario, sizes: list[float]):
-    order = eligible_types(scenario)
-    w, a = _coefficients(scenario, order)
-    if len(sizes) != len(order):
-        raise ValueError(f"{len(sizes)} sizes for {len(order)} eligible types")
-    # each pool is [start, end] over eligible positions with one shared value
-    pools = [[i, i, s] for i, s in enumerate(sizes)]
-    i = 0
-    while i + 1 < len(pools):
-        if pools[i][2] > pools[i + 1][2] + 0.0:
-            lo, hi = pools[i][0], pools[i + 1][1]
-            merged = [lo, hi, _pooled_size(scenario, w, a, lo, hi)]
-            pools[i:i + 2] = [merged]
-            # a merged pool can undercut its left neighbour; re-check backwards
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    ironed = [0.0] * len(sizes)
-    merged_ranges = []
-    for lo, hi, val in pools:
-        for k in range(lo, hi + 1):
-            ironed[k] = val
-        if hi > lo:
-            merged_ranges.append((lo, hi))
-    return ironed, tuple(merged_ranges)
+def _relaxed_sizes(scenario: Scenario, w, a) -> list[float]:
+    if not w:
+        raise ValueError("no eligible types: every delay exceeds t_max")
+    return [_maximizer(scenario, wj, aj) for wj, aj in zip(w, a)]
+
+
+def optimal_vdd_unconstrained(scenario: Scenario) -> list[float]:
+    """Relaxed per-type size maximizers, clamped to [0, s_max]."""
+    return _relaxed_sizes(scenario,
+                          *_coefficients(scenario, scenario.eligible))
+
+
+def _iron_trace(scenario: Scenario, w, a, sizes: list[float]):
+    if len(sizes) != len(w):
+        raise ValueError(f"{len(sizes)} sizes for {len(w)} eligible types")
+    # a stack of (start, end, shared value) pools over eligible positions:
+    # each size merges with the pools it undercuts, nearest first
+    pools = []
+    for end, value in enumerate(sizes):
+        start = end
+        while pools and pools[-1][2] > value + 0.0:
+            start = pools.pop()[0]
+            value = _maximizer(scenario, sum(w[start:end + 1]),
+                               sum(a[start:end + 1]))
+        pools.append((start, end, value))
+    ironed = [value for start, end, value in pools
+              for _ in range(start, end + 1)]
+    return ironed, tuple((start, end) for start, end, _ in pools
+                         if end > start)
 
 
 def iron(scenario: Scenario, sizes: list[float]) -> list[float]:
@@ -132,14 +118,15 @@ def iron(scenario: Scenario, sizes: list[float]) -> list[float]:
     neighbours, until the sequence is non-decreasing.  Monotone input is
     returned unchanged.
     """
-    ironed, _ = _iron_trace(scenario, sizes)
+    w, a = _coefficients(scenario, scenario.eligible)
+    ironed, _ = _iron_trace(scenario, w, a, sizes)
     return ironed
 
 
 def optimal_rewards(scenario: Scenario, sizes: list[float]) -> list[float]:
     """Rewards that make IR bind for the costliest type and each adjacent
     downward IC bind with equality, given non-decreasing sizes."""
-    order = eligible_types(scenario)
+    order = scenario.eligible
     if len(sizes) != len(order):
         raise ValueError(f"{len(sizes)} sizes for {len(order)} eligible types")
     rewards = []
@@ -151,27 +138,35 @@ def optimal_rewards(scenario: Scenario, sizes: list[float]) -> list[float]:
     return rewards
 
 
-def _assemble_menu(scenario: Scenario, order: list[UavType],
-                   sizes: list[float], rewards: list[float]) -> ContractMenu:
+def _assemble_menu(scenario: Scenario, order, sizes: list[float],
+                   rewards: list[float]) -> ContractMenu:
     """Menu in scenario order; ineligible types get the null item."""
-    by_index = {ty.index: (s, r) for ty, s, r in zip(order, sizes, rewards)}
-    items = []
-    for ty in scenario.types:
-        s, r = by_index.get(ty.index, (0.0, 0.0))
-        items.append(ContractItem(s=s, r=r))
-    return ContractMenu(t_max=scenario.t_max, items=tuple(items))
+    by_index = {ty.index: ContractItem(s=s, r=r)
+                for ty, s, r in zip(order, sizes, rewards)}
+    null = ContractItem(s=0.0, r=0.0)
+    return ContractMenu(t_max=scenario.t_max, items=tuple(
+        by_index.get(ty.index, null) for ty in scenario.types))
 
 
 def solve_partial_info(scenario: Scenario) -> tuple[ContractMenu, SolverTrace]:
-    """Optimal menu when the GCS knows type counts but not identities."""
-    order = eligible_types(scenario)
-    unconstrained = optimal_vdd_unconstrained(scenario)
-    sizes, pools = _iron_trace(scenario, unconstrained)
+    """Optimal menu when the GCS knows type counts but not identities.
+
+    Solved once per scenario (`Scenario.partial_info`): every call on the
+    same scenario returns the same menu and trace.
+    """
+    return scenario.partial_info
+
+
+def _solve_partial_info(scenario: Scenario):
+    order = scenario.eligible
+    w, a = _coefficients(scenario, order)
+    unconstrained = _relaxed_sizes(scenario, w, a)
+    sizes, pools = _iron_trace(scenario, w, a, unconstrained)
     rewards = optimal_rewards(scenario, sizes)
     menu = _assemble_menu(scenario, order, sizes, rewards)
     trace = SolverTrace(eligible_order=tuple(ty.index for ty in order),
                         unconstrained_sizes=tuple(unconstrained),
-                        pools=pools, final_menu=menu)
+                        pools=pools)
     return menu, trace
 
 
@@ -181,7 +176,7 @@ def solve_complete_info(scenario: Scenario) -> ContractMenu:
     Only IR binds: every type's size is its first-best maximizer and the
     reward repays exactly cost plus deployment, leaving zero utility.
     """
-    order = eligible_types(scenario)
+    order = scenario.eligible
     sizes = []
     rewards = []
     for ty in order:
@@ -201,7 +196,7 @@ def linear_contract(scenario: Scenario, unit_price: float) -> ContractMenu:
     """
     if unit_price <= 0:
         raise ValueError(f"unit_price must be positive, got {unit_price}")
-    order = eligible_types(scenario)
+    order = scenario.eligible
     sizes = [scenario.s_max if ty.c < unit_price else 0.0 for ty in order]
     rewards = [unit_price * s + scenario.deployment_cost for s in sizes]
     return _assemble_menu(scenario, order, sizes, rewards)
@@ -209,11 +204,10 @@ def linear_contract(scenario: Scenario, unit_price: float) -> ContractMenu:
 
 def uniform_contract(scenario: Scenario) -> ContractMenu:
     """Single-item menu: everyone gets the costliest eligible type's
-    partial-information item."""
-    menu, trace = solve_partial_info(scenario)
-    order = eligible_types(scenario)
-    first = trace.final_menu.items[
-        [ty.index for ty in scenario.types].index(trace.eligible_order[0])]
+    partial-information item, read from the scenario's solved menu."""
+    menu, _ = scenario.partial_info
+    order = scenario.eligible
+    first = menu.items[scenario.types.index(order[0])]
     sizes = [first.s] * len(order)
     rewards = [first.r] * len(order)
     return _assemble_menu(scenario, order, sizes, rewards)
@@ -282,6 +276,5 @@ def oracle_resolution_bound(scenario: Scenario, grid_step: float) -> float:
 
 def menu_utilities(scenario: Scenario, menu: ContractMenu) -> list[float]:
     """Own-item utility per scenario type, in scenario order."""
-    from .game import uav_utility
     return [uav_utility(ty, item, scenario.t_max, scenario.deployment_cost)
             for ty, item in zip(scenario.types, menu.items)]

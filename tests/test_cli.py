@@ -104,6 +104,19 @@ NON_FINITE_INPUTS = {
                              lambda raw: _set_position(raw,
                                                        [1.0e300, 0.0, 30.0]),
                              "scenario.types[0].position"),
+    "delay_underflows": ("solve",
+                         lambda raw: (_set_position(raw, [100.0, 0.0, 30.0]),
+                                      raw["scenario"].update(
+                                          reference_bytes=5.0e-324)),
+                         "scenario.types[0].position"),
+    "count_beyond_float": ("compare",
+                           lambda raw: raw["scenario"]["types"][0].update(
+                               n=10 ** 400),
+                           "scenario.types[0].n"),
+    "population_beyond_float": ("sweep-population",
+                                lambda raw: raw.update(
+                                    sweep={"populations": [4, 10 ** 400]}),
+                                "sweep.populations[1]"),
 }
 
 

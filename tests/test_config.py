@@ -299,6 +299,8 @@ class TestOneBoundary:
     @pytest.mark.parametrize("path,value,field", [
         pytest.param(("scenario", "types", 0, "c1"), 10 ** 400,
                      "scenario.types[0].c1", id="c1-beyond-float"),
+        pytest.param(("scenario", "types", 0, "n"), 10 ** 400,
+                     "scenario.types[0].n", id="n-beyond-float"),
         (("scenario", "types", 1, "t"), math.inf, "scenario.types[1].t"),
         (("scenario", "types", 1, "n"), -1, "scenario.types[1].n"),
         (("scenario", "types", 1, "index"), 0, "scenario.types[1].index"),
@@ -333,6 +335,10 @@ class TestOneBoundary:
         with pytest.raises(ValidationError) as err:
             parse_config(raw)
         assert err.value.field == "sweep.populations[1]"
+        raw["sweep"] = {"populations": [3, 10 ** 400]}
+        with pytest.raises(ValidationError) as err:
+            parse_config(raw)
+        assert err.value.field == "sweep.populations[1]"
 
     def test_reference_bytes_named(self):
         raw = base_raw()
@@ -342,6 +348,19 @@ class TestOneBoundary:
         with pytest.raises(ValidationError) as err:
             parse_config(raw)
         assert err.value.field == "scenario.reference_bytes"
+
+    @pytest.mark.parametrize("reference_bytes", [5.0e-324, 1.0e308])
+    def test_unusable_derived_delay_named(self, reference_bytes):
+        # the delay underflows to 0 or overflows to inf: the position and
+        # the volume the user wrote are named, not the derived t
+        raw = base_raw()
+        raw["scenario"]["reference_bytes"] = reference_bytes
+        raw["scenario"]["types"][0] = {"c1": 1.0, "n": 5,
+                                       "position": [100.0, 0.0, 30.0]}
+        with pytest.raises(ValidationError) as err:
+            parse_config(raw)
+        assert err.value.field == "scenario.types[0].position"
+        assert "reference_bytes" in err.value.message
 
     def test_infinite_altitude_named(self):
         # directly overhead the path loss never reads the altitude, so only

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uavcontract import (ContractItem, ContractMenu, Scenario, UavType,
-                         ValidationError, defensive_effectiveness,
-                         eligible_types, gcs_utility, item_for, uav_utility,
+from uavcontract import (ContractItem, ContractMenu, FeasibilityReport,
+                         Scenario, UavType, ValidationError,
+                         defensive_effectiveness, eligible_types, gcs_utility,
+                         item_for, linear_contract, solve_complete_info,
+                         solve_partial_info, uav_utility, uniform_contract,
                          verify_feasibility)
 from uavcontract.game import FEASIBILITY_TOL
 
@@ -143,6 +146,32 @@ class TestEligibility:
                       s_max=10.0, t_max=2.0, vdd_demand=800.0, total_uavs=2)
         assert [ty.index for ty in eligible_types(sc)] == [1, 2]
 
+    def test_order_is_cached_outside_the_fields(self):
+        sc = make_scenario_a()
+        assert sc.eligible is sc.eligible
+        assert eligible_types(sc) == list(sc.eligible)
+        assert eligible_types(sc) is not eligible_types(sc)
+        twin = make_scenario_a()
+        assert sc == twin and hash(sc) == hash(twin)
+        assert repr(sc) == repr(twin)
+        assert "eligible" not in repr(sc)
+
+    def test_replace_derives_afresh(self):
+        sc = Scenario(types=(UavType(index=1, c1=1.0, c2=0.0, t=5.0, n=5),
+                             UavType(index=2, c1=0.5, c2=0.0, t=1.0, n=5)),
+                      satisfaction_factor=6.0, deployment_cost=1.0,
+                      s_max=300.0, t_max=6.0, vdd_demand=800.0,
+                      total_uavs=10)
+        assert [ty.index for ty in sc.eligible] == [1, 2]
+        menu, _ = solve_partial_info(sc)
+        tight = dataclasses.replace(sc, t_max=2.0)
+        assert [ty.index for ty in tight.eligible] == [2]
+        assert [ty.index for ty in sc.eligible] == [1, 2]
+        tight_menu, trace = solve_partial_info(tight)
+        assert trace.eligible_order == (2,)
+        assert tight_menu != menu
+        assert tight_menu.items[0] == ContractItem(0.0, 0.0)
+
     def test_random_scenarios_sorted(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -257,6 +286,97 @@ class TestFeasibility:
             if items[k].r < lo - tol or items[k].r > hi + tol:
                 return False
         return True
+
+
+def reference_feasibility(scenario, menu, tol=FEASIBILITY_TOL):
+    """The O(J^3) checker: every item looked up with `item_for`, every
+    utility from `uav_utility`."""
+    order = eligible_types(scenario)
+    ir = []
+    ic = []
+    for ty in order:
+        own = uav_utility(ty, item_for(scenario, menu, ty), scenario.t_max,
+                          scenario.deployment_cost)
+        if own < -tol:
+            ir.append((ty.index, own))
+        for other in order:
+            if other.index == ty.index:
+                continue
+            foreign = uav_utility(ty, item_for(scenario, menu, other),
+                                  scenario.t_max, scenario.deployment_cost)
+            if foreign > own + tol:
+                ic.append((ty.index, other.index, foreign - own))
+    sizes = [item_for(scenario, menu, ty).s for ty in order]
+    rewards = [item_for(scenario, menu, ty).r for ty in order]
+    return FeasibilityReport(
+        ir_violations=tuple(ir), ic_violations=tuple(ic),
+        size_monotone=all(a <= b + tol for a, b in zip(sizes, sizes[1:])),
+        reward_monotone=all(a <= b + tol
+                            for a, b in zip(rewards, rewards[1:])),
+        ineligible_nonzero=tuple(
+            ty.index for ty in scenario.types
+            if ty.t > scenario.t_max
+            and (item_for(scenario, menu, ty).s != 0.0
+                 or item_for(scenario, menu, ty).r != 0.0)))
+
+
+def perturbed(menu, rng):
+    """The menu with some items moved off their binding values, some
+    swapped, and some null items made non-null."""
+    items = list(menu.items)
+    for k, item in enumerate(items):
+        if rng.uniform() < 0.4:
+            items[k] = ContractItem(
+                s=max(item.s + float(rng.normal(scale=2.0)), 0.0),
+                r=max(item.r + float(rng.normal(scale=2.0)), 0.0))
+    if len(items) > 1 and rng.uniform() < 0.5:
+        i, j = rng.choice(len(items), size=2, replace=False)
+        items[i], items[j] = items[j], items[i]
+    return ContractMenu(t_max=menu.t_max, items=tuple(items))
+
+
+class TestFeasibilityMatchesReference:
+    """The O(J^2) checker gives the reference checker's report exactly:
+    the same violations in the same order with the same floats."""
+
+    def test_reports_identical(self):
+        rng = np.random.default_rng(41)
+        seen = {"infeasible": 0, "ic": 0, "ir": 0, "ineligible": 0,
+                "some_ineligible_type": 0}
+        counts = set()
+        for _ in range(250):
+            sc = random_scenario(rng, max_types=12)
+            counts.add(len(sc.types))
+            partial, _ = solve_partial_info(sc)
+            menus = [partial, solve_complete_info(sc),
+                     linear_contract(sc, max(ty.c for ty in sc.types)),
+                     uniform_contract(sc)]
+            menus += [perturbed(m, rng) for m in menus]
+            for menu in menus:
+                # a zero or negative tolerance puts the binding constraints
+                # of the closed form exactly on, or past, the threshold;
+                # equal reprs mean equal fields with bit-equal floats
+                for tol in (-FEASIBILITY_TOL, 0.0, FEASIBILITY_TOL):
+                    report = verify_feasibility(sc, menu, tol)
+                    assert repr(report) == repr(
+                        reference_feasibility(sc, menu, tol))
+                seen["infeasible"] += not report.feasible
+                seen["ic"] += bool(report.ic_violations)
+                seen["ir"] += bool(report.ir_violations)
+                seen["ineligible"] += bool(report.ineligible_nonzero)
+            seen["some_ineligible_type"] += (len(eligible_types(sc))
+                                             < len(sc.types))
+        # every type count, and every kind of violation, was exercised
+        assert counts == set(range(1, 13))
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_item_count_must_match(self, count):
+        menu = ContractMenu(t_max=2.0, items=menu_a().items[:1] * count)
+        with pytest.raises(ValueError):
+            verify_feasibility(make_scenario_a(), menu)
+        with pytest.raises(ValueError):
+            defensive_effectiveness(make_scenario_a(), menu)
 
 
 class TestDefensiveEffectiveness:

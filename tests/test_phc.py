@@ -149,6 +149,30 @@ class TestPhcUpdate:
         assert np.array_equal(wide.pi, ref.pi)
         assert np.any(wide.pi == 1.0) and np.any(wide.pi == 0.0)
 
+    def test_row_update_many_matches_scalar_body(self):
+        # the pure path steps whole rows through phc_step_wide; over many
+        # random updates, clamps at 0 and 1 included, the tables must keep
+        # the scalar body's bits
+        rng = np.random.default_rng(17)
+        m = 20_000
+        states, actions = rng.integers(0, 6, m), rng.integers(0, 12, m)
+        payoffs, next_states = (rng.normal(scale=40.0, size=m),
+                                rng.integers(0, 6, m))
+        # the last updates keep rewarding one action, so its probability
+        # reaches 1
+        states[-2000:], actions[-2000:], payoffs[-2000:] = 0, 3, 100.0
+        row = PolicyTables.cold(6, 12)
+        ref = row.copy()
+        _kernels._row_update_many(row.q, row.pi, states, actions, payoffs,
+                                  next_states, 0.7, 0.8, 0.05)
+        _kernels._scalar_update_many(ref.q, ref.pi, states, actions,
+                                     payoffs, next_states, 0.7, 0.8, 0.05)
+        assert row.q.tobytes() == ref.q.tobytes()
+        assert row.pi.tobytes() == ref.pi.tobytes()
+        assert np.any(ref.pi == 1.0) and np.any(ref.pi == 0.0)
+        assert (_kernels.JIT_ENABLED
+                or _kernels.update_many is _kernels._row_update_many)
+
     def test_value_bound(self):
         # |Q| stays within max|payoff| / (1 - discount) from zero init
         rng = np.random.default_rng(2)

@@ -10,7 +10,7 @@ from uavcontract import (Scenario, TooManyTypes, UavType,
                          optimal_vdd_unconstrained, oracle_resolution_bound,
                          solve_complete_info, solve_partial_info,
                          uniform_contract, verify_feasibility)
-from uavcontract import _kernels
+from uavcontract import _kernels, solver
 from uavcontract.solver import _size_grid
 
 from conftest import (make_scenario_a, make_scenario_b, make_single_type,
@@ -195,6 +195,20 @@ class TestPartialInfo:
         with pytest.raises(ValueError):
             solve_partial_info(sc)
 
+    def test_counts_beyond_int64(self):
+        # scaling every count by 2**63 scales w and a alike, so the menu
+        # stays the same as long as the count sums are exact; a 64-bit sum
+        # of the counts would wrap to 0
+        def scenario(n):
+            types = (UavType(index=1, c1=0.5, c2=0.0, t=1.0, n=n),
+                     UavType(index=2, c1=0.25, c2=0.0, t=1.0, n=n))
+            return Scenario(types=types, satisfaction_factor=6.0,
+                            deployment_cost=1.0, s_max=10.0, t_max=2.0,
+                            vdd_demand=800.0, total_uavs=2 * n)
+        small, _ = solve_partial_info(scenario(1))
+        assert [item.s for item in small.items] == [7.0, 10.0]
+        assert solve_partial_info(scenario(2 ** 63))[0] == small
+
 
 class TestCompleteInfo:
     def test_scenario_a_menu(self):
@@ -269,6 +283,22 @@ class TestUniformContract:
             menu = uniform_contract(sc)
             pairs = {(it.s, it.r) for it in menu.items}
             assert len(pairs) == 1
+
+    def test_reads_the_solved_menu(self, monkeypatch):
+        # the partial-information menu is solved once per scenario, with
+        # its coefficients computed once, and uniform_contract reuses it
+        calls = []
+        coefficients = solver._coefficients
+        monkeypatch.setattr(solver, "_coefficients",
+                            lambda *args: calls.append(args)
+                            or coefficients(*args))
+        sc = make_scenario_b()
+        menu, trace = solve_partial_info(sc)
+        uniform = uniform_contract(sc)
+        assert solve_partial_info(sc)[0] is menu
+        assert len(calls) == 1
+        first = menu.items[sc.types.index(sc.eligible[0])]
+        assert set(uniform.items) == {first}
 
 
 class TestOracle:
