@@ -14,8 +14,8 @@ from .environment import (ChannelParams, UavKinematics, a2g_pathloss,
                           derived_delay, los_probability, step_mobility,
                           transmission_delay)
 from .errors import (InsufficientData, NotConverged, ParseError,
-                     SpeedViolation, TooManyTypes, UavContractError,
-                     ValidationError, ZeroCapacity)
+                     SpeedViolation, UavContractError, ValidationError,
+                     ZeroCapacity)
 from .game import (ContractItem, ContractMenu, FeasibilityReport, Scenario,
                    UavType, defensive_effectiveness, eligible_types,
                    gcs_utility, item_for, uav_utility, verify_feasibility)
@@ -39,7 +39,7 @@ __all__ = [
     "ChannelParams", "UavKinematics", "a2g_pathloss", "derived_delay",
     "los_probability", "step_mobility", "transmission_delay",
     "InsufficientData", "NotConverged", "ParseError", "SpeedViolation",
-    "TooManyTypes", "UavContractError", "ValidationError", "ZeroCapacity",
+    "UavContractError", "ValidationError", "ZeroCapacity",
     "ContractItem", "ContractMenu", "FeasibilityReport", "Scenario",
     "UavType", "defensive_effectiveness", "eligible_types", "gcs_utility",
     "item_for", "uav_utility", "verify_feasibility",

@@ -4,23 +4,25 @@ Every kernel here is written as a plain function.  Unless the environment
 variable ``UAVCONTRACT_DISABLE_JIT`` is set (or numba is missing), the
 scalar kernels are rebound at import time to ``numba.njit(cache=True)``
 compilations of themselves: `sample_index`, `phc_step`, the whole-row
-`sample_index_wide` and `phc_step_wide`, `update_many`, `explore_rate`,
-the scalar training body `train_loop` and the three `oracle_scan_*`
-scans.  The selected path is reported in ``JIT_ENABLED``.
+`sample_index_wide` and `phc_step_wide`, `update_many`, `explore_rate`
+and the scalar training body `train_loop`.  The selected path is reported
+in ``JIT_ENABLED``.
 
-On the pure path, where a scalar loop pays per element, four kernels are
+On the pure path, where a scalar loop pays per element, two kernels are
 rebound instead to numpy forms with the same name and signature:
-`oracle_scan_2/3` to `_vector_oracle_scan_2/3`, `train_loop` to
-`_row_train_loop`, which steps every (seed, type) row of a batch at once
-per slot, and `update_many` to `_row_update_many`.  Each form does the
-scalar body's arithmetic in the same order with the same tie-breaking, so
-it gives the same bits; `_scalar_train_loop` and `_scalar_update_many`
-keep the scalar bodies reachable on both paths as the tests' references.
-The compiled path has not been run since the committed contract game
-and the row-stepped body were added, so it, and its agreement with the
-pure path, are unverified.
+`train_loop` to `_row_train_loop`, which steps every (seed, type) row of
+a batch at once per slot, and `update_many` to `_row_update_many`.  Each
+form does the scalar body's arithmetic in the same order with the same
+tie-breaking, so it gives the same bits; `_scalar_train_loop` and
+`_scalar_update_many` keep the scalar bodies reachable on both paths as
+the tests' references.  The compiled path has not been run since the
+committed contract game and the row-stepped body were added, so it, and
+its agreement with the pure path, are unverified.
 
-``benchmarks/jit_benchmark.py`` times both paths on the same workloads.
+The plain `oracle_scan_1/2/3` loops enumerate every non-decreasing size
+tuple for one to three types.  Nothing in the package calls them: they
+are the brute-force references the tests hold `solver.brute_force_oracle`
+to.
 """
 
 from __future__ import annotations
@@ -376,42 +378,6 @@ def oracle_scan_3(grid, w1, w2, w3, c1, c2, c3, n1, n2, n3, c0):
     return (best_i, best_j, best_k)
 
 
-def _vector_oracle_scan_2(grid, w1, w2, c1, c2, n1, n2, c0):
-    """Numpy fallback: same search as oracle_scan_2 without the inner loops."""
-    logs = np.log1p(grid)
-    r1 = c1 * grid + c0
-    term_i = w1 * logs - n1 * r1 - n2 * ((c1 - c2) * grid)
-    term_j = w2 * logs - n2 * (c2 * grid + c0)
-    vals = term_i[:, None] + term_j[None, :]
-    vals[np.tril_indices(grid.shape[0], k=-1)] = -np.inf
-    flat = int(np.argmax(vals))
-    return (flat // grid.shape[0], flat % grid.shape[0])
-
-
-def _vector_oracle_scan_3(grid, w1, w2, w3, c1, c2, c3, n1, n2, n3, c0):
-    """Numpy fallback: outer python loop over the first size only."""
-    m = grid.shape[0]
-    logs = np.log1p(grid)
-    term_j = w2 * logs - n2 * (c2 * grid + c0) - n3 * ((c2 - c3) * grid)
-    term_k = w3 * logs - n3 * (c3 * grid + c0)
-    jk = term_j[:, None] + term_k[None, :]
-    jk[np.tril_indices(m, k=-1)] = -np.inf
-    best_val = -np.inf
-    best = (0, 0, 0)
-    for i in range(m):
-        base = (w1 * logs[i] - n1 * (c1 * grid[i] + c0)
-                - (n2 + n3) * ((c1 - c2) * grid[i]))
-        sub = jk[i:, i:]
-        flat = int(np.argmax(sub))
-        j = i + flat // sub.shape[1]
-        k = i + flat % sub.shape[1]
-        val = base + term_j[j] + term_k[k]
-        if val > best_val:
-            best_val = val
-            best = (i, j, k)
-    return best
-
-
 JIT_ENABLED = False
 if JIT_REQUESTED:
     try:
@@ -427,9 +393,6 @@ if JIT_REQUESTED:
         update_many = njit(cache=True)(update_many)
         explore_rate = njit(cache=True)(explore_rate)
         train_loop = njit(cache=True)(train_loop)
-        oracle_scan_1 = njit(cache=True)(oracle_scan_1)
-        oracle_scan_2 = njit(cache=True)(oracle_scan_2)
-        oracle_scan_3 = njit(cache=True)(oracle_scan_3)
         JIT_ENABLED = True
 
 # the scalar bodies, kept as the references the numpy forms are tested
@@ -440,8 +403,6 @@ _scalar_update_many = update_many
 if not JIT_ENABLED:
     # the scalar loops are far too slow in plain python; swap in the
     # vectorised equivalents (identical arithmetic, order and tie handling)
-    oracle_scan_2 = _vector_oracle_scan_2
-    oracle_scan_3 = _vector_oracle_scan_3
     train_loop = _row_train_loop
     update_many = _row_update_many
 
@@ -455,9 +416,6 @@ def warmup():
     if not JIT_ENABLED:
         return
     grid = np.linspace(0.0, 1.0, 3)
-    oracle_scan_1(grid, 1.0, 1.0, 1.0, 1.0)
-    oracle_scan_2(grid, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0)
-    oracle_scan_3(grid, 1.0, 1.0, 1.0, 1.0, 0.5, 0.25, 1.0, 1.0, 1.0, 1.0)
     q = np.zeros((1, 2, 2))
     pi = np.full((1, 2, 2), 0.5)
     out_i = np.zeros((2, 1), dtype=np.int64)

@@ -43,8 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="single seed overriding the config's list")
         sp.add_argument("--oracle", action="store_true",
-                        help="cross-check against the grid oracle "
-                             "(3 eligible types at most)")
+                        help="cross-check against the exact grid oracle")
         if verb == "phc":
             sp.add_argument("--strict", action="store_true",
                             help="exit 4 when any seed fails the "

@@ -16,10 +16,6 @@ class ZeroCapacity(UavContractError):
     """Channel capacity underflowed to zero; the UAV is unreachable."""
 
 
-class TooManyTypes(UavContractError):
-    """The brute-force oracle refuses more than three eligible types."""
-
-
 class InsufficientData(UavContractError):
     """A trailing-window statistic was requested on a log shorter than the window."""
 

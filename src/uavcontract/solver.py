@@ -6,7 +6,8 @@ objective is strictly concave with a closed-form maximizer, and a violated
 monotonicity constraint is repaired by bunching adjacent types into pools
 that share the pooled maximizer.  Baselines: complete-information menu,
 linear pricing with UAV best response, and the uniform single-item menu.
-A brute-force grid oracle validates the closed form on small type counts.
+An exact grid oracle, a dynamic program over eligible positions,
+validates the closed form for any number of types.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import _kernels
-from .errors import TooManyTypes
-from .game import (ContractItem, ContractMenu, Scenario, eligible_types,
-                   gcs_utility, uav_utility)
+from .game import (ContractItem, ContractMenu, Scenario, _items,
+                   eligible_types, uav_utility)
 
 
 @dataclass(frozen=True)
@@ -230,33 +229,49 @@ def _size_grid(s_max: float, step: float) -> np.ndarray:
 
 
 def brute_force_oracle(scenario: Scenario, grid_step: float) -> ContractMenu:
-    """Exhaustive validation oracle for up to three eligible types.
+    """Exact grid oracle for any number of eligible types.
 
-    Enumerates every non-decreasing size tuple on the grid, prices it with
-    the binding reward structure, and returns the GCS-utility argmax.  The
-    scan runs in a compiled kernel when JIT is enabled and falls back to a
-    vectorised numpy path otherwise.
+    Finds the GCS-utility argmax over every non-decreasing size tuple on
+    the grid, each priced with the binding reward structure, and breaks
+    ties toward the lexicographically first tuple.  Telescoping those
+    rewards splits the objective by position into sum_j f_j(s_j), with
+
+        f_j(s) = w_j*log1p(s) - n_j*(c_j*s + C0)
+                 - (c_j - c_{j+1})*s*(n_{j+1} + ... + n_J),
+
+    so a dynamic program over positions replaces the enumeration of all
+    C(M+J-1, J) tuples of an M-point grid with O(J*M) work.
     """
-    order = eligible_types(scenario)
-    jprime = len(order)
-    if jprime > 3:
-        raise TooManyTypes(f"oracle supports at most 3 eligible types, got {jprime}")
-    if jprime == 0:
+    order = scenario.eligible
+    if not order:
         raise ValueError("no eligible types: every delay exceeds t_max")
     grid = _size_grid(scenario.s_max, grid_step)
     w, _ = _coefficients(scenario, order)
-    c = [ty.c for ty in order]
-    n = [float(ty.n) for ty in order]
+    logs = np.log1p(grid)
     c0 = scenario.deployment_cost
-    if jprime == 1:
-        best = _kernels.oracle_scan_1(grid, w[0], c[0], n[0], c0)
-    elif jprime == 2:
-        best = _kernels.oracle_scan_2(grid, w[0], w[1], c[0], c[1],
-                                      n[0], n[1], c0)
-    else:
-        best = _kernels.oracle_scan_3(grid, w[0], w[1], w[2], c[0], c[1],
-                                      c[2], n[0], n[1], n[2], c0)
-    sizes = [float(grid[k]) for k in best]
+    points = grid.shape[0]
+    index = np.arange(points)
+    # backward over positions: best[m] is the best sum over positions j..J
+    # with s_j at least grid[m], and first[m] the first index from m on
+    # that attains it
+    best = np.zeros(points)
+    later_n = 0.0
+    firsts = []
+    for pos in reversed(range(len(order))):
+        ty = order[pos]
+        n = float(ty.n)
+        next_c = order[pos + 1].c if pos + 1 < len(order) else 0.0
+        value = (w[pos] * logs - n * (ty.c * grid + c0)
+                 - later_n * ((ty.c - next_c) * grid) + best)
+        best = np.maximum.accumulate(value[::-1])[::-1]
+        firsts.append(np.minimum.accumulate(
+            np.where(value == best, index, points)[::-1])[::-1])
+        later_n += n
+    # forward: each size is the first best index at or above the last
+    picks = [0]
+    for first in reversed(firsts):
+        picks.append(int(first[picks[-1]]))
+    sizes = [float(grid[m]) for m in picks[1:]]
     rewards = optimal_rewards(scenario, sizes)
     return _assemble_menu(scenario, order, sizes, rewards)
 
@@ -275,6 +290,9 @@ def oracle_resolution_bound(scenario: Scenario, grid_step: float) -> float:
 
 
 def menu_utilities(scenario: Scenario, menu: ContractMenu) -> list[float]:
-    """Own-item utility per scenario type, in scenario order."""
+    """Own-item utility per scenario type, in scenario order.
+
+    Raises ValueError unless the menu has one item per scenario type.
+    """
     return [uav_utility(ty, item, scenario.t_max, scenario.deployment_cost)
-            for ty, item in zip(scenario.types, menu.items)]
+            for ty, item in zip(scenario.types, _items(scenario, menu))]

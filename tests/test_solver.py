@@ -1,11 +1,16 @@
+import dataclasses
+import itertools
 import math
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uavcontract import (Scenario, TooManyTypes, UavType,
+from uavcontract import (ContractItem, ContractMenu, Scenario, UavType,
                          brute_force_oracle, eligible_types, gcs_utility,
-                         iron, linear_contract, menu_utilities,
+                         iron, linear_contract, load_config, menu_utilities,
                          objective_term, optimal_rewards,
                          optimal_vdd_unconstrained, oracle_resolution_bound,
                          solve_complete_info, solve_partial_info,
@@ -15,6 +20,65 @@ from uavcontract.solver import _size_grid
 
 from conftest import (make_scenario_a, make_scenario_b, make_single_type,
                       random_scenario)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def benchmark_workloads():
+    """``perfbench/workloads.py``, read and run as a throwaway module so
+    that nothing is written under ``perfbench/``."""
+    path = PERFBENCH / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    # dataclasses look their module up while the class body is processed
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+             module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+def with_zero_count(rng, sc):
+    """``sc`` with the count of its cheapest eligible type, and at random
+    of other types, set to zero; at least one type keeps its count."""
+    last = eligible_types(sc)[-1].index
+    zero = {ty.index for ty in sc.types
+            if ty.index == last or rng.uniform() < 0.3}
+    if len(zero) == len(sc.types):
+        zero.discard(sc.types[0].index)
+    kept = tuple(dataclasses.replace(ty, n=0) if ty.index in zero else ty
+                 for ty in sc.types)
+    return dataclasses.replace(sc, types=kept,
+                               total_uavs=sum(ty.n for ty in kept))
+
+
+def scan_sizes(sc, step):
+    """The scalar scans' pick for one to three eligible types, as sizes."""
+    order = eligible_types(sc)
+    grid = _size_grid(sc.s_max, step)
+    w, _ = solver._coefficients(sc, order)
+    scan = (_kernels.oracle_scan_1, _kernels.oracle_scan_2,
+            _kernels.oracle_scan_3)[len(order) - 1]
+    picks = scan(grid, *w, *(ty.c for ty in order),
+                 *(float(ty.n) for ty in order), sc.deployment_cost)
+    return [float(grid[k]) for k in picks]
+
+
+def oracle_sizes(sc, step):
+    """The oracle's sizes along the eligible order."""
+    menu = brute_force_oracle(sc, step)
+    return [menu.items[sc.types.index(ty)].s for ty in eligible_types(sc)]
+
+
+def binding_menu(sc, sizes):
+    """Sizes along the eligible order, priced with the binding rewards;
+    ineligible types hold the null item."""
+    items = dict(zip(eligible_types(sc),
+                     map(ContractItem, sizes, optimal_rewards(sc, sizes))))
+    null = ContractItem(s=0.0, r=0.0)
+    return ContractMenu(t_max=sc.t_max, items=tuple(
+        items.get(ty, null) for ty in sc.types))
 
 
 def single(c, t=1.0, n=5, s_max=300.0):
@@ -301,6 +365,15 @@ class TestUniformContract:
         assert set(uniform.items) == {first}
 
 
+class TestMenuUtilities:
+    def test_item_count_must_match_types(self):
+        sc = make_scenario_a()
+        menu, _ = solve_partial_info(sc)
+        for items in (menu.items[:1], menu.items + menu.items[:1]):
+            with pytest.raises(ValueError, match="items for 2 types"):
+                menu_utilities(sc, ContractMenu(t_max=sc.t_max, items=items))
+
+
 class TestOracle:
     def test_scenario_a_on_grid(self):
         menu = brute_force_oracle(make_scenario_a(), 0.5)
@@ -319,12 +392,23 @@ class TestOracle:
         assert abs(menu.items[0].s - closed.items[0].s) <= 0.05 + 1e-12
 
     def test_too_many_types(self):
+        # beyond three eligible types the oracle still answers, and the
+        # closed form trails it by no more than the resolution bound
         rng = np.random.default_rng(37)
-        sc = random_scenario(rng, max_types=6, eligible_only=True)
-        while len(eligible_types(sc)) <= 3:
-            sc = random_scenario(rng, max_types=6, eligible_only=True)
-        with pytest.raises(TooManyTypes):
-            brute_force_oracle(sc, 0.5)
+        step = 0.1
+        checked = dict.fromkeys(range(4, 13), 0)
+        while min(checked.values()) < 3:
+            sc = random_scenario(rng, max_types=12, eligible_only=True,
+                                 s_max_range=(5.0, 30.0))
+            j = len(eligible_types(sc))
+            if checked.get(j, 3) >= 3:
+                continue
+            checked[j] += 1
+            closed, _ = solve_partial_info(sc)
+            menu = brute_force_oracle(sc, step)
+            gap = gcs_utility(sc, closed) - gcs_utility(sc, menu)
+            assert -1e-9 <= gap <= oracle_resolution_bound(sc, step)
+            assert verify_feasibility(sc, menu).feasible
 
     def test_resolution_bound(self):
         rng = np.random.default_rng(43)
@@ -341,23 +425,61 @@ class TestOracle:
             assert u_grid >= u_closed - bound - 1e-9
 
     def test_scan_paths_agree(self):
-        # compiled scalar scan against the vectorised numpy fallback
+        # the dynamic program against the scalar scans on coarse grids,
+        # zero-count types included: a zero-count last type is flat, so
+        # its size ties everywhere and the scans take the first index
         rng = np.random.default_rng(47)
-        for _ in range(5):
-            sc = random_scenario(rng, max_types=2, eligible_only=True,
+        by_count = dict.fromkeys((1, 2, 3), 0)
+        ties = 0
+        while sum(by_count.values()) < 300:
+            sc = random_scenario(rng, max_types=3,
+                                 eligible_only=rng.uniform() < 0.5,
                                  s_max_range=(5.0, 15.0))
+            by_count[len(eligible_types(sc))] += 1
+            if rng.uniform() < 0.3:
+                sc = with_zero_count(rng, sc)
+                ties += 1
+            step = sc.s_max / int(rng.integers(2, 25))
+            assert oracle_sizes(sc, step) == scan_sizes(sc, step)
+        assert min(by_count.values()) >= 40 and ties >= 50
+
+    def test_scans_agree_on_benchmark_inputs(self):
+        # the validate workload's scenarios of one seed, on a coarse grid
+        # the scalar scans can cover
+        config = load_config(PERFBENCH / "configs" / "validate.yaml")
+        base = config.scenario
+        inputs = benchmark_workloads().validate_inputs(1, base.t_max)
+        assert len(inputs) == 90
+        for x in inputs:
+            sc = dataclasses.replace(
+                base, total_uavs=sum(x.n), types=tuple(
+                    UavType(index=k + 1, c1=x.c1[k], c2=x.c2[k], t=x.t[k],
+                            n=x.n[k]) for k in range(len(x.t))))
+            assert oracle_sizes(sc, 2.0) == scan_sizes(sc, 2.0)
+
+    @pytest.mark.parametrize("jprime", [4, 5])
+    def test_matches_exhaustive_search(self, jprime):
+        # every non-decreasing tuple of a grid of at most 10 points, each
+        # priced with the binding rewards and scored by gcs_utility
+        rng = np.random.default_rng(53 + jprime)
+        checked = 0
+        while checked < 8:
+            sc = random_scenario(rng, max_types=jprime + 1,
+                                 s_max_range=(2.0, 20.0))
             order = eligible_types(sc)
-            if len(order) != 2:
+            if len(order) != jprime:
                 continue
-            grid = _size_grid(sc.s_max, 0.2)
-            from uavcontract.solver import _coefficients
-            w, _ = _coefficients(sc, order)
-            args = (grid, w[0], w[1], order[0].c, order[1].c,
-                    float(order[0].n), float(order[1].n),
-                    sc.deployment_cost)
-            jit_best = _kernels.oracle_scan_2(*args)
-            vec_best = _kernels._vector_oracle_scan_2(*args)
-            assert tuple(jit_best) == tuple(vec_best)
+            checked += 1
+            step = sc.s_max / int(rng.integers(2, 9))
+            grid = _size_grid(sc.s_max, step)
+            assert grid.shape[0] <= 10
+            best = max(
+                gcs_utility(sc, binding_menu(sc, [float(grid[k])
+                                                for k in picks]))
+                for picks in itertools.combinations_with_replacement(
+                    range(grid.shape[0]), jprime))
+            got = gcs_utility(sc, brute_force_oracle(sc, step))
+            assert got == pytest.approx(best, rel=1e-12, abs=1e-12)
 
     def test_grid_contains_endpoint(self):
         grid = _size_grid(1.0, 0.3)
