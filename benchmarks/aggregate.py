@@ -6,8 +6,9 @@ the change's result for the same workload, seed and trace setting, so run
 each seed once on each side, alternating which side goes first.  For each
 workload and metric the output holds every pair's values, each side's
 median and quartiles, and the pairs the change won (ties count for
-neither), with the direction taken from ``BENCHMARK.json``.  It also holds
-each side's fingerprint and ``src/`` line count.
+neither), with the direction taken from ``BENCHMARK.json``, and the pairs
+whose outputs had the same digest.  It also holds each side's fingerprint
+and ``src/`` line count.
 
 Usage: python3 benchmarks/aggregate.py --parent DIR --change DIR --label NAME
 writes BENCH_NAME.json at the root of the change checkout.
@@ -63,8 +64,10 @@ def aggregate(parent: Path, change: Path, label: str) -> dict:
         if old["seconds"] != new["seconds"]:
             raise SystemExit(f"{workload} seed {seed}: run lengths differ")
         group = groups.setdefault(f"{workload} trace={trace}", {
-            "seconds": new["seconds"], "seeds": [], "metrics": {}})
+            "seconds": new["seconds"], "seeds": [], "same_digest": 0,
+            "metrics": {}})
         group["seeds"].append(seed)
+        group["same_digest"] += old["digest"] == new["digest"]
         for side in (old, new):
             side["metrics"]["failed_ratio"] = side["failed_ratio"]
         for name in old["metrics"].keys() & new["metrics"].keys():
