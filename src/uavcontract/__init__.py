@@ -13,9 +13,9 @@ from .config import ExperimentConfig, PhcRun, load_config, parse_config
 from .environment import (ChannelParams, UavKinematics, a2g_pathloss,
                           derived_delay, los_probability, step_mobility,
                           transmission_delay)
-from .errors import (InsufficientData, NotConverged, ParseError,
-                     SpeedViolation, UavContractError, ValidationError,
-                     ZeroCapacity)
+from .errors import (InsufficientData, NonFiniteOutput, NotConverged,
+                     ParseError, SpeedViolation, UavContractError,
+                     ValidationError, ZeroCapacity)
 from .game import (ContractItem, ContractMenu, FeasibilityReport, Scenario,
                    UavType, defensive_effectiveness, eligible_types,
                    gcs_utility, item_for, uav_utility, verify_feasibility)
@@ -38,8 +38,8 @@ __all__ = [
     "ExperimentConfig", "PhcRun", "load_config", "parse_config",
     "ChannelParams", "UavKinematics", "a2g_pathloss", "derived_delay",
     "los_probability", "step_mobility", "transmission_delay",
-    "InsufficientData", "NotConverged", "ParseError", "SpeedViolation",
-    "UavContractError", "ValidationError", "ZeroCapacity",
+    "InsufficientData", "NonFiniteOutput", "NotConverged", "ParseError",
+    "SpeedViolation", "UavContractError", "ValidationError", "ZeroCapacity",
     "ContractItem", "ContractMenu", "FeasibilityReport", "Scenario",
     "UavType", "defensive_effectiveness", "eligible_types", "gcs_utility",
     "item_for", "uav_utility", "verify_feasibility",

@@ -9,11 +9,14 @@ and the scalar training body `train_loop`.  The selected path is reported
 in ``JIT_ENABLED``.
 
 On the pure path, where a scalar loop pays per element, two kernels are
-rebound instead to numpy forms with the same name and signature:
-`train_loop` to `_row_train_loop`, which steps every (seed, type) row of
-a batch at once per slot, and `update_many` to `_row_update_many`.  Each
-form does the scalar body's arithmetic in the same order with the same
-tie-breaking, so it gives the same bits; `_scalar_train_loop` and
+rebound instead to forms with the same name and signature: `train_loop`
+to `_row_train_loop`, and `update_many` to `_row_update_many`.  Per slot,
+`_row_train_loop` draws and steps the GCS's item-wide policy for every
+(seed, type) row of a batch in whole-array numpy calls over the policy's
+support, and runs the UAV's two-action step, and both sides' update of
+the one Q entry the slot touched, per row in Python floats.
+Each form does the scalar body's arithmetic in the same order with the
+same tie-breaking, so it gives the same bits; `_scalar_train_loop` and
 `_scalar_update_many` keep the scalar bodies reachable on both paths as
 the tests' references.  The compiled path has not been run since the
 committed contract game and the row-stepped body were added, so it, and
@@ -214,17 +217,23 @@ def _row_train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost,
                     uav_pay, gcs_pay):
     """`train_loop` stepping every row at once, one slot per iteration.
 
-    Rows (types, or (seed, type) pairs) share nothing, so each slot runs
-    the scalar body's operations for all rows as whole-array numpy calls.
-    They give the scalar body's bits: the same additions in the same order,
-    running sums as sequential cumsums, ties to the first index, and the
-    GCS's log term read from a ``math.log1p`` table.  Draws that do not
-    depend on the tables (the GCS's explore coin, whose visits rise by one
-    a slot, and both exploring picks) are taken for all slots up front; the
-    GCS's running sums are taken only for the rows that sample pi.  Only
-    the posted item and the answer are kept per slot, and the other
-    trajectory columns are filled from them at the end.  The tables must be
-    C-contiguous, since they are updated through flat views.
+    Rows (types, or (seed, type) pairs) share nothing.  Each slot the GCS
+    draws every row's item and steps every row's item-wide policy with
+    whole-array numpy calls; then, per row in Python floats, the UAV
+    answers and both sides update the one Q entry the slot touched, read
+    and written through memoryviews of the tables.  Both give the scalar
+    body's bits: the same operations in the same order, running sums as
+    sequential cumsums, ties to the first index, and the GCS's log term
+    read from a ``math.log1p`` table.
+
+    The GCS's policy is stepped on its support only (`_Support`): the
+    items where some row's pi is nonzero at call entry, plus each greedy
+    item that falls outside them.  Draws that do not depend on the tables
+    (the GCS's explore coin, whose visits rise by one a slot, and its
+    exploring pick) are taken for all slots up front.  Only the posted item
+    and the answer are kept per slot, and the other trajectory columns are
+    filled from them at the end.  The tables must be C-contiguous, since
+    they are updated through flat views.
     """
     for table in (q_g, pi_g, q_u, pi_u, visits_u):
         if not table.flags.c_contiguous:
@@ -244,8 +253,6 @@ def _row_train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost,
     u_signed -= c0
     g_signed = np.multiply(count[:, None], reward_of)
     np.subtract(np.multiply(weight[:, None], log_at), g_signed, out=g_signed)
-    u_signed = u_signed.ravel()
-    g_signed = g_signed.ravel()
     horizon = explore_visits * items
     g_sample = np.empty((slots, rows), dtype=bool)
     for r in range(rows):
@@ -253,75 +260,171 @@ def _row_train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost,
         g_sample[:, r] = uniforms[:, r, 0] >= np.where(
             seen >= horizon, floor,
             1.0 - (1.0 - floor) * seen / max(horizon, 1))
+    sampled = g_sample.sum(axis=1).tolist()
     g_pick = np.minimum((uniforms[:, :, 1] * items).astype(np.int64),
                         items - 1)
-    # min(int(2u), 1) is 1 exactly when u >= 0.5, since doubling is exact
-    u_pick = uniforms[:, :, 3] >= 0.5
-    # the UAV's exploring share by visits; take(mode="clip") holds the floor
-    visits = np.arange(explore_visits + 1)
-    u_share = np.where(visits >= explore_visits, floor,
-                       1.0 - (1.0 - floor) * visits / max(explore_visits, 1))
+    g_u = uniforms[:, :, 1:2]
     visits_g[:, 0] += slots
     qg = q_g.reshape(rows, items)
-    pg = pi_g.reshape(rows, items)
     qg_flat = qg.ravel()
-    pg_flat = pg.ravel()
-    qu = q_u.ravel()
-    pu = pi_u.reshape(rows * items, 2)
-    vu = visits_u.ravel()
-    offset = np.arange(rows) * items
     best_g = qg.max(axis=1)
+    support = _Support(pi_g.reshape(rows, items))
+    # the per-row side: flat memoryviews, python floats and ints
+    qgs = memoryview(qg_flat)
+    qu = memoryview(q_u.reshape(-1))
+    pu = memoryview(pi_u.reshape(-1))
+    vu = memoryview(visits_u.reshape(-1))
+    us = memoryview(u_signed.reshape(-1))
+    gs = memoryview(g_signed.reshape(-1))
+    draws = memoryview(np.ascontiguousarray(uniforms).reshape(-1))
+    ev = int(explore_visits)
+    u_share = [explore_rate(v, ev, floor) for v in range(ev + 1)]
+    rate_g, disc_g = float(rate_g), float(disc_g)
+    rate_u, disc_u, step_u = float(rate_u), float(disc_u), float(step_u)
     keep_g = 1.0 - rate_g
     keep_u = 1.0 - rate_u
+    half_u = step_u / 2
     dec_g = step_g / items
-    # pi_u's nudge by greedy answer: +step on it, -step/2 on the other
-    nudge = np.array([[step_u, -(step_u / 2)], [-(step_u / 2), step_u]])
-    first_above = np.ones((rows, items), dtype=bool)
+    row_at = [r * items for r in range(rows)]
+    offset = np.array(row_at)
+    posted = np.empty((slots, rows), dtype=np.int64)
+    declined = np.empty((slots, rows), dtype=np.int64)
+    posts = memoryview(posted.reshape(-1))
+    answers = memoryview(declined.reshape(-1))
     for t in range(slots):
-        u = uniforms[t]
-        k = g_pick[t].copy()
-        sampling = np.flatnonzero(g_sample[t])
-        if sampling.size:
-            # first index whose running sum passes u, else the last index
-            above = first_above[:sampling.size]
-            np.greater(np.cumsum(pg[sampling], axis=1)[:, :-1],
-                       u[sampling, 1, None], out=above[:, :-1])
-            k[sampling] = above.argmax(axis=1)
-        at_k = k + offset
-        seen_k = vu.take(at_k)
-        vu[at_k] = seen_k + 1
-        sign_at = at_k + at_k
-        decline_at = sign_at + 1
-        d = np.where(u[:, 2] < u_share.take(seen_k, mode="clip"), u_pick[t],
-                     u[:, 3] >= pu.take(sign_at))
-        at = sign_at + d
-        u_pay = np.where(d, 0.0, u_signed.take(at_k))
-        g_pay = np.where(d, 0.0, g_signed.take(at_k))
-        q_sign = qu.take(sign_at)
-        q_decline = qu.take(decline_at)
-        qu[at] = keep_u * qu.take(at) + rate_u * (
-            u_pay + disc_u * np.where(q_decline > q_sign, q_decline, q_sign))
-        p = pu.take(at_k, axis=0) + nudge.take(
-            qu.take(decline_at) > qu.take(sign_at), axis=0)
-        np.clip(p, 0.0, 1.0, out=p)
-        pu[at_k] = p / (p[:, 0] + p[:, 1])[:, None]
-        qg_flat[at_k] = (keep_g * qg_flat.take(at_k)
-                         + rate_g * (g_pay + disc_g * best_g))
-        greedy = qg.argmax(axis=1) + offset
-        best_g = qg_flat.take(greedy)
-        top = np.minimum(pg_flat.take(greedy) + step_g, 1.0)
-        np.subtract(pg, dec_g, out=pg)
-        np.maximum(pg, 0.0, out=pg)
-        pg_flat[greedy] = top
-        pg /= np.cumsum(pg, axis=1)[:, -1:]
-        uav_state[t] = k
-        gcs_state[t] = d
-    size_idx[:] = uav_state // na
-    reward_idx[:] = uav_state - size_idx * na
-    at = uav_state + offset
-    uav_pay[:] = np.where(gcs_state, 0.0, u_signed.take(at))
-    gcs_pay[:] = np.where(gcs_state, 0.0, g_signed.take(at))
-    gcs_state[:] = 1 - gcs_state
+        if sampled[t] == rows:
+            k = support.draw(None, g_u[t])
+        elif sampled[t]:
+            k = g_pick[t].copy()
+            sampling = np.flatnonzero(g_sample[t])
+            k[sampling] = support.draw(sampling, g_u[t, sampling])
+        else:
+            k = g_pick[t]
+        ks = k.tolist()
+        bests = best_g.tolist()
+        base = t * rows
+        for r in range(rows):
+            posts[base + r] = ks[r]
+            i = row_at[r] + ks[r]
+            seen = vu[i]
+            vu[i] = seen + 1
+            at = 4 * (base + r)
+            if draws[at + 2] < u_share[seen if seen < ev else ev]:
+                no = draws[at + 3] >= 0.5
+            else:
+                no = draws[at + 3] >= pu[i + i]
+            answers[base + r] = no
+            s = i + i
+            q0 = qu[s]
+            q1 = qu[s + 1]
+            best = q1 if q1 > q0 else q0
+            if no:
+                q1 = keep_u * q1 + rate_u * (0.0 + disc_u * best)
+                qu[s + 1] = q1
+                g_pay = 0.0
+            else:
+                q0 = keep_u * q0 + rate_u * (us[i] + disc_u * best)
+                qu[s] = q0
+                g_pay = gs[i]
+            # the greedy answer can only pass 1 and the other only 0
+            p0 = pu[s]
+            p1 = pu[s + 1]
+            if q1 > q0:
+                p1 += step_u
+                if p1 > 1.0:
+                    p1 = 1.0
+                p0 -= half_u
+                if p0 < 0.0:
+                    p0 = 0.0
+            else:
+                p0 += step_u
+                if p0 > 1.0:
+                    p0 = 1.0
+                p1 -= half_u
+                if p1 < 0.0:
+                    p1 = 0.0
+            total = p0 + p1
+            pu[s] = p0 / total
+            pu[s + 1] = p1 / total
+            qgs[i] = keep_g * qgs[i] + rate_g * (g_pay + disc_g * bests[r])
+        greedy = qg.argmax(axis=1)
+        best_g = qg_flat.take(greedy + offset)
+        support.step(greedy, step_g, dec_g)
+    if slots:
+        support.write_back()
+    uav_state[:] = posted
+    size_idx[:] = posted // na
+    reward_idx[:] = posted - size_idx * na
+    at = posted + offset
+    uav_pay[:] = np.where(declined, 0.0, u_signed.ravel().take(at))
+    gcs_pay[:] = np.where(declined, 0.0, g_signed.ravel().take(at))
+    gcs_state[:] = 1 - declined
+
+
+class _Support:
+    """The GCS's pi rows kept on their support, for `_row_train_loop`.
+
+    ``cols`` lists, in index order, the items where some row's pi was
+    nonzero at entry or that became a row's greedy item since, and ``pi``
+    holds the rows' entries there.  Off the support pi is 0 and stays
+    exactly 0 under the decay, and a running sum gains exactly nothing
+    from a +0.0, so the decay, the draw's running sums and the normalising
+    total over ``cols`` give the full rows' bits.
+    """
+
+    def __init__(self, full):
+        self.full = full
+        self.items = full.shape[1]
+        cols = np.flatnonzero(full.any(axis=0))
+        self.pi = np.ascontiguousarray(full[:, cols])
+        self._reindex(cols)
+
+    def _reindex(self, cols):
+        rows = self.pi.shape[0]
+        self.cols = cols
+        # what a draw posts at each crossing position, the last item for none
+        self.ends = np.append(cols, self.items - 1)
+        self.position = np.full(self.items, -1)
+        self.position[cols] = np.arange(cols.size)
+        self.flat = self.pi.reshape(-1)
+        self.offset = np.arange(rows) * cols.size
+        self.above = np.ones((rows, cols.size + 1), dtype=bool)
+
+    def draw(self, sampling, u):
+        """The first item whose running sum passes u, per sampling row
+        (None for every row); u has shape (rows, 1)."""
+        pi = self.pi if sampling is None else self.pi[sampling]
+        above = self.above[:pi.shape[0]]
+        np.greater(pi.cumsum(axis=1), u, out=above[:, :-1])
+        return self.ends.take(above.argmax(axis=1))
+
+    def step(self, greedy, step, dec):
+        """`phc_step_wide`'s nudge of every row toward its greedy item."""
+        at = self.position.take(greedy)
+        if at.min() < 0:
+            kept = self.position >= 0
+            kept[greedy] = True
+            cols = np.flatnonzero(kept)
+            pi = np.zeros((self.pi.shape[0], cols.size))
+            pi[:, np.searchsorted(cols, self.cols)] = self.pi
+            self.pi = pi
+            self._reindex(cols)
+            at = self.position.take(greedy)
+        pi = self.pi
+        at += self.offset
+        # only the greedy entry can pass 1 and only the others can pass 0
+        top = self.flat.take(at)
+        top += step
+        np.minimum(top, 1.0, out=top)
+        pi -= dec
+        np.maximum(pi, 0.0, out=pi)
+        self.flat.put(at, top)
+        pi /= pi.cumsum(axis=1)[:, -1:]
+
+    def write_back(self):
+        # a decayed row holds +0.0 off its support, even where it held -0.0
+        self.full[:] = 0.0
+        self.full[:, self.cols] = self.pi
 
 
 def oracle_scan_1(grid, w1, c1, n1, c0):

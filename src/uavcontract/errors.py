@@ -63,5 +63,14 @@ def check_count(field: str, value: int, minimum: int) -> None:
         raise ValidationError(field, "is too large for a float")
 
 
+class NonFiniteOutput(UavContractError):
+    """A value bound for an artifact is NaN or infinite; names file and key."""
+
+    def __init__(self, file, key, value):
+        super().__init__(f"{file}: {key} is {value}, not finite")
+        self.file = file
+        self.key = key
+
+
 class NotConverged(UavContractError):
     """A learning run ended without meeting the convergence criterion."""

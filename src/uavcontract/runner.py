@@ -4,7 +4,11 @@ All numeric output uses 9 significant digits with '.' as the decimal
 separator regardless of locale, files are written atomically (temp file
 then rename), and every run drops a manifest.json recording the config
 hash, seeds, and library versions.  Wall-clock timings never enter the
-CSVs so reruns stay byte-identical; the CLI prints them instead.
+CSVs so reruns stay byte-identical; the CLI prints them instead.  No
+artifact carries NaN or an infinity: a writer that meets one raises
+NonFiniteOutput naming the file and the key.  The one exception is the
+convergence slot of a pair that did not converge, which
+`phc_summary.csv` writes as ``inf``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from ._kernels import JIT_ENABLED
 from .config import ExperimentConfig
-from .errors import NotConverged, ValidationError
+from .errors import NonFiniteOutput, NotConverged, ValidationError
 from .game import (Scenario, defensive_effectiveness, eligible_types,
                    gcs_utility)
 from .phc import (EpisodeLog, convergence_check, convergence_slot, hotboot,
@@ -51,6 +55,43 @@ def fmt(value) -> str:
     if v == 0.0:
         v = 0.0
     return format(v, ".9g")
+
+
+def _finite(file: str, key: str, value, allowed=()) -> str:
+    """``fmt(value)``, refusing a non-finite value not in ``allowed``."""
+    if not math.isfinite(value) and value not in allowed:
+        raise NonFiniteOutput(file, key, value)
+    return fmt(value)
+
+
+def csv_text(file: str, header, records, allowed: dict | None = None
+             ) -> str:
+    """A CSV with one line per record: strings as they are, numbers in
+    `fmt` form, each checked finite under its column's name.  ``allowed``
+    maps a column to the non-finite values it may hold."""
+    allowed = allowed or {}
+    lines = [",".join(header)]
+    for record in records:
+        lines.append(",".join(
+            value if isinstance(value, str)
+            else _finite(file, key, value, allowed.get(key, ()))
+            for key, value in zip(header, record)))
+    return "\n".join(lines) + "\n"
+
+
+def json_text(file: str, data: dict) -> str:
+    """Indented, key-sorted JSON, refusing any non-finite number."""
+    def check(value, key):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                check(v, f"{key}.{k}" if key else k)
+        elif isinstance(value, (list, tuple)):
+            for i, v in enumerate(value):
+                check(v, f"{key}[{i}]")
+        elif isinstance(value, float):
+            _finite(file, key, value)
+    check(data, "")
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -122,12 +163,10 @@ def run_compare(config: ExperimentConfig, out_dir=None,
     rows = metrics_rows(config, scenario)
     header = (["scheme"] + [f"u_type{ty.index}" for ty in scenario.types]
               + ["gcs_utility", "zeta"])
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            [row.scheme] + [fmt(u) for u in row.type_utilities]
-            + [fmt(row.gcs_utility), fmt(row.zeta)]))
-    write_text_atomic(out / "compare.csv", "\n".join(lines) + "\n")
+    text = csv_text("compare.csv", header, (
+        [row.scheme, *row.type_utilities, row.gcs_utility, row.zeta]
+        for row in rows))
+    write_text_atomic(out / "compare.csv", text)
     write_manifest(out, config, config_digest)
     return rows
 
@@ -155,11 +194,11 @@ def run_solve(config: ExperimentConfig, out_dir=None, oracle: bool = False,
     scenario = config.scenario
     menu, trace = solve_partial_info(scenario)
     utilities = menu_utilities(scenario, menu)
-    lines = ["type,cost,delay,count,size,reward,utility"]
-    for ty, item, u in zip(scenario.types, menu.items, utilities):
-        lines.append(",".join([str(ty.index), fmt(ty.c), fmt(ty.t),
-                               str(ty.n), fmt(item.s), fmt(item.r), fmt(u)]))
-    write_text_atomic(out / "menu.csv", "\n".join(lines) + "\n")
+    menu_csv = csv_text(
+        "menu.csv", ("type", "cost", "delay", "count", "size", "reward",
+                     "utility"),
+        ([str(ty.index), ty.c, ty.t, str(ty.n), item.s, item.r, u]
+         for ty, item, u in zip(scenario.types, menu.items, utilities)))
     summary = {
         "gcs_utility": gcs_utility(scenario, menu),
         "zeta": defensive_effectiveness(scenario, menu),
@@ -169,8 +208,9 @@ def run_solve(config: ExperimentConfig, out_dir=None, oracle: bool = False,
     }
     if oracle or config.grid_oracle is not None:
         summary["oracle"] = _oracle_report(config, scenario, menu)
-    write_text_atomic(out / "summary.json",
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary_json = json_text("summary.json", summary)
+    write_text_atomic(out / "menu.csv", menu_csv)
+    write_text_atomic(out / "summary.json", summary_json)
     write_manifest(out, config, config_digest)
     return summary
 
@@ -186,20 +226,17 @@ def run_sweep_cost(config: ExperimentConfig, out_dir=None,
     out = _prepare_dir(config, out_dir)
     base = config.scenario
     points = np.linspace(0.01, 1.0, config.cost_points)
-    lines = ["cost,scheme,uav_utility,gcs_utility,zeta"]
     records = []
     for cost in points:
         swept = dataclasses.replace(base.types[0], c1=float(cost), c2=0.0)
         scenario = dataclasses.replace(base,
                                        types=(swept,) + base.types[1:])
         for row in metrics_rows(config, scenario):
-            record = (float(cost), row.scheme, row.type_utilities[0],
-                      row.gcs_utility, row.zeta)
-            records.append(record)
-            lines.append(",".join([fmt(cost), row.scheme,
-                                   fmt(row.type_utilities[0]),
-                                   fmt(row.gcs_utility), fmt(row.zeta)]))
-    write_text_atomic(out / "sweep_cost.csv", "\n".join(lines) + "\n")
+            records.append((float(cost), row.scheme, row.type_utilities[0],
+                            row.gcs_utility, row.zeta))
+    write_text_atomic(out / "sweep_cost.csv", csv_text(
+        "sweep_cost.csv",
+        ("cost", "scheme", "uav_utility", "gcs_utility", "zeta"), records))
     write_manifest(out, config, config_digest)
     return records
 
@@ -237,7 +274,6 @@ def run_sweep_population(config: ExperimentConfig, out_dir=None,
     """Scale the population over the sweep points; one row per scheme."""
     out = _prepare_dir(config, out_dir)
     base = config.scenario
-    lines = ["population,scheme,zeta,gcs_utility"]
     records = []
     for population in config.populations:
         counts = scale_counts([ty.n for ty in base.types], population)
@@ -248,9 +284,11 @@ def run_sweep_population(config: ExperimentConfig, out_dir=None,
         for row in metrics_rows(config, scenario):
             records.append((population, row.scheme, row.zeta,
                             row.gcs_utility))
-            lines.append(",".join([str(population), row.scheme,
-                                   fmt(row.zeta), fmt(row.gcs_utility)]))
-    write_text_atomic(out / "sweep_population.csv", "\n".join(lines) + "\n")
+    write_text_atomic(out / "sweep_population.csv", csv_text(
+        "sweep_population.csv",
+        ("population", "scheme", "zeta", "gcs_utility"),
+        ([str(p), scheme, zeta, utility]
+         for p, scheme, zeta, utility in records)))
     write_manifest(out, config, config_digest)
     return records
 
@@ -269,18 +307,54 @@ class PhcSeedSummary:
     reference_reward: float
 
 
-def _trajectory_lines(log: EpisodeLog) -> list[str]:
-    lines = ["slot,type,gcs_state,uav_state,reward,size,uav_utility,gcs_term"]
-    rewards = log.rewards
-    sizes = log.sizes
-    for t in range(log.slots):
-        for j, type_index in enumerate(log.type_indices):
-            lines.append(",".join([
-                str(t + 1), str(type_index),
-                str(int(log.gcs_state[t, j])), str(int(log.uav_state[t, j])),
-                fmt(rewards[t, j]), fmt(sizes[t, j]),
-                fmt(log.uav_utility[t, j]), fmt(log.gcs_term[t, j])]))
-    return lines
+TRAJECTORY_HEADER = ("slot,type,gcs_state,uav_state,reward,size,"
+                     "uav_utility,gcs_term")
+
+
+def trajectory_text(file: str, log: EpisodeLog) -> str:
+    """The trajectory CSV of one log: a line per slot and column, in order.
+
+    In a log `train` writes, every cell but its slot number is a function
+    of (column, posted item, answer), so cells are coded by those and each
+    distinct tail is formatted, and checked finite, once.  A cell whose
+    fields differ from the first cell of its code, as a hand-built log may
+    hold, is formatted on its own, and so is a NaN payoff, which equals
+    nothing.  (Equal values format alike: `fmt` writes -0.0 as 0.)
+    """
+    slots, width = log.reward_index.shape
+    column = np.broadcast_to(np.arange(width), (slots, width))
+    code = (log.uav_state * 2 + log.gcs_state) * width + column
+    _, first, inverse = np.unique(code.ravel(), return_index=True,
+                                  return_inverse=True)
+    fields = [field.ravel() for field in (
+        log.gcs_state, log.uav_state, log.reward_index, log.size_index,
+        log.uav_utility, log.gcs_term)]
+    # cells of one code with equal items and answers share a column, even
+    # where the code wraps, so the column needs no comparison
+    odd = np.zeros(code.size, dtype=bool)
+    for flat in fields:
+        odd |= flat != flat.take(first).take(inverse)
+    singles = np.flatnonzero(odd)
+    inverse[singles] = first.size + np.arange(singles.size)
+    cells = np.concatenate([first, singles])
+    answer, item, reward, size, uav, gcs = (flat.take(cells)
+                                            for flat in fields)
+    values = {"reward": log.reward_grid.take(reward),
+              "size": log.size_grid.take(size),
+              "uav_utility": uav, "gcs_term": gcs}
+    for key, value in values.items():
+        bad = ~np.isfinite(value)
+        if bad.any():
+            raise NonFiniteOutput(file, key, value[bad][0])
+    types = np.array(log.type_indices).take(cells % width)
+    tails = [f"{ty},{int(a)},{int(i)},{fmt(r)},{fmt(s)},{fmt(u)},{fmt(g)}"
+             for ty, a, i, r, s, u, g in zip(
+                 types.tolist(), answer.tolist(), item.tolist(),
+                 *(value.tolist() for value in values.values()))]
+    slot_of = np.repeat(np.arange(1, slots + 1), width)
+    return TRAJECTORY_HEADER + "\n" + "".join(map(
+        "{},{}\n".format, slot_of.tolist(),
+        map(tails.__getitem__, inverse.tolist())))
 
 
 def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
@@ -314,8 +388,8 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
     for seed, result in zip(config.seeds, results):
         verdicts = convergence_check(result.log, run.window, run.tolerance)
         slot = convergence_slot(result.log, run.window, run.tolerance)
-        write_text_atomic(out / f"phc_seed{seed}.csv",
-                          "\n".join(_trajectory_lines(result.log)) + "\n")
+        name = f"phc_seed{seed}.csv"
+        write_text_atomic(out / name, trajectory_text(name, result.log))
         for type_index, verdict in zip(result.log.type_indices, verdicts):
             ref_item = reference_items[type_index]
             summaries.append(PhcSeedSummary(
@@ -323,14 +397,14 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
                 converged=verdict.converged, modal_size=verdict.size,
                 modal_reward=verdict.reward, slot=slot,
                 reference_size=ref_item.s, reference_reward=ref_item.r))
-    lines = ["seed,type,converged,modal_size,modal_reward,convergence_slot,"
-             "reference_size,reference_reward"]
-    for s in summaries:
-        lines.append(",".join([
-            str(s.seed), str(s.type_index), str(int(s.converged)),
-            fmt(s.modal_size), fmt(s.modal_reward), fmt(s.slot),
-            fmt(s.reference_size), fmt(s.reference_reward)]))
-    write_text_atomic(out / "phc_summary.csv", "\n".join(lines) + "\n")
+    write_text_atomic(out / "phc_summary.csv", csv_text(
+        "phc_summary.csv",
+        ("seed", "type", "converged", "modal_size", "modal_reward",
+         "convergence_slot", "reference_size", "reference_reward"),
+        ([str(s.seed), str(s.type_index), str(int(s.converged)),
+          s.modal_size, s.modal_reward, s.slot, s.reference_size,
+          s.reference_reward] for s in summaries),
+        allowed={"convergence_slot": (math.inf,)}))
     write_manifest(out, config, config_digest)
     failed = sum(1 for s in summaries if not s.converged)
     if strict and failed:

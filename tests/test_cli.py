@@ -196,6 +196,31 @@ class TestExitCodes:
                - oracle["oracle_gcs_utility"])
         assert -1e-9 <= gap <= oracle["resolution_bound"]
 
+    # (verb, oracle, first type's count, file and key named in the error)
+    @pytest.mark.parametrize("verb, oracle, count, named", [
+        ("solve", False, 10 ** 308, "summary.json: gcs_utility is nan"),
+        ("compare", False, 10 ** 308, "compare.csv: gcs_utility is nan"),
+        ("solve", True, 10 ** 307,
+         "summary.json: oracle.oracle_gcs_utility is inf"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_output_is_refused(self, verb, oracle, count, named,
+                                          tmp_path, capsys):
+        # finite inputs whose utilities overflow: the run exits 3 naming
+        # the file and the key, and writes no artifact
+        raw = _solve_raw()
+        raw["scenario"]["s_max"] = 20.0
+        raw["scenario"]["types"] = [{"c1": 0.8, "n": count, "t": 1.0},
+                                    {"c1": 0.4, "n": 2, "t": 1.0}]
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        code = main([verb, "--config", str(cfg), "--out", str(out)]
+                    + (["--oracle"] if oracle else []))
+        assert code == 3
+        assert f"solver error: {named}, not finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_strict_not_converged(self, tmp_path, capsys):
         # a window spanning every slot at tolerance 1 asks for one posted
         # item throughout, which the early exploration rules out

@@ -557,6 +557,35 @@ def kernel_args(rows, slots, reward_levels, size_levels, seed, hot):
 class TestRowKernel:
     """The row-stepped training body against the scalar one, bit for bit."""
 
+    @staticmethod
+    def sparse_args(rows, slots, seed):
+        """Kernel arguments whose tables the scalar body trained 700 cold
+        slots, so all but 1-2% of the GCS's pi is exactly 0."""
+        args = kernel_args(rows, 700, 20, 20, seed=seed, hot=False)
+        _kernels._scalar_train_loop(**args)
+        assert np.mean(args["pi_g"] == 0.0) > 0.97
+        fresh = kernel_args(rows, slots, 20, 20, seed=seed + 1, hot=False)
+        for name in ("uniforms", "reward_idx", "size_idx", "gcs_state",
+                     "uav_state", "uav_pay", "gcs_pay"):
+            args[name] = fresh[name]
+        return args
+
+    @staticmethod
+    def both_bodies(args):
+        """Run both bodies on copies of ``args``, require the same bits,
+        and return the scalar body's arguments after the run."""
+        scalar = {k: v.copy() if isinstance(v, np.ndarray) else v
+                  for k, v in args.items()}
+        row = {k: v.copy() if isinstance(v, np.ndarray) else v
+               for k, v in args.items()}
+        _kernels._scalar_train_loop(**scalar)
+        _kernels._row_train_loop(**row)
+        for name, value in scalar.items():
+            if isinstance(value, np.ndarray):
+                assert row[name].dtype == value.dtype, name
+                assert row[name].tobytes() == value.tobytes(), name
+        return scalar
+
     @pytest.mark.parametrize("rows, slots, levels, hot", [
         (1, 600, (20, 20), False),
         (3, 600, (20, 20), False),
@@ -568,16 +597,7 @@ class TestRowKernel:
     ])
     def test_matches_scalar_body(self, rows, slots, levels, hot):
         args = kernel_args(rows, slots, *levels, seed=rows + slots, hot=hot)
-        scalar = {k: v.copy() if isinstance(v, np.ndarray) else v
-                  for k, v in args.items()}
-        row = {k: v.copy() if isinstance(v, np.ndarray) else v
-               for k, v in args.items()}
-        _kernels._scalar_train_loop(**scalar)
-        _kernels._row_train_loop(**row)
-        for name, value in scalar.items():
-            if isinstance(value, np.ndarray):
-                assert row[name].dtype == value.dtype, name
-                assert np.array_equal(row[name], value), name
+        scalar = self.both_bodies(args)
         # the run moved every table and took both answers
         assert not np.array_equal(scalar["q_u"], args["q_u"])
         assert not np.array_equal(scalar["pi_u"], args["pi_u"])
@@ -602,17 +622,85 @@ class TestRowKernel:
         u[0, :, 3] = args["pi_u"][every, posted, 0]
         u[1:, :, 2] = 0.0
         u[1:, :, 3] = 0.5
-        scalar = {k: v.copy() if isinstance(v, np.ndarray) else v
-                  for k, v in args.items()}
-        _kernels._scalar_train_loop(**scalar)
-        _kernels._row_train_loop(**args)
-        for name, value in scalar.items():
-            if isinstance(value, np.ndarray):
-                assert np.array_equal(args[name], value), name
+        scalar = self.both_bodies(args)
         # the ties went the scalar body's way: past the running sum, and
         # declined both on pi(sign) and at the exploring midpoint
         assert np.array_equal(scalar["uav_state"][0], posted)
         assert not scalar["gcs_state"].any()
+
+    @pytest.mark.parametrize("rows", [1, 3, 24])
+    def test_sparse_tables_match_scalar_body(self, rows):
+        args = self.sparse_args(rows, 300, seed=40 + rows)
+        scalar = self.both_bodies(args)
+        assert not np.array_equal(scalar["pi_g"], args["pi_g"])
+        # the GCS both explored and sampled its sparse pi
+        explore_share = 1.0 - (1.0 - EXPLORE_FLOOR) * 700 / (
+            EXPLORE_VISITS * 441)
+        coins = args["uniforms"][:, :, 0]
+        assert (coins < explore_share).any() and (coins >= explore_share).any()
+
+    def test_sparse_ties_follow_scalar_body(self):
+        # on the support: a draw equal to a support column's running sum
+        # passes to the next support column and one just below it stops
+        # there; one equal to the sum before the last item posts the last,
+        # and one equal to the full sum crosses nothing and posts the last
+        # item too
+        rows, items = 4, 441
+        args = self.sparse_args(rows, 8, seed=7)
+        pi = args["pi_g"][:, 0]
+        running = np.cumsum(pi, axis=1)
+        u = args["uniforms"]
+        u[0, :, 0] = 0.999
+        support = [np.flatnonzero(p) for p in pi]
+        u[0, 0, 1] = running[0, support[0][0]]
+        u[0, 1, 1] = np.nextafter(running[1, support[1][1]], 0.0)
+        u[0, 2, 1] = running[2, items - 2]
+        u[0, 3, 1] = running[3, -1]
+        scalar = self.both_bodies(args)
+        assert np.array_equal(scalar["uav_state"][0],
+                              [support[0][1], support[1][1], items - 1,
+                               items - 1])
+
+    def test_signed_zeros_follow_scalar_body(self):
+        # -0.0 in both tables: a declined update adds 0.0 to the discounted
+        # -0.0 as the scalar body does, and the GCS's pi holds +0.0 off its
+        # support after a slot, as the full-row decay leaves it
+        args = self.sparse_args(3, 5, seed=13)
+        args["q_u"][:] = -0.0
+        pi = args["pi_g"]
+        pi[pi == 0.0] = -0.0
+        u = args["uniforms"]
+        u[:, :, 2] = 0.0
+        u[:, :, 3] = 0.75
+        scalar = self.both_bodies(args)
+        assert not np.signbit(scalar["pi_g"]).any()
+        declined = scalar["q_u"][:, :, 1]
+        assert (declined == 0.0).all() and not np.signbit(declined).all()
+
+    def test_greedy_item_enters_from_outside_support(self):
+        # row 0 starts greedy on an item no row's pi holds; row 1's greedy
+        # item is posted and declined in slot 0, which drops its value
+        # below a runner-up no row's pi holds
+        rows, items = 3, 441
+        args = self.sparse_args(rows, 40, seed=11)
+        q = args["q_g"][:, 0]
+        outside = np.flatnonzero(~args["pi_g"][:, 0].any(axis=0))
+        z0, z1 = outside[5], outside[-5]
+        q[0, z0] = q[0].max() + 1.0
+        g1 = q[1].argmax()
+        np.minimum(q[1], 8.0, out=q[1])
+        q[1, g1] = 10.0
+        q[1, z1] = 9.0
+        u = args["uniforms"]
+        u[0, 1, 0] = 0.0                         # explore ...
+        u[0, 1, 1] = (g1 + 0.5) / items          # ... posting the greedy
+        u[0, 1, 2] = 0.0                         # the UAV explores ...
+        u[0, 1, 3] = 0.75                        # ... and declines
+        scalar = self.both_bodies(args)
+        assert scalar["uav_state"][0, 1] == g1
+        assert scalar["gcs_state"][0, 1] == 0
+        assert scalar["pi_g"][0, 0, z0] > 0.0
+        assert scalar["pi_g"][1, 0, z1] > 0.0
 
     def test_rejects_non_contiguous_tables(self):
         args = kernel_args(2, 10, 2, 2, seed=0, hot=False)

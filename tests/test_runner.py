@@ -5,15 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavcontract import (JIT_ENABLED, NotConverged, ValidationError,
+from uavcontract import (JIT_ENABLED, NonFiniteOutput, NotConverged,
+                         ValidationError,
                          gcs_utility, load_config, parse_config,
                          run_compare, run_phc, run_solve, run_sweep_cost,
                          run_sweep_population, solve_partial_info)
-from uavcontract.phc import (hotboot, perturb_scenario, train,
+from uavcontract.phc import (EpisodeLog, hotboot, perturb_scenario, train,
                              with_default_r_max)
-from uavcontract.runner import (SCHEME_ORDER, _trajectory_lines,
-                                default_linear_price, fmt, metrics_rows,
-                                scale_counts)
+from uavcontract.runner import (SCHEME_ORDER, csv_text, default_linear_price,
+                                fmt, json_text, metrics_rows, scale_counts,
+                                trajectory_text)
 
 from conftest import make_scenario_a
 
@@ -44,6 +45,26 @@ def phc_config(**overrides):
 
 def no_leftover_tmp(out_dir):
     return not list(Path(out_dir).glob("*.tmp"))
+
+
+def reference_trajectory_lines(log):
+    """The trajectory CSV's lines formatted cell by cell, the reference
+    for the table-driven `trajectory_text`."""
+    lines = ["slot,type,gcs_state,uav_state,reward,size,uav_utility,gcs_term"]
+    rewards = log.rewards
+    sizes = log.sizes
+    for t in range(log.slots):
+        for j, type_index in enumerate(log.type_indices):
+            lines.append(",".join([
+                str(t + 1), str(type_index),
+                str(int(log.gcs_state[t, j])), str(int(log.uav_state[t, j])),
+                fmt(rewards[t, j]), fmt(sizes[t, j]),
+                fmt(log.uav_utility[t, j]), fmt(log.gcs_term[t, j])]))
+    return lines
+
+
+def reference_trajectory_text(log):
+    return "\n".join(reference_trajectory_lines(log)) + "\n"
 
 
 class TestFmt:
@@ -276,7 +297,7 @@ class TestRunPhc:
             init = hotboot(family, run.hotboot_episodes, params, rng,
                            run.slots_per_episode)
             result = train(cfg.scenario, params, run.slots, init, rng)
-            want = "\n".join(_trajectory_lines(result.log)) + "\n"
+            want = reference_trajectory_text(result.log)
             assert ((tmp_path / f"phc_seed{seed}.csv").read_bytes()
                     == want.encode("utf-8"))
 
@@ -296,3 +317,113 @@ class TestRunPhc:
         row = (tmp_path / "phc_summary.csv").read_text().splitlines()[1]
         seed, ty, converged, *_rest, slot, _rs, _rr = row.split(",")
         assert (seed, ty, converged) == ("0", "1", "0")
+
+
+def two_type_log(slots=400):
+    scenario = make_scenario_a()
+    params = with_default_r_max(phc_config().phc, scenario)
+    return train(scenario, params, slots, None,
+                 np.random.default_rng(5)).log
+
+
+def edited(log, **cells):
+    """A copy of ``log`` with single cells replaced: name=[(t, j, value)]."""
+    fields = {name: getattr(log, name).copy()
+              for name in ("reward_index", "size_index", "gcs_state",
+                           "uav_state", "uav_utility", "gcs_term")}
+    for name, edits in cells.items():
+        for t, j, value in edits:
+            fields[name][t, j] = value
+    return EpisodeLog(type_indices=log.type_indices,
+                      reward_grid=log.reward_grid, size_grid=log.size_grid,
+                      **fields)
+
+
+class TestTrajectoryText:
+    def test_matches_cell_by_cell_loop(self):
+        log = two_type_log()
+        assert len(log.type_indices) == 2
+        assert trajectory_text("t.csv", log) == reference_trajectory_text(log)
+
+    def test_column_slices_of_a_batch(self):
+        # train hands out column slices of one batch's arrays
+        scenario = make_scenario_a()
+        params = with_default_r_max(phc_config().phc, scenario)
+        for result in train(scenario, params, 300, None,
+                            [np.random.default_rng(s) for s in (1, 2)]):
+            assert (trajectory_text("t.csv", result.log)
+                    == reference_trajectory_text(result.log))
+
+    def test_mismatching_cells_are_formatted_alone(self):
+        # cells whose indices or payoffs differ from the first cell of
+        # their (column, item, answer) code, as a hand-built log may hold
+        log = two_type_log()
+        signed = np.argwhere(log.gcs_state == 1)
+        t0, j0 = signed[3]
+        t1, j1 = signed[7]
+        t2, j2 = signed[-1]
+        hand = edited(
+            log,
+            uav_utility=[(t0, j0, 123.456), (t1, j1, -0.0)],
+            gcs_term=[(t2, j2, log.gcs_term[t2, j2] * (1 + 2 ** -52))],
+            reward_index=[(t1, j1, (log.reward_index[t1, j1] + 1)
+                           % log.reward_grid.size)],
+            size_index=[(5, 1, 0)],
+            gcs_state=[(9, 0, 2)],
+            uav_state=[(11, 1, -3), (12, 0, 10 ** 15)])
+        want = reference_trajectory_text(hand)
+        assert want != reference_trajectory_text(log)
+        assert trajectory_text("t.csv", hand) == want
+
+    def test_all_cells_distinct_or_all_equal(self):
+        log = two_type_log(slots=50)
+        same = edited(log, **{name: [(t, j, getattr(log, name)[0, 0])
+                                     for t in range(50) for j in range(2)]
+                              for name in ("reward_index", "size_index",
+                                           "gcs_state", "uav_state",
+                                           "uav_utility", "gcs_term")})
+        assert (trajectory_text("t.csv", same)
+                == reference_trajectory_text(same))
+        ramp = edited(log, uav_utility=[(t, j, t + 0.5 * j)
+                                        for t in range(50) for j in range(2)])
+        assert (trajectory_text("t.csv", ramp)
+                == reference_trajectory_text(ramp))
+
+    @pytest.mark.parametrize("name, value", [
+        ("uav_utility", math.nan), ("gcs_term", math.inf),
+        ("gcs_term", -math.inf)])
+    def test_non_finite_cell_is_refused(self, name, value):
+        log = two_type_log(slots=60)
+        hand = edited(log, **{name: [(40, 1, value)]})
+        with pytest.raises(NonFiniteOutput,
+                           match=rf"^phc_seed7\.csv: {name} is "):
+            trajectory_text("phc_seed7.csv", hand)
+
+
+class TestFiniteGuard:
+    def test_csv_formats_and_checks_each_column(self):
+        text = csv_text("m.csv", ("k", "x", "n"), [["a", 0.5, "7"],
+                                                   ["b", -0.0, "8"]])
+        assert text == "k,x,n\na,0.5,7\nb,0,8\n"
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteOutput, match=r"^m\.csv: x is "):
+                csv_text("m.csv", ("k", "x"), [["a", 1.0], ["b", bad]])
+
+    def test_allowed_values_pass_only_in_their_column(self):
+        header = ("slot", "other")
+        assert (csv_text("s.csv", header, [[math.inf, 1.0]],
+                         allowed={"slot": (math.inf,)})
+                == "slot,other\ninf,1\n")
+        for record in ([math.nan, 1.0], [-math.inf, 1.0], [1.0, math.inf]):
+            with pytest.raises(NonFiniteOutput):
+                csv_text("s.csv", header, [record],
+                         allowed={"slot": (math.inf,)})
+
+    def test_json_names_the_nested_key(self):
+        assert json_text("s.json", {"b": [1.5], "a": {"x": 2}}) == (
+            '{\n  "a": {\n    "x": 2\n  },\n  "b": [\n    1.5\n  ]\n}\n')
+        with pytest.raises(NonFiniteOutput,
+                           match=r"^summary\.json: oracle\.sizes\[1\] is inf"):
+            json_text("summary.json", {"zeta": 1.0,
+                                       "oracle": {"sizes": [2.0, math.inf]}})
+
