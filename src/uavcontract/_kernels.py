@@ -12,9 +12,10 @@ On the pure path, where a scalar loop pays per element, two kernels are
 rebound instead to forms with the same name and signature: `train_loop`
 to `_row_train_loop`, and `update_many` to `_row_update_many`.  Per slot,
 `_row_train_loop` draws and steps the GCS's item-wide policy for every
-(seed, type) row of a batch in whole-array numpy calls over the policy's
-support, and runs the UAV's two-action step, and both sides' update of
-the one Q entry the slot touched, per row in Python floats.
+(seed, type) row of a batch in about eight whole-array numpy calls over
+the policy's support, and runs the UAV's two-action step, both sides'
+update of the one Q entry the slot touched, and the GCS's greedy item,
+per row in Python floats.
 Each form does the scalar body's arithmetic in the same order with the
 same tie-breaking, so it gives the same bits; `_scalar_train_loop` and
 `_scalar_update_many` keep the scalar bodies reachable on both paths as
@@ -218,22 +219,29 @@ def _row_train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost,
     """`train_loop` stepping every row at once, one slot per iteration.
 
     Rows (types, or (seed, type) pairs) share nothing.  Each slot the GCS
-    draws every row's item and steps every row's item-wide policy with
-    whole-array numpy calls; then, per row in Python floats, the UAV
-    answers and both sides update the one Q entry the slot touched, read
-    and written through memoryviews of the tables.  Both give the scalar
-    body's bits: the same operations in the same order, running sums as
-    sequential cumsums, ties to the first index, and the GCS's log term
-    read from a ``math.log1p`` table.
+    draws every row's item, and steps every row's item-wide policy, in a
+    few whole-array numpy calls (`_Support`); then, per row in Python
+    floats, the UAV answers and both sides update the one Q entry the slot
+    touched, read and written through memoryviews of the tables.  Both
+    give the scalar body's bits: the same operations in the same order,
+    running sums as sequential accumulations, ties to the first index, and
+    the GCS's log term read from a ``math.log1p`` table.
 
-    The GCS's policy is stepped on its support only (`_Support`): the
-    items where some row's pi is nonzero at call entry, plus each greedy
-    item that falls outside them.  Draws that do not depend on the tables
-    (the GCS's explore coin, whose visits rise by one a slot, and its
-    exploring pick) are taken for all slots up front.  Only the posted item
-    and the answer are kept per slot, and the other trajectory columns are
-    filled from them at the end.  The tables must be C-contiguous, since
-    they are updated through flat views.
+    Each row's greedy item, and its Q value, are kept in Python from one
+    ``argmax`` at entry.  A slot changes one GCS Q entry per row, so the
+    new value ``v`` of posted item ``c`` settles the greedy item by
+    ``argmax``'s first-index rule: the greedy item keeps its place while
+    ``v`` does not fall below its old value, and the row is scanned again
+    when it does (or when ``v`` is NaN, which ``argmax`` ranks first);
+    another item takes the place with a higher value, or an equal one at
+    a lower index.
+
+    Draws that do not depend on the tables (the GCS's explore coin, whose
+    visits rise by one a slot, and its exploring pick) are taken for all
+    slots up front.  Only the posted item and the answer are kept per
+    slot, and the other trajectory columns are filled from them at the
+    end.  The tables must be C-contiguous, since they are updated through
+    flat views.
     """
     for table in (q_g, pi_g, q_u, pi_u, visits_u):
         if not table.flags.c_contiguous:
@@ -261,16 +269,16 @@ def _row_train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost,
             seen >= horizon, floor,
             1.0 - (1.0 - floor) * seen / max(horizon, 1))
     sampled = g_sample.sum(axis=1).tolist()
-    g_pick = np.minimum((uniforms[:, :, 1] * items).astype(np.int64),
-                        items - 1)
+    samples = g_sample.tolist()
+    picks = np.minimum((uniforms[:, :, 1] * items).astype(np.int64),
+                       items - 1).tolist()
     g_u = uniforms[:, :, 1:2]
     visits_g[:, 0] += slots
     qg = q_g.reshape(rows, items)
-    qg_flat = qg.ravel()
-    best_g = qg.max(axis=1)
-    support = _Support(pi_g.reshape(rows, items))
+    support = _Support(pi_g.reshape(rows, items), float(step_g),
+                       step_g / items)
     # the per-row side: flat memoryviews, python floats and ints
-    qgs = memoryview(qg_flat)
+    qgs = memoryview(qg.reshape(-1))
     qu = memoryview(q_u.reshape(-1))
     pu = memoryview(pi_u.reshape(-1))
     vu = memoryview(visits_u.reshape(-1))
@@ -284,28 +292,25 @@ def _row_train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost,
     keep_g = 1.0 - rate_g
     keep_u = 1.0 - rate_u
     half_u = step_u / 2
-    dec_g = step_g / items
     row_at = [r * items for r in range(rows)]
-    offset = np.array(row_at)
+    greedy = qg.argmax(axis=1).tolist()
+    bests = [qgs[at + g] for at, g in zip(row_at, greedy)]
     posted = np.empty((slots, rows), dtype=np.int64)
     declined = np.empty((slots, rows), dtype=np.int64)
     posts = memoryview(posted.reshape(-1))
     answers = memoryview(declined.reshape(-1))
+    moved = True
     for t in range(slots):
-        if sampled[t] == rows:
-            k = support.draw(None, g_u[t])
-        elif sampled[t]:
-            k = g_pick[t].copy()
-            sampling = np.flatnonzero(g_sample[t])
-            k[sampling] = support.draw(sampling, g_u[t, sampling])
-        else:
-            k = g_pick[t]
-        ks = k.tolist()
-        bests = best_g.tolist()
+        ks = picks[t]
+        if sampled[t]:
+            drawn = support.draw(g_u[t])
+            ks = drawn if sampled[t] == rows else [
+                d if s else k for d, s, k in zip(drawn, samples[t], ks)]
         base = t * rows
         for r in range(rows):
-            posts[base + r] = ks[r]
-            i = row_at[r] + ks[r]
+            c = ks[r]
+            posts[base + r] = c
+            i = row_at[r] + c
             seen = vu[i]
             vu[i] = seen + 1
             at = 4 * (base + r)
@@ -346,12 +351,31 @@ def _row_train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost,
             total = p0 + p1
             pu[s] = p0 / total
             pu[s + 1] = p1 / total
-            qgs[i] = keep_g * qgs[i] + rate_g * (g_pay + disc_g * bests[r])
-        greedy = qg.argmax(axis=1)
-        best_g = qg_flat.take(greedy + offset)
-        support.step(greedy, step_g, dec_g)
+            best_g = bests[r]
+            v = keep_g * qgs[i] + rate_g * (g_pay + disc_g * best_g)
+            qgs[i] = v
+            # argmax's first-index rule; the row is scanned again when its
+            # greedy item falls or a NaN appears
+            g = greedy[r]
+            if c == g:
+                if v >= best_g:
+                    bests[r] = v
+                    continue
+            elif v > best_g or v == best_g and c < g:
+                greedy[r] = c
+                bests[r] = v
+                moved = True
+                continue
+            elif v == v:
+                continue
+            g = greedy[r] = int(qg[r].argmax())
+            bests[r] = qgs[row_at[r] + g]
+            moved = True
+        support.step(greedy if moved else None)
+        moved = False
     if slots:
         support.write_back()
+    offset = np.array(row_at)
     uav_state[:] = posted
     size_idx[:] = posted // na
     reward_idx[:] = posted - size_idx * na
@@ -370,56 +394,73 @@ class _Support:
     exactly 0 under the decay, and a running sum gains exactly nothing
     from a +0.0, so the decay, the draw's running sums and the normalising
     total over ``cols`` give the full rows' bits.
+
+    A draw and a step are four numpy calls each, into buffers made once
+    per support: the running sums, the crossings and their views.  The
+    greedy entries' flat offsets into ``pi`` are kept between steps, and
+    rebuilt only when a row's greedy item or the support changes.
     """
 
-    def __init__(self, full):
+    def __init__(self, full, step, dec):
         self.full = full
         self.items = full.shape[1]
+        self.step_size = step
+        self.dec = dec
         cols = np.flatnonzero(full.any(axis=0))
         self.pi = np.ascontiguousarray(full[:, cols])
         self._reindex(cols)
+        # the greedy entries' flat offsets into pi
+        self.tops = []
 
     def _reindex(self, cols):
-        rows = self.pi.shape[0]
+        rows, n = self.pi.shape
         self.cols = cols
         # what a draw posts at each crossing position, the last item for none
-        self.ends = np.append(cols, self.items - 1)
-        self.position = np.full(self.items, -1)
-        self.position[cols] = np.arange(cols.size)
-        self.flat = self.pi.reshape(-1)
-        self.offset = np.arange(rows) * cols.size
-        self.above = np.ones((rows, cols.size + 1), dtype=bool)
+        self.ends = cols.tolist() + [self.items - 1]
+        self.position = [-1] * self.items
+        for at, item in enumerate(self.ends[:-1]):
+            self.position[item] = at
+        self.flat = memoryview(self.pi.reshape(-1))
+        self.sums = np.empty((rows, n))
+        self.total = self.sums[:, -1:]
+        self.above = np.ones((rows, n + 1), dtype=bool)
+        self.crossed = self.above[:, :-1]
 
-    def draw(self, sampling, u):
-        """The first item whose running sum passes u, per sampling row
-        (None for every row); u has shape (rows, 1)."""
-        pi = self.pi if sampling is None else self.pi[sampling]
-        above = self.above[:pi.shape[0]]
-        np.greater(pi.cumsum(axis=1), u, out=above[:, :-1])
-        return self.ends.take(above.argmax(axis=1))
+    def draw(self, u):
+        """Per row, the first item whose running sum passes u, shape
+        (rows, 1), or the last item where none does."""
+        np.add.accumulate(self.pi, axis=1, out=self.sums)
+        np.greater(self.sums, u, out=self.crossed)
+        ends = self.ends
+        return [ends[at] for at in self.above.argmax(axis=1).tolist()]
 
-    def step(self, greedy, step, dec):
-        """`phc_step_wide`'s nudge of every row toward its greedy item."""
-        at = self.position.take(greedy)
-        if at.min() < 0:
-            kept = self.position >= 0
-            kept[greedy] = True
-            cols = np.flatnonzero(kept)
-            pi = np.zeros((self.pi.shape[0], cols.size))
-            pi[:, np.searchsorted(cols, self.cols)] = self.pi
-            self.pi = pi
-            self._reindex(cols)
-            at = self.position.take(greedy)
-        pi = self.pi
-        at += self.offset
+    def step(self, greedy):
+        """`phc_step_wide`'s nudge of every row toward its greedy item.
+
+        ``greedy`` lists the rows' greedy items on the first step and
+        whenever one has changed since the last; it is None otherwise.
+        """
+        if greedy is not None:
+            position = self.position
+            if min(position[g] for g in greedy) < 0:
+                cols = np.array(sorted(set(self.ends[:-1]).union(greedy)),
+                                dtype=np.int64)
+                pi = np.zeros((self.pi.shape[0], cols.size))
+                pi[:, np.searchsorted(cols, self.cols)] = self.pi
+                self.pi = pi
+                self._reindex(cols)
+                position = self.position
+            n = self.pi.shape[1]
+            self.tops = [r * n + position[g] for r, g in enumerate(greedy)]
+        pi, flat, step = self.pi, self.flat, self.step_size
         # only the greedy entry can pass 1 and only the others can pass 0
-        top = self.flat.take(at)
-        top += step
-        np.minimum(top, 1.0, out=top)
-        pi -= dec
+        tops = [flat[at] + step for at in self.tops]
+        np.subtract(pi, self.dec, out=pi)
         np.maximum(pi, 0.0, out=pi)
-        self.flat.put(at, top)
-        pi /= pi.cumsum(axis=1)[:, -1:]
+        for at, top in zip(self.tops, tops):
+            flat[at] = top if top < 1.0 else 1.0
+        np.add.accumulate(pi, axis=1, out=self.sums)
+        np.divide(pi, self.total, out=pi)
 
     def write_back(self):
         # a decayed row holds +0.0 off its support, even where it held -0.0

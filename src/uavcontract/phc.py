@@ -492,14 +492,19 @@ def convergence_slot(log: EpisodeLog, window: int,
             f"window {window} outside log length {log.slots}")
     slots = log.slots
     ok = np.ones(slots - window + 1, dtype=bool)
+    running = np.zeros(slots + 1, dtype=np.int64)
     for column, n_actions in ((log.size_index, log.size_grid.shape[0]),
                               (log.reward_index, log.reward_grid.shape[0])):
         for j in range(len(log.type_indices)):
-            onehot = np.zeros((slots + 1, n_actions), dtype=np.int64)
-            np.add.at(onehot, (np.arange(slots) + 1, column[:, j]), 1)
-            cum = np.cumsum(onehot, axis=0, out=onehot)
-            win = cum[window:] - cum[:-window]
-            ok &= (win.max(axis=1) / window) >= tolerance
+            held = np.zeros_like(ok)
+            counts = np.bincount(column[:, j], minlength=n_actions)
+            # a window holds an action at most as often as the whole log,
+            # so an action below the tolerance there passes no window
+            for action in np.flatnonzero(counts / window >= tolerance):
+                np.cumsum(column[:, j] == action, out=running[1:])
+                win = running[window:] - running[:-window]
+                held |= win / window >= tolerance
+            ok &= held
     hits = np.flatnonzero(ok)
     if hits.size == 0:
         return float("inf")

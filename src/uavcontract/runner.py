@@ -95,6 +95,9 @@ def json_text(file: str, data: dict) -> str:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
+    # the directory is made at the first write, so a run refused before
+    # it writes anything leaves none behind
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8", newline="\n")
     os.replace(tmp, path)
@@ -123,10 +126,8 @@ def write_manifest(out_dir: Path, config: ExperimentConfig,
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _prepare_dir(config: ExperimentConfig, out_dir) -> Path:
-    out = Path(out_dir if out_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(config: ExperimentConfig, out_dir) -> Path:
+    return Path(out_dir if out_dir is not None else config.output_dir)
 
 
 def default_linear_price(scenario: Scenario) -> float:
@@ -158,7 +159,7 @@ def metrics_rows(config: ExperimentConfig,
 def run_compare(config: ExperimentConfig, out_dir=None,
                 config_digest: str | None = None) -> list[MetricsRow]:
     """Solve all four schemes and write one CSV row per scheme."""
-    out = _prepare_dir(config, out_dir)
+    out = _out_dir(config, out_dir)
     scenario = config.scenario
     rows = metrics_rows(config, scenario)
     header = (["scheme"] + [f"u_type{ty.index}" for ty in scenario.types]
@@ -190,7 +191,7 @@ def _oracle_report(config: ExperimentConfig, scenario: Scenario,
 def run_solve(config: ExperimentConfig, out_dir=None, oracle: bool = False,
               config_digest: str | None = None) -> dict:
     """Solve the asymmetric-information menu and write it out."""
-    out = _prepare_dir(config, out_dir)
+    out = _out_dir(config, out_dir)
     scenario = config.scenario
     menu, trace = solve_partial_info(scenario)
     utilities = menu_utilities(scenario, menu)
@@ -223,7 +224,7 @@ def run_sweep_cost(config: ExperimentConfig, out_dir=None,
     (c2 = 0); everything else stays fixed.  One CSV row per (cost, scheme)
     with the swept type's utility.
     """
-    out = _prepare_dir(config, out_dir)
+    out = _out_dir(config, out_dir)
     base = config.scenario
     points = np.linspace(0.01, 1.0, config.cost_points)
     records = []
@@ -272,7 +273,7 @@ def scale_counts(counts, new_total: int) -> list[int]:
 def run_sweep_population(config: ExperimentConfig, out_dir=None,
                          config_digest: str | None = None) -> list[tuple]:
     """Scale the population over the sweep points; one row per scheme."""
-    out = _prepare_dir(config, out_dir)
+    out = _out_dir(config, out_dir)
     base = config.scenario
     records = []
     for population in config.populations:
@@ -368,7 +369,7 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
     a NotConverged is raised after all outputs are written whenever any
     (seed, type) pair fails the trailing-window test.
     """
-    out = _prepare_dir(config, out_dir)
+    out = _out_dir(config, out_dir)
     scenario = config.scenario
     params = with_default_r_max(config.phc, scenario)
     run = config.phc_run

@@ -240,7 +240,9 @@ def brute_force_oracle(scenario: Scenario, grid_step: float) -> ContractMenu:
                  - (c_j - c_{j+1})*s*(n_{j+1} + ... + n_J),
 
     so a dynamic program over positions replaces the enumeration of all
-    C(M+J-1, J) tuples of an M-point grid with O(J*M) work.
+    C(M+J-1, J) tuples of an M-point grid with O(J*M) work.  Raises
+    ValueError naming the eligible position whose objective overflows to
+    NaN somewhere on the grid.
     """
     order = scenario.eligible
     if not order:
@@ -257,16 +259,25 @@ def brute_force_oracle(scenario: Scenario, grid_step: float) -> ContractMenu:
     best = np.zeros(points)
     later_n = 0.0
     firsts = []
-    for pos in reversed(range(len(order))):
-        ty = order[pos]
-        n = float(ty.n)
-        next_c = order[pos + 1].c if pos + 1 < len(order) else 0.0
-        value = (w[pos] * logs - n * (ty.c * grid + c0)
-                 - later_n * ((ty.c - next_c) * grid) + best)
-        best = np.maximum.accumulate(value[::-1])[::-1]
-        firsts.append(np.minimum.accumulate(
-            np.where(value == best, index, points)[::-1])[::-1])
-        later_n += n
+    with np.errstate(invalid="ignore"):
+        for pos in reversed(range(len(order))):
+            ty = order[pos]
+            n = float(ty.n)
+            next_c = order[pos + 1].c if pos + 1 < len(order) else 0.0
+            value = (w[pos] * logs - n * (ty.c * grid + c0)
+                     - later_n * ((ty.c - next_c) * grid) + best)
+            best = np.maximum.accumulate(value[::-1])[::-1]
+            # the running max is NaN once any term is: an overflow to
+            # inf - inf leaves nothing to rank.  An infinite term still
+            # ranks, and the output guard refuses the utility it gives.
+            if math.isnan(best[0]):
+                raise ValueError(
+                    f"grid oracle: eligible position {pos + 1} (type "
+                    f"{ty.index}) has an objective term that overflows to "
+                    f"nan")
+            firsts.append(np.minimum.accumulate(
+                np.where(value == best, index, points)[::-1])[::-1])
+            later_n += n
     # forward: each size is the first best index at or above the last
     picks = [0]
     for first in reversed(firsts):

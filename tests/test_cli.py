@@ -219,7 +219,26 @@ class TestExitCodes:
                     + (["--oracle"] if oracle else []))
         assert code == 3
         assert f"solver error: {named}, not finite" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_oracle_overflow_to_nan_is_refused(self, tmp_path, capsys):
+        # the first position's objective overflows to inf - inf on the
+        # grid, which the oracle cannot rank: exit 3 naming the position,
+        # with no traceback and no output directory
+        raw = yaml.safe_load((DATA / "scenario_a.yaml").read_text())
+        raw["scenario"]["types"][0]["n"] = 10 ** 307
+        raw["scenario"]["types"][1]["n"] = 2
+        cfg = tmp_path / "overflow.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        code = main(["solve", "--config", str(cfg), "--out", str(out),
+                     "--oracle"])
+        assert code == 3
+        assert ("solver error: grid oracle: eligible position 1 (type 1) "
+                "has an objective term that overflows to nan"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_strict_not_converged(self, tmp_path, capsys):
         # a window spanning every slot at tolerance 1 asks for one posted

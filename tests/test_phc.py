@@ -40,6 +40,26 @@ def synthetic_log(size_index, reward_index):
                       uav_utility=zeros_f, gcs_term=zeros_f)
 
 
+def reference_convergence_slot(log, window, tolerance=0.95):
+    """`convergence_slot` from one window count per action: running counts
+    of a (slots + 1, actions) one-hot, the reference the leaner form is
+    held to."""
+    slots = log.slots
+    ok = np.ones(slots - window + 1, dtype=bool)
+    for column, n_actions in ((log.size_index, log.size_grid.shape[0]),
+                              (log.reward_index, log.reward_grid.shape[0])):
+        for j in range(len(log.type_indices)):
+            onehot = np.zeros((slots + 1, n_actions), dtype=np.int64)
+            np.add.at(onehot, (np.arange(slots) + 1, column[:, j]), 1)
+            cum = np.cumsum(onehot, axis=0, out=onehot)
+            win = cum[window:] - cum[:-window]
+            ok &= (win.max(axis=1) / window) >= tolerance
+    hits = np.flatnonzero(ok)
+    if hits.size == 0:
+        return float("inf")
+    return float(hits[0] + window)
+
+
 class TestGrids:
     def test_worked_grid(self):
         params = PhcParams(reward_levels=10, size_levels=4, r_max=20.0)
@@ -702,6 +722,73 @@ class TestRowKernel:
         assert scalar["pi_g"][0, 0, z0] > 0.0
         assert scalar["pi_g"][1, 0, z1] > 0.0
 
+    @staticmethod
+    def tie_args(rows, seed):
+        """Arguments whose GCS Q update is the payoff alone (rate 1,
+        discount 0), every signed payoff negative and a declined one +0.0:
+        rows start with -0.0 and +0.0 maxima at several items, and posts
+        tie the maximum, lift a lower item to it and drop the greedy item
+        below the rest.  The explore share is about a half, so slots mix
+        sampling and exploring rows."""
+        args = kernel_args(rows, 400, 4, 3, seed=seed, hot=True)
+        rng = np.random.default_rng(seed)
+        q = rng.choice([-2.0, -1.0, -0.0, 0.0], size=args["q_g"].shape)
+        q[:, 0, 0] = -1.0
+        q[:, 0, rng.integers(1, 20, rows)] = 0.0
+        args["q_g"] = q
+        args["rate_g"], args["disc_g"] = 1.0, 0.0
+        args["rgrid"] = args["rgrid"] + 0.5
+        args["weight"][:] = 0.01
+        args["visits_g"][:] = EXPLORE_VISITS * 20 // 2
+        return args
+
+    @staticmethod
+    def greedy_events(args):
+        """The scalar body run one slot at a time on a copy of ``args``:
+        how often a lower item tied the greedy one and took its place, and
+        how often the posted greedy item fell below another."""
+        args = {k: v.copy() if isinstance(v, np.ndarray) else v
+                for k, v in args.items()}
+        slots = args["uniforms"].shape[0]
+        whole = {name: args[name] for name in (
+            "uniforms", "reward_idx", "size_idx", "gcs_state", "uav_state",
+            "uav_pay", "gcs_pay")}
+        q = args["q_g"][:, 0]
+        lower_ties = rescans = 0
+        for t in range(slots):
+            for name, value in whole.items():
+                args[name] = value[t:t + 1]
+            greedy = q.argmax(axis=1)
+            best = q.max(axis=1)
+            _kernels._scalar_train_loop(**args)
+            posted = args["uav_state"][0]
+            after = q.argmax(axis=1)
+            lower_ties += int(np.sum((posted < greedy) & (after == posted)
+                                     & (q.max(axis=1) == best)))
+            rescans += int(np.sum((posted == greedy) & (after != greedy)))
+        return lower_ties, rescans
+
+    @pytest.mark.parametrize("rows", [1, 3, 24])
+    def test_greedy_ties_follow_scalar_body(self, rows):
+        args = self.tie_args(rows, seed=60 + rows)
+        lower_ties, rescans = self.greedy_events(args)
+        assert lower_ties > 0 and rescans > 0
+        coins = args["uniforms"][:, :, 0]
+        share = 1.0 - (1.0 - EXPLORE_FLOOR) / 2
+        sampling = (coins >= share).sum(axis=1)
+        assert ((0 < sampling) & (sampling < rows)).any() or rows == 1
+        self.both_bodies(args)
+
+    def test_nan_in_gcs_q_follows_scalar_body(self):
+        # argmax ranks NaN first: a NaN from the table or from an update
+        # takes the greedy place by the first-index rule
+        args = self.tie_args(3, seed=5)
+        args["q_g"][0, 0, 7] = np.nan
+        args["q_g"][2, 0, 0] = np.nan
+        args["disc_g"] = 0.5
+        scalar = self.both_bodies(args)
+        assert np.isnan(scalar["q_g"]).sum() > 2
+
     def test_rejects_non_contiguous_tables(self):
         args = kernel_args(2, 10, 2, 2, seed=0, hot=False)
         args["q_u"] = np.asfortranarray(args["q_u"])
@@ -849,6 +936,29 @@ class TestConvergence:
         only_late = synthetic_log(late, late)
         assert convergence_slot(log, 80) == max(
             convergence_slot(only_early, 80), convergence_slot(only_late, 80))
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_slot_matches_one_hot_reference(self, seed):
+        # random logs of loose and locked stretches, windows of any length
+        # and tolerances on and off the window's count steps
+        rng = np.random.default_rng(seed)
+        slots = int(rng.integers(1, 400))
+        types = int(rng.integers(1, 4))
+        columns = []
+        for _ in range(2 * types):
+            actions = int(rng.integers(1, 6))
+            column = rng.integers(0, actions, slots)
+            for _ in range(int(rng.integers(0, 4))):
+                lo, hi = np.sort(rng.integers(0, slots + 1, 2))
+                column[lo:hi] = rng.integers(0, actions)
+            columns.append(column)
+        log = synthetic_log(np.stack(columns[:types], axis=1),
+                            np.stack(columns[types:], axis=1))
+        window = int(rng.integers(1, slots + 1))
+        for tolerance in (0.95, float(rng.uniform(0.3, 1.0)),
+                          int(rng.integers(0, window + 1)) / window, 1.0):
+            assert (convergence_slot(log, window, tolerance)
+                    == reference_convergence_slot(log, window, tolerance))
 
 
 class TestHotboot:
