@@ -8,7 +8,6 @@ air-ground channel that prices each type's delay, and trains two-tier
 tabular learners that discover contracts online.
 """
 
-from ._kernels import JIT_ENABLED
 from .config import ExperimentConfig, PhcRun, load_config, parse_config
 from .environment import (ChannelParams, UavKinematics, a2g_pathloss,
                           derived_delay, los_probability, step_mobility,
@@ -34,7 +33,6 @@ from .solver import (SolverTrace, brute_force_oracle, iron, linear_contract,
 __version__ = "0.1.0"
 
 __all__ = [
-    "JIT_ENABLED",
     "ExperimentConfig", "PhcRun", "load_config", "parse_config",
     "ChannelParams", "UavKinematics", "a2g_pathloss", "derived_delay",
     "los_probability", "step_mobility", "transmission_delay",

@@ -1,42 +1,19 @@
-"""Hot numeric kernels with a compiled path and a pure-numpy fallback.
+"""Hot numeric kernels: the training loop and the learners' update rule.
 
-Every kernel here is written as a plain function.  Unless the environment
-variable ``UAVCONTRACT_DISABLE_JIT`` is set (or numba is missing), the
-scalar kernels are rebound at import time to ``numba.njit(cache=True)``
-compilations of themselves: `sample_index`, `phc_step`, the whole-row
-`sample_index_wide` and `phc_step_wide`, `update_many`, `explore_rate`
-and the scalar training body `train_loop`.  The selected path is reported
-in ``JIT_ENABLED``.
-
-On the pure path, where a scalar loop pays per element, two kernels are
-rebound instead to forms with the same name and signature: `train_loop`
-to `_row_train_loop`, and `update_many` to `_row_update_many`.  Per slot,
-`_row_train_loop` draws and steps the GCS's item-wide policy for every
-(seed, type) row of a batch in about eight whole-array numpy calls over
-the policy's support, and runs the UAV's two-action step, both sides'
-update of the one Q entry the slot touched, and the GCS's greedy item,
-per row in Python floats.
-Each form does the scalar body's arithmetic in the same order with the
-same tie-breaking, so it gives the same bits; `_scalar_train_loop` and
-`_scalar_update_many` keep the scalar bodies reachable on both paths as
-the tests' references.  The compiled path has not been run since the
-committed contract game and the row-stepped body were added, so it, and
-its agreement with the pure path, are unverified.
-
-The plain `oracle_scan_1/2/3` loops enumerate every non-decreasing size
-tuple for one to three types.  Nothing in the package calls them: they
-are the brute-force references the tests hold `solver.brute_force_oracle`
-to.
+`train_loop` runs the committed contract game for every (seed, type) row
+of a batch: the GCS's item-wide policy in whole-array numpy calls over its
+support (`_Support`), the rest per row in Python floats.  It follows the
+scalar update rule `phc_step` and draw `sample_index` bit for bit, and the
+tests hold it to a one-slot-at-a-time loop over those two.  `phc_step` and
+`sample_index` also stand behind the public `phc_update` and
+`select_action`; `explore_rate` is both sides' exploration schedule.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-JIT_REQUESTED = os.environ.get("UAVCONTRACT_DISABLE_JIT", "") in ("", "0")
 
 
 def sample_index(row, u):
@@ -87,48 +64,6 @@ def phc_step(q, pi, state, action, payoff, next_state, rate, discount, step):
         pi[state, i] /= total
 
 
-# Whole-row forms of the two kernels above, for the GCS's row of one action
-# per grid item.  On the pure path a scalar loop pays per element and a numpy
-# call per call, so `train_loop` gives the UAV's two-action rows the scalar
-# forms and the GCS's rows these.  Each does the same additions in the same
-# order and breaks ties on the first index, so the results are bit-identical.
-
-def sample_index_wide(row, u):
-    """`sample_index` as one search over the running sums."""
-    return min(int(np.searchsorted(row.cumsum(), u, side="right")),
-               row.shape[0] - 1)
-
-
-def phc_step_wide(q, pi, state, action, payoff, next_state, rate, discount,
-                  step):
-    """`phc_step` as whole-row operations."""
-    q[state, action] = ((1.0 - rate) * q[state, action]
-                        + rate * (payoff + discount * q[next_state].max()))
-    greedy = q[state].argmax()
-    row = pi[state]
-    # only the greedy entry can pass 1 and only the others can pass 0
-    top = min(row[greedy] + step, 1.0)
-    p = np.maximum(row - step / pi.shape[1], 0.0)
-    p[greedy] = top
-    row[:] = p / p.cumsum()[-1]
-
-
-def update_many(q, pi, states, actions, payoffs, next_states, rate, discount,
-                step):
-    """Apply a batch of updates in sequence (stress/property testing)."""
-    for k in range(states.shape[0]):
-        phc_step(q, pi, states[k], actions[k], payoffs[k], next_states[k],
-                 rate, discount, step)
-
-
-def _row_update_many(q, pi, states, actions, payoffs, next_states, rate,
-                     discount, step):
-    """`update_many` through `phc_step_wide`, whole-row numpy calls."""
-    for update in zip(states.tolist(), actions.tolist(), payoffs.tolist(),
-                      next_states.tolist()):
-        phc_step_wide(q, pi, *update, rate, discount, step)
-
-
 def explore_rate(visits, horizon, floor):
     """Exploration share after ``visits``: 1 falling linearly to ``floor``.
 
@@ -140,92 +75,45 @@ def explore_rate(visits, horizon, floor):
     return 1.0 - (1.0 - floor) * visits / horizon
 
 
-SIGN = 0
-
-
 def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
                count, c0, rate_g, disc_g, step_g, rate_u, disc_u, step_u,
                visits_g, visits_u, explore_visits, explore_floor,
                reward_idx, size_idx, gcs_state, uav_state, uav_pay, gcs_pay):
-    """Run the committed contract game for every type over all slots.
+    """Run the committed contract game for every row over all slots.
 
-    Per type and slot the GCS posts one (size, reward) grid item, its
-    action ``k = size_index * len(rgrid) + reward_index`` from its single
-    state; the UAV observes the item, which is its state, and signs
-    (action ``SIGN``, 0) or declines (action 1).  A signed item pays the
-    UAV ``r - c*s - c0`` and the GCS ``weight*log1p(s) - count*r``; a
-    declined one pays both sides 0.  Both updates close in the slot, each
-    learner bootstrapping from the state it is in, so a trade repeated
-    every slot is valued at payoff / (1 - discount).
+    Rows (types, or (seed, type) pairs) share nothing.  Per row and slot
+    the GCS posts one (size, reward) grid item, its action
+    ``k = size_index * len(rgrid) + reward_index`` from its single state;
+    the UAV observes the item, which is its state, and signs (action 0) or
+    declines (action 1).  A signed item pays the UAV ``r - c*s - c0`` and
+    the GCS ``weight*log1p(s) - count*r``; a declined one pays both sides
+    0.  Both updates close in the slot, each learner bootstrapping from the
+    state it is in, so a trade repeated every slot is valued at
+    payoff / (1 - discount).
 
     Each side explores: with a share falling linearly from 1 to
     ``explore_floor`` over ``explore_visits`` visits per item (the GCS's
     state counts ``explore_visits`` times the item count, each UAV state
     ``explore_visits``) it picks uniformly, otherwise it samples pi.  The
-    visit counters ``visits_g`` (types, 1) and ``visits_u`` (types, items)
+    visit counters ``visits_g`` (rows, 1) and ``visits_u`` (rows, items)
     live with the tables and are advanced in place, so a warm start keeps
     its decayed exploration.
 
-    Tables are (types, states, actions) arrays updated in place; uniforms
-    has shape (slots, types, 4): draws 0 and 1 pick the GCS's item (explore
+    Tables are (rows, states, actions) arrays updated in place; uniforms
+    has shape (slots, rows, 4): draws 0 and 1 pick the GCS's item (explore
     coin, then action), draws 2 and 3 the UAV's answer.  The trajectory
-    arrays are (slots, types), filled in place: the posted item's indices,
+    arrays are (slots, rows), filled in place: the posted item's indices,
     ``gcs_state`` 1 where the UAV signed and 0 where it declined (what the
     GCS observes), ``uav_state`` the posted item, and both payoffs.
-    """
-    slots = uniforms.shape[0]
-    ntypes = uniforms.shape[1]
-    na = rgrid.shape[0]
-    items = na * sgrid.shape[0]
-    horizon_g = explore_visits * items
-    for j in range(ntypes):
-        for t in range(slots):
-            draw = uniforms[t, j]
-            if draw[0] < explore_rate(visits_g[j, 0], horizon_g,
-                                      explore_floor):
-                k = min(int(draw[1] * items), items - 1)
-            else:
-                k = sample_index_wide(pi_g[j, 0], draw[1])
-            visits_g[j, 0] += 1
-            b = k // na
-            a = k - b * na
-            if draw[2] < explore_rate(visits_u[j, k], explore_visits,
-                                      explore_floor):
-                d = min(int(draw[3] * 2), 1)
-            else:
-                d = sample_index(pi_u[j, k], draw[3])
-            visits_u[j, k] += 1
-            u_pay = 0.0
-            g_pay = 0.0
-            if d == SIGN:
-                u_pay = rgrid[a] - cost[j] * sgrid[b] - c0
-                g_pay = weight[j] * math.log1p(sgrid[b]) - count[j] * rgrid[a]
-            phc_step(q_u[j], pi_u[j], k, d, u_pay, k, rate_u, disc_u, step_u)
-            phc_step_wide(q_g[j], pi_g[j], 0, k, g_pay, 0, rate_g, disc_g,
-                          step_g)
-            reward_idx[t, j] = a
-            size_idx[t, j] = b
-            gcs_state[t, j] = 1 if d == SIGN else 0
-            uav_state[t, j] = k
-            uav_pay[t, j] = u_pay
-            gcs_pay[t, j] = g_pay
 
-
-def _row_train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost,
-                    weight, count, c0, rate_g, disc_g, step_g, rate_u,
-                    disc_u, step_u, visits_g, visits_u, explore_visits,
-                    explore_floor, reward_idx, size_idx, gcs_state, uav_state,
-                    uav_pay, gcs_pay):
-    """`train_loop` stepping every row at once, one slot per iteration.
-
-    Rows (types, or (seed, type) pairs) share nothing.  Each slot the GCS
-    draws every row's item, and steps every row's item-wide policy, in a
-    few whole-array numpy calls (`_Support`); then, per row in Python
-    floats, the UAV answers and both sides update the one Q entry the slot
-    touched, read and written through memoryviews of the tables.  Both
-    give the scalar body's bits: the same operations in the same order,
-    running sums as sequential accumulations, ties to the first index, and
-    the GCS's log term read from a ``math.log1p`` table.
+    Each slot the GCS draws every row's item, and steps every row's
+    item-wide policy, in a few whole-array numpy calls (`_Support`); then,
+    per row in Python floats, the UAV answers and both sides update the one
+    Q entry the slot touched, read and written through memoryviews of the
+    tables.  Both follow `sample_index` and `phc_step` bit for bit: the
+    same operations in the same order, running sums as sequential
+    accumulations, ties to the first index, and the GCS's log term read
+    from a ``math.log1p`` table.
 
     Each row's greedy item, and its Q value, are kept in Python from one
     ``argmax`` at entry.  A slot changes one GCS Q entry per row, so the
@@ -386,7 +274,7 @@ def _row_train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost,
 
 
 class _Support:
-    """The GCS's pi rows kept on their support, for `_row_train_loop`.
+    """The GCS's pi rows kept on their support, for `train_loop`.
 
     ``cols`` lists, in index order, the items where some row's pi was
     nonzero at entry or that became a row's greedy item since, and ``pi``
@@ -435,7 +323,7 @@ class _Support:
         return [ends[at] for at in self.above.argmax(axis=1).tolist()]
 
     def step(self, greedy):
-        """`phc_step_wide`'s nudge of every row toward its greedy item.
+        """`phc_step`'s nudge of every row toward its greedy item.
 
         ``greedy`` lists the rows' greedy items on the first step and
         whenever one has changed since the last; it is None otherwise.
@@ -466,6 +354,21 @@ class _Support:
         # a decayed row holds +0.0 off its support, even where it held -0.0
         self.full[:] = 0.0
         self.full[:, self.cols] = self.pi
+
+
+# What the benchmark (`perfbench/`) reads here and the package does not:
+# its tracer wraps the `oracle_scan_*` sites (also the brute-force
+# references the tests hold `solver.brute_force_oracle` to), its set-up
+# calls `warmup`, and its fingerprint reads the two flags, which name the
+# one pure-numpy path.  The benchmark change in ROADMAP.md, item 1, frees
+# them.
+
+JIT_REQUESTED = True
+JIT_ENABLED = False
+
+
+def warmup():
+    """Nothing to prepare: kept for the benchmark's set-up."""
 
 
 def oracle_scan_1(grid, w1, c1, n1, c0):
@@ -520,58 +423,3 @@ def oracle_scan_3(grid, w1, w2, w3, c1, c2, c3, n1, n2, n3, c0):
                     best_j = j
                     best_k = k
     return (best_i, best_j, best_k)
-
-
-JIT_ENABLED = False
-if JIT_REQUESTED:
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        # rebind in dependency order so compiled kernels call compiled helpers
-        sample_index = njit(cache=True)(sample_index)
-        phc_step = njit(cache=True)(phc_step)
-        sample_index_wide = njit(cache=True)(sample_index_wide)
-        phc_step_wide = njit(cache=True)(phc_step_wide)
-        update_many = njit(cache=True)(update_many)
-        explore_rate = njit(cache=True)(explore_rate)
-        train_loop = njit(cache=True)(train_loop)
-        JIT_ENABLED = True
-
-# the scalar bodies, kept as the references the numpy forms are tested
-# against
-_scalar_train_loop = train_loop
-_scalar_update_many = update_many
-
-if not JIT_ENABLED:
-    # the scalar loops are far too slow in plain python; swap in the
-    # vectorised equivalents (identical arithmetic, order and tie handling)
-    train_loop = _row_train_loop
-    update_many = _row_update_many
-
-
-def warmup():
-    """Force compilation of every kernel (no-op on the pure path).
-
-    Timed code should call this first so compile time never lands inside a
-    measured region.
-    """
-    if not JIT_ENABLED:
-        return
-    grid = np.linspace(0.0, 1.0, 3)
-    q = np.zeros((1, 2, 2))
-    pi = np.full((1, 2, 2), 0.5)
-    out_i = np.zeros((2, 1), dtype=np.int64)
-    out_f = np.zeros((2, 1))
-    train_loop(np.zeros((1, 1, 2)), np.full((1, 1, 2), 0.5), q.copy(),
-               pi.copy(), np.full((2, 1, 4), 0.5), grid[:2], grid[:1],
-               np.ones(1), np.ones(1), np.ones(1), 0.0,
-               0.5, 0.5, 0.1, 0.5, 0.5, 0.1,
-               np.zeros((1, 1), dtype=np.int64),
-               np.zeros((1, 2), dtype=np.int64), 1, 0.5,
-               out_i.copy(), out_i.copy(), out_i.copy(), out_i.copy(),
-               out_f.copy(), out_f.copy())
-    update_many(q[0], pi[0], np.zeros(1, dtype=np.int64),
-                np.zeros(1, dtype=np.int64), np.zeros(1),
-                np.zeros(1, dtype=np.int64), 0.5, 0.5, 0.1)

@@ -265,7 +265,7 @@ def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
     the GCS's item and 2-3 for the UAV's answer, in the order of one
     (slots, types, 4) draw, though they are drawn and used `SLOT_BLOCK`
     slots at a time.  Trajectories are therefore reproducible for a given
-    seed regardless of the execution path or the batch.
+    seed regardless of the batch.
     """
     single = isinstance(rng, np.random.Generator)
     if single:

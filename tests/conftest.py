@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, settings
 
-from uavcontract import Scenario, UavType, _kernels
+from uavcontract import Scenario, UavType
 
 settings.register_profile(
     "suite", max_examples=60, deadline=None, derandomize=True,
@@ -17,12 +16,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile (or no-op) before anything is timed
-    _kernels.warmup()
 
 
 def make_scenario_a(t_max: float = 2.0) -> Scenario:

