@@ -1,17 +1,18 @@
 """Hot numeric kernels: the training loop and the learners' update rule.
 
 `train_loop` runs the committed contract game for every (seed, type) row
-of a batch: the GCS's item-wide policy in whole-array numpy calls over its
-support (`_Support`), the rest per row in Python floats.  It follows the
-scalar update rule `phc_step` and draw `sample_index` bit for bit, and the
-tests hold it to a one-slot-at-a-time loop over those two.  `phc_step` and
-`sample_index` also stand behind the public `phc_update` and
-`select_action`; `explore_rate` is both sides' exploration schedule.
+of a batch: the GCS's item-wide policy in whole-array numpy calls, each row
+over its own support (`_Support`), the rest per row in Python floats.  It
+follows the scalar update rule `phc_step` and draw `sample_index` bit for
+bit, and the tests hold it to a one-slot-at-a-time loop over those two.
+`phc_step` and `sample_index` also stand behind the public `phc_update`
+and `select_action`; `explore_rate` is both sides' exploration schedule.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -107,8 +108,9 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
     GCS observes), ``uav_state`` the posted item, and both payoffs.
 
     Each slot the GCS draws every row's item, and steps every row's
-    item-wide policy, in a few whole-array numpy calls (`_Support`); then,
-    per row in Python floats, the UAV answers and both sides update the one
+    item-wide policy, in a few whole-array numpy calls over a block that
+    holds each row's policy on its own support (`_Support`); then, per row
+    in Python floats, the UAV answers and both sides update the one
     Q entry the slot touched, read and written through memoryviews of the
     tables.  Both follow `sample_index` and `phc_step` bit for bit: the
     same operations in the same order, running sums as sequential
@@ -122,7 +124,9 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
     ``v`` does not fall below its old value, and the row is scanned again
     when it does (or when ``v`` is NaN, which ``argmax`` ranks first);
     another item takes the place with a higher value, or an equal one at
-    a lower index.
+    a lower index.  The rows whose greedy item may have moved in a slot
+    are passed to the support's step, which moves only their greedy
+    offsets.
 
     Draws that do not depend on the tables (the GCS's explore coin, whose
     visits rise by one a slot, and its exploring pick) are taken for all
@@ -187,7 +191,7 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
     declined = np.empty((slots, rows), dtype=np.int64)
     posts = memoryview(posted.reshape(-1))
     answers = memoryview(declined.reshape(-1))
-    moved = True
+    changed = list(range(rows))
     for t in range(slots):
         ks = picks[t]
         if sampled[t]:
@@ -252,15 +256,15 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
             elif v > best_g or v == best_g and c < g:
                 greedy[r] = c
                 bests[r] = v
-                moved = True
+                changed.append(r)
                 continue
             elif v == v:
                 continue
             g = greedy[r] = int(qg[r].argmax())
             bests[r] = qgs[row_at[r] + g]
-            moved = True
-        support.step(greedy if moved else None)
-        moved = False
+            changed.append(r)
+        support.step(greedy, changed)
+        changed = []
     if slots:
         support.write_back()
     offset = np.array(row_at)
@@ -274,72 +278,101 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
 
 
 class _Support:
-    """The GCS's pi rows kept on their support, for `train_loop`.
+    """The GCS's pi rows, each kept on its own support, for `train_loop`.
 
-    ``cols`` lists, in index order, the items where some row's pi was
-    nonzero at entry or that became a row's greedy item since, and ``pi``
-    holds the rows' entries there.  Off the support pi is 0 and stays
-    exactly 0 under the decay, and a running sum gains exactly nothing
-    from a +0.0, so the decay, the draw's running sums and the normalising
-    total over ``cols`` give the full rows' bits.
+    Row r's support lists, in item order, the items where its pi was
+    nonzero at entry and those that became its greedy item since; ``pi``
+    holds each row's entries there, padded with +0.0 up to the widest
+    row's length.  Off its support a row's pi is 0 and stays exactly 0
+    under the decay, a running sum gains exactly nothing from a +0.0, and
+    a padded position's running sum is the row's total, so it can never be
+    the first to pass u.  The decay, the draw's running sums and crossing,
+    and the normalising total over a row's support therefore give the full
+    row's bits.  ``ends[r]`` maps row r's positions to items: its support,
+    then the last item on every padded position and on the one past them,
+    which a row that crosses nowhere posts.
 
-    A draw and a step are four numpy calls each, into buffers made once
-    per support: the running sums, the crossings and their views.  The
-    greedy entries' flat offsets into ``pi`` are kept between steps, and
-    rebuilt only when a row's greedy item or the support changes.
+    A draw and a step are four numpy calls each over the (rows, width)
+    block, into buffers made once per width: the running sums, the
+    crossings and their views.  A greedy item off its row's support is
+    inserted at its place in item order, shifting that row alone; the
+    block widens only when a row outgrows it.  The greedy entries' flat
+    offsets into ``pi`` are kept between steps, and moved only for the
+    rows whose greedy item changed.
     """
 
     def __init__(self, full, step, dec):
         self.full = full
-        self.items = full.shape[1]
+        rows, items = full.shape
         self.step_size = step
         self.dec = dec
-        cols = np.flatnonzero(full.any(axis=0))
-        self.pi = np.ascontiguousarray(full[:, cols])
-        self._reindex(cols)
+        at_row, at_item = np.nonzero(full)
+        sizes = np.bincount(at_row, minlength=rows)
+        starts = np.cumsum(sizes) - sizes
+        width = int(sizes.max(initial=0))
+        self.pi = np.zeros((rows, width))
+        self.pi[at_row, np.arange(at_row.size) - starts[at_row]] = full[
+            at_row, at_item]
+        self.sizes = sizes.tolist()
+        self.ends = [support.tolist() + [items - 1] * (width + 1 - n)
+                     for support, n in zip(np.split(at_item, starts[1:]),
+                                           self.sizes)]
         # the greedy entries' flat offsets into pi
-        self.tops = []
+        self.tops = [0] * rows
+        self._reindex()
 
-    def _reindex(self, cols):
-        rows, n = self.pi.shape
-        self.cols = cols
-        # what a draw posts at each crossing position, the last item for none
-        self.ends = cols.tolist() + [self.items - 1]
-        self.position = [-1] * self.items
-        for at, item in enumerate(self.ends[:-1]):
-            self.position[item] = at
+    def _reindex(self):
+        rows, width = self.pi.shape
         self.flat = memoryview(self.pi.reshape(-1))
-        self.sums = np.empty((rows, n))
+        self.sums = np.empty((rows, width))
         self.total = self.sums[:, -1:]
-        self.above = np.ones((rows, n + 1), dtype=bool)
+        self.above = np.ones((rows, width + 1), dtype=bool)
         self.crossed = self.above[:, :-1]
+
+    def _place(self, r, g):
+        """Point row r's greedy offset at item g, which joins the row's
+        support at its place in item order if it is not there yet."""
+        ends, n = self.ends[r], self.sizes[r]
+        at = bisect_left(ends, g, 0, n)
+        if at == n or ends[at] != g:
+            if n == self.pi.shape[1]:
+                self._widen()
+            row = self.pi[r]
+            row[at + 1:n + 1] = row[at:n].copy()
+            row[at] = 0.0
+            ends.insert(at, g)
+            ends.pop()
+            self.sizes[r] = n + 1
+        self.tops[r] = r * self.pi.shape[1] + at
+
+    def _widen(self):
+        rows, width = self.pi.shape
+        pi = np.zeros((rows, width + 1))
+        pi[:, :width] = self.pi
+        self.pi = pi
+        last = self.full.shape[1] - 1
+        for ends in self.ends:
+            ends.append(last)
+        self.tops = [at + r for r, at in enumerate(self.tops)]
+        self._reindex()
 
     def draw(self, u):
         """Per row, the first item whose running sum passes u, shape
         (rows, 1), or the last item where none does."""
         np.add.accumulate(self.pi, axis=1, out=self.sums)
         np.greater(self.sums, u, out=self.crossed)
-        ends = self.ends
-        return [ends[at] for at in self.above.argmax(axis=1).tolist()]
+        return [ends[at] for ends, at in
+                zip(self.ends, self.above.argmax(axis=1).tolist())]
 
-    def step(self, greedy):
+    def step(self, greedy, changed):
         """`phc_step`'s nudge of every row toward its greedy item.
 
-        ``greedy`` lists the rows' greedy items on the first step and
-        whenever one has changed since the last; it is None otherwise.
+        ``greedy`` lists the rows' greedy items and ``changed`` the rows
+        whose greedy item may have moved since the last step (every row on
+        the first).
         """
-        if greedy is not None:
-            position = self.position
-            if min(position[g] for g in greedy) < 0:
-                cols = np.array(sorted(set(self.ends[:-1]).union(greedy)),
-                                dtype=np.int64)
-                pi = np.zeros((self.pi.shape[0], cols.size))
-                pi[:, np.searchsorted(cols, self.cols)] = self.pi
-                self.pi = pi
-                self._reindex(cols)
-                position = self.position
-            n = self.pi.shape[1]
-            self.tops = [r * n + position[g] for r, g in enumerate(greedy)]
+        for r in changed:
+            self._place(r, greedy[r])
         pi, flat, step = self.pi, self.flat, self.step_size
         # only the greedy entry can pass 1 and only the others can pass 0
         tops = [flat[at] + step for at in self.tops]
@@ -353,7 +386,9 @@ class _Support:
     def write_back(self):
         # a decayed row holds +0.0 off its support, even where it held -0.0
         self.full[:] = 0.0
-        self.full[:, self.cols] = self.pi
+        for row, pi, ends, n in zip(self.full, self.pi, self.ends,
+                                    self.sizes):
+            row[ends[:n]] = pi[:n]
 
 
 # What the benchmark (`perfbench/`) reads here and the package does not:

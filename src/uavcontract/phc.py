@@ -102,6 +102,24 @@ def action_grids(params: PhcParams,
     return reward_grid, size_grid
 
 
+def _check_tables(q: np.ndarray, pi: np.ndarray, visits: np.ndarray) -> None:
+    """Raise ValidationError unless every Q value is finite, every pi entry
+    lies in [0, 1] (NaN does not), every pi row sums to 1 within 1e-9 and
+    no visit count is negative.
+
+    The arrays are one table's or a stack of tables; a pi row is the last
+    axis.
+    """
+    if not np.isfinite(q).all():
+        raise ValidationError("q", "values must be finite")
+    if not ((pi >= 0.0) & (pi <= 1.0)).all():
+        raise ValidationError("pi", "entries must lie in [0, 1]")
+    if (np.abs(pi.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise ValidationError("pi", "rows must sum to 1")
+    if (visits < 0).any():
+        raise ValidationError("visits", "counts must be non-negative")
+
+
 @dataclass
 class PolicyTables:
     """One agent's state-action value table, mixed policy and state visits.
@@ -132,15 +150,16 @@ class PolicyTables:
         return cls(q=np.zeros((n_states, n_actions)),
                    pi=np.full((n_states, n_actions), 1.0 / n_actions))
 
+    @classmethod
+    def _checked(cls, q: np.ndarray, pi: np.ndarray,
+                 visits: np.ndarray) -> "PolicyTables":
+        """Tables over arrays that `_check_tables` has already passed."""
+        tables = object.__new__(cls)
+        tables.q, tables.pi, tables.visits = q, pi, visits
+        return tables
+
     def check(self) -> None:
-        if not np.all(np.isfinite(self.q)):
-            raise ValidationError("q", "values must be finite")
-        if np.any(self.pi < 0.0) or np.any(self.pi > 1.0):
-            raise ValidationError("pi", "entries must lie in [0, 1]")
-        if np.any(np.abs(self.pi.sum(axis=1) - 1.0) > 1e-9):
-            raise ValidationError("pi", "rows must sum to 1")
-        if np.any(self.visits < 0):
-            raise ValidationError("visits", "counts must be non-negative")
+        _check_tables(self.q, self.pi, self.visits)
 
     def copy(self) -> "PolicyTables":
         return PolicyTables(q=self.q.copy(), pi=self.pi.copy(),
@@ -300,17 +319,19 @@ def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
         orders.append(order)
         gcs_tables.extend(gcs_init)
         uav_tables.extend(uav_init)
-    for t in gcs_tables + uav_tables:
-        t.check()
     items = reward_grid.shape[0] * size_grid.shape[0]
+    if ({t.q.shape for t in gcs_tables} != {(1, items)}
+            or {t.q.shape for t in uav_tables} != {(items, 2)}):
+        raise ValidationError("init", "table shapes do not match grids")
     q_g = np.stack([t.q for t in gcs_tables])
     pi_g = np.stack([t.pi for t in gcs_tables])
     visits_g = np.stack([t.visits for t in gcs_tables])
     q_u = np.stack([t.q for t in uav_tables])
     pi_u = np.stack([t.pi for t in uav_tables])
     visits_u = np.stack([t.visits for t in uav_tables])
-    if q_g.shape[1:] != (1, items) or q_u.shape[1:] != (items, 2):
-        raise ValidationError("init", "table shapes do not match grids")
+    # one check over each stack, at entry and on what the kernel leaves
+    _check_tables(q_g, pi_g, visits_g)
+    _check_tables(q_u, pi_u, visits_u)
     rows = len(gcs_tables)
     bounds = np.cumsum([0] + [len(order) for order in orders]).tolist()
     types = [ty for order in orders for ty in order]
@@ -344,6 +365,8 @@ def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
                             size_index[block], gcs_state[block],
                             uav_state[block], uav_utility[block],
                             gcs_term[block])
+    _check_tables(q_g, pi_g, visits_g)
+    _check_tables(q_u, pi_u, visits_u)
     results = []
     for order, lo, hi in zip(orders, bounds, bounds[1:]):
         log = EpisodeLog(type_indices=tuple(ty.index for ty in order),
@@ -356,11 +379,11 @@ def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
                          gcs_term=gcs_term[:, lo:hi])
         results.append(TrainResult(
             log=log,
-            gcs_tables=tuple(PolicyTables(q=q_g[i], pi=pi_g[i],
-                                          visits=visits_g[i])
+            gcs_tables=tuple(PolicyTables._checked(q_g[i], pi_g[i],
+                                                   visits_g[i])
                              for i in range(lo, hi)),
-            uav_tables=tuple(PolicyTables(q=q_u[i], pi=pi_u[i],
-                                          visits=visits_u[i])
+            uav_tables=tuple(PolicyTables._checked(q_u[i], pi_u[i],
+                                                   visits_u[i])
                              for i in range(lo, hi))))
     return results[0] if single else results
 

@@ -312,15 +312,26 @@ TRAJECTORY_HEADER = ("slot,type,gcs_state,uav_state,reward,size,"
                      "uav_utility,gcs_term")
 
 
-def trajectory_text(file: str, log: EpisodeLog) -> str:
+def _formatted(values: np.ndarray, strings: dict) -> list[str]:
+    """`fmt` of each value, each distinct value formatted once and kept in
+    ``strings``.  (Equal values format alike: `fmt` writes -0.0 as 0.)"""
+    values = values.tolist()
+    for value in set(values).difference(strings):
+        strings[value] = fmt(value)
+    return list(map(strings.__getitem__, values))
+
+
+def trajectory_text(file: str, log: EpisodeLog, strings: dict) -> str:
     """The trajectory CSV of one log: a line per slot and column, in order.
 
     In a log `train` writes, every cell but its slot number is a function
     of (column, posted item, answer), so cells are coded by those and each
-    distinct tail is formatted, and checked finite, once.  A cell whose
-    fields differ from the first cell of its code, as a hand-built log may
-    hold, is formatted on its own, and so is a NaN payoff, which equals
-    nothing.  (Equal values format alike: `fmt` writes -0.0 as 0.)
+    distinct tail is built, and checked finite, once.  A cell whose fields
+    differ from the first cell of its code, as a hand-built log may hold,
+    is built on its own, and so is a NaN payoff, which equals nothing.
+    ``strings`` maps values to their `fmt` strings and gains each value
+    met for the first time: the logs of one run share it, since they share
+    the grids and, where the seeds train one scenario, the payoffs.
     """
     slots, width = log.reward_index.shape
     column = np.broadcast_to(np.arange(width), (slots, width))
@@ -347,11 +358,15 @@ def trajectory_text(file: str, log: EpisodeLog) -> str:
         bad = ~np.isfinite(value)
         if bad.any():
             raise NonFiniteOutput(file, key, value[bad][0])
+    # each grid point is formatted once, and the cells index its string
+    reward_text = _formatted(log.reward_grid, strings)
+    size_text = _formatted(log.size_grid, strings)
     types = np.array(log.type_indices).take(cells % width)
-    tails = [f"{ty},{int(a)},{int(i)},{fmt(r)},{fmt(s)},{fmt(u)},{fmt(g)}"
-             for ty, a, i, r, s, u, g in zip(
-                 types.tolist(), answer.tolist(), item.tolist(),
-                 *(value.tolist() for value in values.values()))]
+    tails = list(map("{},{},{},{},{},{},{}".format, types.tolist(),
+                     answer.tolist(), item.tolist(),
+                     map(reward_text.__getitem__, reward.tolist()),
+                     map(size_text.__getitem__, size.tolist()),
+                     _formatted(uav, strings), _formatted(gcs, strings)))
     slot_of = np.repeat(np.arange(1, slots + 1), width)
     return TRAJECTORY_HEADER + "\n" + "".join(map(
         "{},{}\n".format, slot_of.tolist(),
@@ -386,11 +401,14 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
                         run.slots_per_episode)
     results = train(scenario, params, run.slots, inits, rngs)
     summaries = []
+    # the seeds share one table of formatted values
+    strings: dict = {}
     for seed, result in zip(config.seeds, results):
         verdicts = convergence_check(result.log, run.window, run.tolerance)
         slot = convergence_slot(result.log, run.window, run.tolerance)
         name = f"phc_seed{seed}.csv"
-        write_text_atomic(out / name, trajectory_text(name, result.log))
+        write_text_atomic(out / name,
+                          trajectory_text(name, result.log, strings))
         for type_index, verdict in zip(result.log.type_indices, verdicts):
             ref_item = reference_items[type_index]
             summaries.append(PhcSeedSummary(

@@ -750,6 +750,165 @@ class TestRowKernel:
         scalar = self.both_bodies(args)
         assert np.isnan(scalar["q_g"]).sum() > 2
 
+    @staticmethod
+    def support_args(rows, slots, seed, sizes):
+        """Hot arguments on a 21 x 21 grid whose GCS pi rows sit on small
+        supports no two rows share, row r's holding ``sizes(r)`` items,
+        returned with the supports.
+
+        The GCS's Q update is the payoff alone (rate 1, discount 0), every
+        signed payoff is negative and a declined one +0.0, and every Q
+        value starts in [-3, -1]: an item set positive by hand stays above
+        every other until it is posted.  The GCS samples pi but on the
+        floor share.
+        """
+        args = kernel_args(rows, slots, 20, 20, seed=seed, hot=True)
+        rng = np.random.default_rng(seed)
+        items = 441
+        cut = np.cumsum([0] + [sizes(r) for r in range(rows)])
+        order = rng.permutation(items)
+        supports = [np.sort(order[lo:hi]) for lo, hi in zip(cut, cut[1:])]
+        pi = np.zeros((rows, 1, items))
+        for r, support in enumerate(supports):
+            pi[r, 0, support] = rng.dirichlet(np.ones(support.size))
+        args["pi_g"] = pi
+        args["q_g"] = rng.uniform(-3.0, -1.0, (rows, 1, items))
+        args["rate_g"], args["disc_g"] = 1.0, 0.0
+        args["rgrid"] = args["rgrid"] + 0.5
+        args["weight"][:] = 0.01
+        return args, supports
+
+    @staticmethod
+    def outside(supports, r, lo, hi):
+        """The first item in [lo, hi) that no row's support holds."""
+        taken = set(np.concatenate(supports).tolist())
+        return next(k for k in range(lo, hi) if k not in taken)
+
+    @pytest.mark.parametrize("rows", [1, 3, 24])
+    def test_disjoint_row_supports_match_scalar_body(self, rows):
+        args, supports = self.support_args(rows, 200, seed=80 + rows,
+                                           sizes=lambda r: 2 + r % 5)
+        q = args["q_g"][:, 0]
+        for r, support in enumerate(supports):
+            q[r, support[-1]] = 5.0
+        assert len(set(np.concatenate(supports).tolist())) == sum(
+            s.size for s in supports)
+        scalar = self.both_bodies(args)
+        # the rows that sampled in slot 0 posted from their own supports
+        sampled = args["uniforms"][0, :, 0] >= EXPLORE_FLOOR
+        assert sampled.any()
+        for r in np.flatnonzero(sampled):
+            assert scalar["uav_state"][0, r] in supports[r]
+
+    @pytest.mark.parametrize("where", ["before", "between", "after"])
+    @pytest.mark.parametrize("rows", [1, 3, 24])
+    def test_greedy_item_joins_its_row_in_item_order(self, rows, where):
+        # each row's greedy item lies off its support: before its first
+        # item, between two of them or after its last; it joins at the
+        # first step and gains pi from then on
+        args, supports = self.support_args(rows, 150, seed=90 + rows,
+                                           sizes=lambda r: 3)
+        q = args["q_g"][:, 0]
+        greedy = []
+        for r, support in enumerate(supports):
+            lo, hi = {"before": (0, support[0]),
+                      "between": (support[0] + 1, support[1]),
+                      "after": (support[-1] + 1, 441)}[where]
+            if hi <= lo:                 # no room on that side: move it
+                support = supports[r] = np.array([200, 300, 400]) + r
+                args["pi_g"][r, 0] = 0.0
+                args["pi_g"][r, 0, support] = 1.0 / 3
+                lo, hi = {"before": (0, 200), "between": (201 + r, 300),
+                          "after": (401 + r, 441)}[where]
+            greedy.append(self.outside(supports, r, lo, hi))
+            q[r, greedy[-1]] = 5.0
+        scalar = self.both_bodies(args)
+        for r, g in enumerate(greedy):
+            assert scalar["pi_g"][r, 0, g] > 0.0
+            # the row drew the newcomer and its old items after it joined
+            posted = scalar["uav_state"][1:, r]
+            assert (posted == g).any()
+            assert np.isin(posted, supports[r]).any()
+
+    @pytest.mark.parametrize("rows", [1, 3, 24])
+    def test_block_widens_mid_call(self, rows):
+        # row 0 is the widest at entry; its greedy item is posted and
+        # declined in slot 3, so an item off its support takes the greedy
+        # place and row 0 outgrows the block in the middle of the call.
+        # Every other row explores one item of its own every slot, so its
+        # greedy item, on its support, never moves.
+        args, supports = self.support_args(
+            rows, 60, seed=100 + rows, sizes=lambda r: 6 if r == 0 else 2)
+        q = args["q_g"][:, 0]
+        for r, support in enumerate(supports):
+            q[r, support[1]] = 5.0
+        g0, posted_early = supports[0][1], supports[0][0]
+        z = self.outside(supports, 0, 0, 441)
+        q[0, z] = 4.0
+        u = args["uniforms"]
+        items = 441
+        u[:, 1:, 0] = 0.0
+        for r in range(1, rows):
+            u[:, r, 1] = (supports[r][0] + 0.5) / items
+        u[:3, 0, 0] = 0.0                          # row 0 explores ...
+        u[:3, 0, 1] = (posted_early + 0.5) / items
+        u[3, 0, 0] = 0.0
+        u[3, 0, 1] = (g0 + 0.5) / items            # ... posts its greedy
+        u[3, 0, 2] = 0.0
+        u[3, 0, 3] = 0.75                          # which is declined
+        u[4:, 0, 0] = 0.5                          # and then samples
+        scalar = self.both_bodies(args)
+        assert scalar["uav_state"][3, 0] == g0
+        assert scalar["gcs_state"][3, 0] == 0
+        assert scalar["pi_g"][0, 0, z] > 0.0
+
+    @pytest.mark.parametrize("rows", [1, 3, 24])
+    def test_row_down_to_its_greedy_item_alone(self, rows):
+        # even rows enter as a point mass on their greedy item; odd rows
+        # hold 0.99 there and crumbs that a step of 0.5 decays to 0 at
+        # once, after which they sample their greedy item alone until it
+        # is posted and falls
+        args, supports = self.support_args(rows, 120, seed=110 + rows,
+                                           sizes=lambda r: 5)
+        args["step_g"] = 0.5
+        pi = args["pi_g"][:, 0]
+        q = args["q_g"][:, 0]
+        for r, support in enumerate(supports):
+            g = support[2]
+            pi[r] = 0.0
+            pi[r, g] = 1.0
+            if r % 2:
+                pi[r, g] = 0.99
+                pi[r, support[support != g]] = 0.0025
+            q[r, g] = 5.0
+        scalar = self.both_bodies(args)
+        # slot 0's samplers posted their greedy item
+        sampled = np.flatnonzero(args["uniforms"][0, :, 0] >= EXPLORE_FLOOR)
+        assert sampled.size
+        for r in sampled:
+            assert scalar["uav_state"][0, r] == supports[r][2]
+
+    @pytest.mark.parametrize("rows", [1, 3, 24])
+    def test_negative_zeros_at_entry_match_scalar_body(self, rows):
+        # -0.0 at each row's greedy item, at another row's support and at
+        # an item no row holds: none is on the row's support at entry, the
+        # greedy one joins at the first step, and every row leaves with
+        # +0.0 wherever its pi is 0
+        args, supports = self.support_args(rows, 100, seed=120 + rows,
+                                           sizes=lambda r: 3)
+        pi = args["pi_g"][:, 0]
+        q = args["q_g"][:, 0]
+        for r in range(rows):
+            g = self.outside(supports, r, 0, 441)
+            stray = self.outside(supports, r, g + 1, 441)
+            pi[r, [g, stray, supports[(r + 1) % rows][0]]] = -0.0
+            if rows == 1:
+                pi[r, supports[0][0]] = 1.0 / 3
+            q[r, g] = 5.0
+        assert np.signbit(pi).sum() >= 2 * rows
+        scalar = self.both_bodies(args)
+        assert not np.signbit(scalar["pi_g"]).any()
+
     def test_rejects_non_contiguous_tables(self):
         args = kernel_args(2, 10, 2, 2, seed=0, hot=False)
         args["q_u"] = np.asfortranarray(args["q_u"])
@@ -1019,6 +1178,58 @@ class TestValidation:
         with pytest.raises(ValidationError):
             PolicyTables(q=np.zeros((1, 2)), pi=np.full((1, 2), 0.5),
                          visits=np.array([-1]))
+        # NaN lies in no range and sums to nothing
+        with pytest.raises(ValidationError) as err:
+            PolicyTables(q=np.zeros((1, 3)), pi=np.array([[np.nan, .5, .5]]))
+        assert err.value.field == "pi"
+
+    @staticmethod
+    def table_bytes(inits):
+        return [(t.q.tobytes(), t.pi.tobytes(), t.visits.tobytes())
+                for pair in inits for tables in pair for t in tables]
+
+    @pytest.mark.parametrize("side, name, at, value", [
+        (0, "q", (0, 3), np.nan),
+        (1, "q", (5, 1), -np.inf),
+        (1, "pi", 2, [1.25, -0.25]),
+        (0, "pi", (0, 1), np.nan),
+        (0, "pi", (0, 4), 0.5),                 # the row sums past 1
+        (1, "visits", 7, -1),
+    ])
+    def test_train_checks_the_stack_as_each_table(self, side, name, at,
+                                                  value):
+        # one check over the stacked tables of a 3-seed batch raises what
+        # the broken table's own check raises, before anything moves
+        sc = make_scenario_a()
+        params = PhcParams(reward_levels=4, size_levels=3, r_max=12.0)
+        warm = train(sc, params, 40, None,
+                     [np.random.default_rng(s) for s in (1, 2, 3)])
+        inits = [(r.gcs_tables, r.uav_tables) for r in warm]
+        broken = inits[1][side][1]
+        getattr(broken, name)[at] = value
+        with pytest.raises(ValidationError) as own:
+            broken.check()
+        before = self.table_bytes(inits)
+        with pytest.raises(ValidationError) as err:
+            train(sc, params, 20, inits,
+                  [np.random.default_rng(s) for s in (4, 5, 6)])
+        assert err.value.field == own.value.field
+        assert self.table_bytes(inits) == before
+
+    def test_train_returns_checked_tables(self):
+        sc = make_scenario_a()
+        params = PhcParams(reward_levels=4, size_levels=3, r_max=12.0)
+        rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+        warm = train(sc, params, 40, None, rngs)
+        inits = [(r.gcs_tables, r.uav_tables) for r in warm]
+        before = self.table_bytes(inits)
+        again = train(sc, params, 60, inits, rngs)
+        for result in warm + again:
+            for t in result.gcs_tables + result.uav_tables:
+                t.check()
+                assert t.q.dtype == t.pi.dtype == np.float64
+                assert t.visits.dtype == np.int64
+        assert self.table_bytes(inits) == before
 
     def test_copy_is_deep(self):
         t = PolicyTables.cold(2, 2)

@@ -280,6 +280,28 @@ class TestRunPhc:
                    .hexdigest() for name in self.REFERENCE_DIGESTS}
         assert digests == self.REFERENCE_DIGESTS
 
+    # sha256 of the seeded artifacts of tests/data/phc_wide.yaml: three
+    # eligible types and one ineligible, hot-booted, three seeds, so every
+    # train call steps nine rows at once
+    WIDE_DIGESTS = {
+        "phc_seed0.csv":
+            "a60cf86883b9f391df3259342a3b2a37f786d7c8506c52c7e5afa75f5a6c884c",
+        "phc_seed1.csv":
+            "f75c609aa6d1589425af6808560ef8504e22787cb7bca6145d746d0d865c63f0",
+        "phc_seed2.csv":
+            "bd1290224f8aff2360ab473b7c93aaf534e8b6b0e1385ce015e2d0e59aab7e5b",
+        "phc_summary.csv":
+            "127427b0d782e4824f7f2cc03430122bb387b7514f462ca6a920f617f98a835c",
+    }
+
+    def test_wide_config_artifacts_are_pinned(self, tmp_path):
+        run_phc(load_config(DATA / "phc_wide.yaml"), tmp_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest() for name in self.WIDE_DIGESTS}
+        assert digests == self.WIDE_DIGESTS
+        assert sorted(p.name for p in tmp_path.glob("phc_*.csv")) == sorted(
+            self.WIDE_DIGESTS)
+
     def test_hotboot_path_runs_deterministically(self, tmp_path):
         cfg = phc_config(phc={"hotboot_episodes": 2, "family_size": 3,
                               "slots_per_episode": 100, "slots": 400,
@@ -364,15 +386,18 @@ class TestTrajectoryText:
     def test_matches_cell_by_cell_loop(self):
         log = two_type_log()
         assert len(log.type_indices) == 2
-        assert trajectory_text("t.csv", log) == reference_trajectory_text(log)
+        assert (trajectory_text("t.csv", log, {})
+                == reference_trajectory_text(log))
 
     def test_column_slices_of_a_batch(self):
-        # train hands out column slices of one batch's arrays
+        # train hands out column slices of one batch's arrays, and the
+        # seeds share one table of formatted values, as in run_phc
         scenario = make_scenario_a()
         params = with_default_r_max(phc_config().phc, scenario)
+        strings = {}
         for result in train(scenario, params, 300, None,
                             [np.random.default_rng(s) for s in (1, 2)]):
-            assert (trajectory_text("t.csv", result.log)
+            assert (trajectory_text("t.csv", result.log, strings)
                     == reference_trajectory_text(result.log))
 
     def test_mismatching_cells_are_formatted_alone(self):
@@ -394,7 +419,12 @@ class TestTrajectoryText:
             uav_state=[(11, 1, -3), (12, 0, 10 ** 15)])
         want = reference_trajectory_text(hand)
         assert want != reference_trajectory_text(log)
-        assert trajectory_text("t.csv", hand) == want
+        assert trajectory_text("t.csv", hand, {}) == want
+        # a table filled by the unedited log, +0.0 included, serves too
+        strings = {}
+        trajectory_text("t.csv", log, strings)
+        assert 0.0 in strings
+        assert trajectory_text("t.csv", hand, strings) == want
 
     def test_all_cells_distinct_or_all_equal(self):
         log = two_type_log(slots=50)
@@ -403,11 +433,11 @@ class TestTrajectoryText:
                               for name in ("reward_index", "size_index",
                                            "gcs_state", "uav_state",
                                            "uav_utility", "gcs_term")})
-        assert (trajectory_text("t.csv", same)
+        assert (trajectory_text("t.csv", same, {})
                 == reference_trajectory_text(same))
         ramp = edited(log, uav_utility=[(t, j, t + 0.5 * j)
                                         for t in range(50) for j in range(2)])
-        assert (trajectory_text("t.csv", ramp)
+        assert (trajectory_text("t.csv", ramp, {})
                 == reference_trajectory_text(ramp))
 
     @pytest.mark.parametrize("name, value", [
@@ -418,7 +448,7 @@ class TestTrajectoryText:
         hand = edited(log, **{name: [(40, 1, value)]})
         with pytest.raises(NonFiniteOutput,
                            match=rf"^phc_seed7\.csv: {name} is "):
-            trajectory_text("phc_seed7.csv", hand)
+            trajectory_text("phc_seed7.csv", hand, {})
 
 
 class TestFiniteGuard:
