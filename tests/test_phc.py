@@ -779,7 +779,7 @@ class TestRowKernel:
         return args, supports
 
     @staticmethod
-    def outside(supports, r, lo, hi):
+    def outside(supports, lo, hi):
         """The first item in [lo, hi) that no row's support holds."""
         taken = set(np.concatenate(supports).tolist())
         return next(k for k in range(lo, hi) if k not in taken)
@@ -820,7 +820,7 @@ class TestRowKernel:
                 args["pi_g"][r, 0, support] = 1.0 / 3
                 lo, hi = {"before": (0, 200), "between": (201 + r, 300),
                           "after": (401 + r, 441)}[where]
-            greedy.append(self.outside(supports, r, lo, hi))
+            greedy.append(self.outside(supports, lo, hi))
             q[r, greedy[-1]] = 5.0
         scalar = self.both_bodies(args)
         for r, g in enumerate(greedy):
@@ -843,7 +843,7 @@ class TestRowKernel:
         for r, support in enumerate(supports):
             q[r, support[1]] = 5.0
         g0, posted_early = supports[0][1], supports[0][0]
-        z = self.outside(supports, 0, 0, 441)
+        z = self.outside(supports, 0, 441)
         q[0, z] = 4.0
         u = args["uniforms"]
         items = 441
@@ -899,8 +899,8 @@ class TestRowKernel:
         pi = args["pi_g"][:, 0]
         q = args["q_g"][:, 0]
         for r in range(rows):
-            g = self.outside(supports, r, 0, 441)
-            stray = self.outside(supports, r, g + 1, 441)
+            g = self.outside(supports, 0, 441)
+            stray = self.outside(supports, g + 1, 441)
             pi[r, [g, stray, supports[(r + 1) % rows][0]]] = -0.0
             if rows == 1:
                 pi[r, supports[0][0]] = 1.0 / 3
