@@ -8,7 +8,9 @@ workload and metric the output holds every pair's values, each side's
 median and quartiles, and the pairs the change won (ties count for
 neither), with the direction taken from ``BENCHMARK.json``, and the pairs
 whose outputs had the same digest.  It also holds each side's fingerprint
-and ``src/`` line count.
+and ``src/`` line count.  Two runs pair only when their run lengths and
+their CPU counts (the fingerprint's ``nproc``) are equal: a gain from
+using more cores compares only at equal core counts.
 
 Usage: python3 benchmarks/aggregate.py --parent DIR --change DIR --label NAME
 writes BENCH_NAME.json at the root of the change checkout.
@@ -63,6 +65,8 @@ def aggregate(parent: Path, change: Path, label: str) -> dict:
         old, new = before[workload, trace, seed], after[workload, trace, seed]
         if old["seconds"] != new["seconds"]:
             raise SystemExit(f"{workload} seed {seed}: run lengths differ")
+        if old["fingerprint"]["nproc"] != new["fingerprint"]["nproc"]:
+            raise SystemExit(f"{workload} seed {seed}: CPU counts differ")
         group = groups.setdefault(f"{workload} trace={trace}", {
             "seconds": new["seconds"], "seeds": [], "same_digest": 0,
             "metrics": {}})

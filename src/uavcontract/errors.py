@@ -39,6 +39,10 @@ class ValidationError(UavContractError, ValueError):
         self.field = field
         self.message = message
 
+    def __reduce__(self):
+        # rebuilt from its fields, so that it crosses a process boundary
+        return type(self), (self.field, self.message)
+
 
 def check_positive(obj, names, zero_ok: bool = False) -> None:
     """Raise ValidationError for the first of ``obj``'s fields ``names``
@@ -70,6 +74,10 @@ class NonFiniteOutput(UavContractError):
         super().__init__(f"{file}: {key} is {value}, not finite")
         self.file = file
         self.key = key
+        self.value = value
+
+    def __reduce__(self):
+        return type(self), (self.file, self.key, self.value)
 
 
 class NotConverged(UavContractError):

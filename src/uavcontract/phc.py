@@ -24,6 +24,7 @@ with their exploration already decayed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -100,6 +101,44 @@ def action_grids(params: PhcParams,
     reward_grid = np.linspace(0.0, params.r_max, params.reward_levels + 1)
     size_grid = np.linspace(0.0, s_max, params.size_levels + 1)
     return reward_grid, size_grid
+
+
+def check_payoffs(scenario: Scenario, params: PhcParams,
+                  spread: float = 0.0) -> None:
+    """Raise ValueError naming the first eligible type and payoff term that
+    overflows on the action grids, so that a run whose tables would go
+    non-finite is refused before it trains.
+
+    A signed item (s, r) pays the UAV r - c*s - C0 and the GCS
+    w*log(1+s) - n*r, with w = factor*n/t as `train` computes it, and a Q
+    value stays within a side's largest payoff over 1 - discount.  With
+    ``spread`` the terms cover every scenario `perturb_scenario` draws with
+    that range, whose costs and counts are at most 1 + spread times these.
+    """
+    reward_grid, size_grid = action_grids(
+        with_default_r_max(params, scenario), scenario.s_max)
+    r_top, s_top = float(reward_grid[-1]), float(size_grid[-1])
+    grow = 1.0 + spread
+    c0 = scenario.deployment_cost
+    for ty in eligible_types(scenario):
+        n = float(ty.n) * grow
+        weight = scenario.satisfaction_factor * n / ty.t
+        cost = (ty.c1 * grow + ty.c2 * grow) * s_top + c0
+        value = weight * math.log1p(s_top)
+        payment = n * r_top
+        terms = (
+            ("the UAV cost c*s_max + C0", cost),
+            ("the GCS weight factor*n/t", weight),
+            ("the GCS value factor*n/t*log(1+s_max)", value),
+            ("the GCS payment n*r_max", payment),
+            ("the UAV's Q bound",
+             max(r_top, cost) / (1.0 - params.discount_uav)),
+            ("the GCS's Q bound",
+             max(value, payment) / (1.0 - params.discount_gcs)))
+        for name, term in terms:
+            if not math.isfinite(term):
+                raise ValueError(f"phc: type {ty.index}: {name} overflows "
+                                 f"to {term}")
 
 
 def _check_tables(q: np.ndarray, pi: np.ndarray, visits: np.ndarray) -> None:

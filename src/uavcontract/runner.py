@@ -14,10 +14,12 @@ convergence slot of a pair that did not converge, which
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,8 +30,9 @@ from .config import ExperimentConfig
 from .errors import NonFiniteOutput, NotConverged, ValidationError
 from .game import (Scenario, defensive_effectiveness, eligible_types,
                    gcs_utility)
-from .phc import (EpisodeLog, convergence_check, convergence_slot, hotboot,
-                  perturb_scenario, train, with_default_r_max)
+from .phc import (EpisodeLog, check_payoffs, convergence_check,
+                  convergence_slot, hotboot, perturb_scenario, train,
+                  with_default_r_max)
 from .solver import (brute_force_oracle, linear_contract, menu_utilities,
                      oracle_resolution_bound, solve_complete_info,
                      solve_partial_info, uniform_contract)
@@ -373,25 +376,25 @@ def trajectory_text(file: str, log: EpisodeLog, strings: dict) -> str:
         map(tails.__getitem__, inverse.tolist())))
 
 
-def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
-            config_digest: str | None = None) -> list[PhcSeedSummary]:
-    """Train every seed (optionally hotbooted), log trajectories and verdicts.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
 
-    Each seed owns an isolated RNG stream; all seeds are trained in one
-    batch, so each (seed, type) pair is a row of one kernel call, and each
-    seed is then checked and written in turn.  The closed-form menu for the
-    same scenario rides along as the reference columns.  With ``strict``
-    a NotConverged is raised after all outputs are written whenever any
-    (seed, type) pair fails the trailing-window test.
+
+def _phc_seed_group(config: ExperimentConfig, params, reference_items,
+                    out: Path, seeds) -> list[PhcSeedSummary]:
+    """Train one group of seeds in one batch, write each seed's trajectory
+    and return their summaries in seed order.
+
+    Each seed draws from its own generator, so its bytes do not depend on
+    the group it is in.
     """
-    out = _out_dir(config, out_dir)
-    scenario = config.scenario
-    params = with_default_r_max(config.phc, scenario)
     run = config.phc_run
-    reference, _ = solve_partial_info(scenario)
-    reference_items = {ty.index: item
-                       for ty, item in zip(scenario.types, reference.items)}
-    rngs = [np.random.default_rng(seed) for seed in config.seeds]
+    scenario = config.scenario
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     inits = None
     if run.hotboot_episodes > 0:
         families = [[scenario] + [
@@ -403,7 +406,7 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
     summaries = []
     # the seeds share one table of formatted values
     strings: dict = {}
-    for seed, result in zip(config.seeds, results):
+    for seed, result in zip(seeds, results):
         verdicts = convergence_check(result.log, run.window, run.tolerance)
         slot = convergence_slot(result.log, run.window, run.tolerance)
         name = f"phc_seed{seed}.csv"
@@ -416,6 +419,110 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
                 converged=verdict.converged, modal_size=verdict.size,
                 modal_reward=verdict.reward, slot=slot,
                 reference_size=ref_item.s, reference_reward=ref_item.r))
+    return summaries
+
+
+def _send_group(send, task, group) -> None:
+    """A worker's body: run ``task`` on ``group`` and send back its result,
+    or the exception it raised."""
+    try:
+        message = (True, task(group))
+    except BaseException as exc:  # the caller re-raises it
+        message = (False, exc)
+    with send:
+        try:
+            send.send(message)
+        except BrokenPipeError:
+            pass  # the caller has stopped listening: it is raising already
+
+
+def _run_groups(task, groups: list) -> list:
+    """``task(group)`` for every group, in order: the first in this process,
+    each other one in a forked worker of its own.
+
+    Every worker is joined before this returns or raises.  The first
+    exception, in group order, is re-raised here; a worker that dies
+    without a word raises ChildProcessError.
+    """
+    if len(groups) == 1:
+        return [task(groups[0])]
+    import multiprocessing
+    context = multiprocessing.get_context("fork")
+    # what is buffered now would otherwise be written once per process
+    sys.stdout.flush()
+    sys.stderr.flush()
+    workers = []
+    try:
+        for group in groups[1:]:
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(target=_send_group,
+                                      args=(send, task, group), daemon=True)
+            workers.append((process, receive))
+            try:
+                process.start()
+            finally:
+                send.close()
+        results = [task(groups[0])]
+        for process, receive in workers:
+            try:
+                ok, value = receive.recv()
+            except EOFError:
+                process.join()
+                raise ChildProcessError(
+                    f"a phc seed group's worker exited with code "
+                    f"{process.exitcode}") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        # a worker still sending gets a broken pipe rather than a wait
+        for process, receive in workers:
+            receive.close()
+            if process.pid is not None:
+                process.join()
+
+
+def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
+            config_digest: str | None = None) -> list[PhcSeedSummary]:
+    """Train every seed (optionally hotbooted), log trajectories and verdicts.
+
+    The seeds are split into contiguous groups, one per usable CPU at
+    most (one in all where this process runs other threads).  The first
+    group runs in this process and each other one in a forked worker; a
+    group trains its seeds in one batch and writes their trajectories.
+    Each seed owns an isolated RNG stream, so every file's bytes are the
+    same for any CPU count.  The closed-form menu for the same scenario
+    rides along as the reference columns.  The summary and the manifest
+    are written once every group has finished.  A scenario whose payoffs
+    overflow on the action grids is refused (ValueError) before anything
+    is trained or written.  With ``strict`` a NotConverged is raised after
+    all outputs are written whenever any (seed, type) pair fails the
+    trailing-window test.
+    """
+    out = _out_dir(config, out_dir)
+    scenario = config.scenario
+    params = with_default_r_max(config.phc, scenario)
+    run = config.phc_run
+    check_payoffs(scenario, params, run.perturbation
+                  if run.hotboot_episodes > 0 else 0.0)
+    reference, _ = solve_partial_info(scenario)
+    reference_items = {ty.index: item
+                       for ty, item in zip(scenario.types, reference.items)}
+    seeds = list(config.seeds)
+    # k contiguous groups, the larger ones first.  A fork copies only the
+    # calling thread, so a lock another thread holds would stay held in
+    # the worker: a process with other threads runs every group itself.
+    k = max(1, min(len(seeds), _usable_cpus()))
+    if threading.active_count() > 1:
+        k = 1
+    size, larger = divmod(len(seeds), k)
+    bounds = [i * size + min(i, larger) for i in range(k + 1)]
+    groups = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    summaries = [summary for group in _run_groups(
+        functools.partial(_phc_seed_group, config, params, reference_items,
+                          out), groups)
+        for summary in group]
     write_text_atomic(out / "phc_summary.csv", csv_text(
         "phc_summary.csv",
         ("seed", "type", "converged", "modal_size", "modal_reward",

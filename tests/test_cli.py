@@ -1,11 +1,14 @@
 import json
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
 import yaml
 
 from uavcontract.cli import build_parser, main
+from uavcontract.errors import NonFiniteOutput
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -239,6 +242,44 @@ class TestExitCodes:
                 "has an objective term that overflows to nan"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_phc_payoff_overflow_is_refused(self, tmp_path, capsys):
+        # a count whose GCS weight overflows: refused before any kernel
+        # call, so no RuntimeWarning leaks, with exit 3 naming the type
+        # and the term, and no output directory
+        raw = yaml.safe_load((DATA / "phc_single_type.yaml").read_text())
+        raw["scenario"]["types"][0]["n"] = 10 ** 308
+        cfg = tmp_path / "overflow.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        code = main(["phc", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert ("solver error: phc: type 1: the GCS weight factor*n/t "
+                "overflows to inf" in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_phc_refusal_in_any_group_exits_3(self, cpus, tmp_path, capsys,
+                                              monkeypatch):
+        # seed 2 is the worker's seed when there are two groups; its
+        # refusal reaches the CLI as itself, as in one process
+        from uavcontract import runner
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        real = runner.trajectory_text
+
+        def refuse(name, log, strings):
+            if name == "phc_seed2.csv":
+                raise NonFiniteOutput(name, "gcs_term", math.nan)
+            return real(name, log, strings)
+
+        monkeypatch.setattr(runner, "trajectory_text", refuse)
+        code = main(["phc", "--config", str(DATA / "phc_single_type.yaml"),
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert ("solver error: phc_seed2.csv: gcs_term is nan, not finite"
+                in capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
 
     def test_strict_not_converged(self, tmp_path, capsys):
         # a window spanning every slot at tolerance 1 asks for one posted

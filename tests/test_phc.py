@@ -12,7 +12,7 @@ from uavcontract import (InsufficientData, PhcParams, PolicyTables, Scenario,
                          select_action, train, with_default_r_max)
 from uavcontract import _kernels
 from uavcontract.phc import (EXPLORE_FLOOR, EXPLORE_VISITS, EpisodeLog,
-                             default_r_max)
+                             check_payoffs, default_r_max)
 
 import reference_kernels as ref
 from conftest import make_scenario_a, make_single_type, random_scenario
@@ -1162,6 +1162,24 @@ class TestValidation:
             with pytest.raises(ValidationError) as err:
                 PhcParams(**kwargs)
             assert err.value.field == next(iter(kwargs))
+
+    def test_overflowing_payoff_terms_are_named(self):
+        params = PhcParams(r_max=13.0)
+        for scenario, term in (
+                (make_single_type(n=10 ** 308),
+                 r"the GCS weight factor\*n/t"),
+                (make_single_type(c=1e308), r"the UAV cost c\*s_max \+ C0"),
+                (make_single_type(n=10 ** 307), "the GCS's Q bound")):
+            with pytest.raises(ValueError,
+                               match=rf"^phc: type 1: {term} overflows to "
+                                     rf"inf$") as err:
+                check_payoffs(scenario, params)
+            assert type(err.value) is ValueError
+        # within range as given, beyond it once perturbed by up to 20%
+        near = make_single_type(n=2 * 10 ** 306)
+        check_payoffs(near, params)
+        with pytest.raises(ValueError, match="the GCS's Q bound"):
+            check_payoffs(near, params, spread=0.2)
 
     def test_policy_tables_checks(self):
         with pytest.raises(ValidationError):

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import pickle
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,7 @@ from uavcontract import (NonFiniteOutput, NotConverged, ValidationError,
                          run_sweep_population, solve_partial_info)
 from uavcontract.phc import (EpisodeLog, hotboot, perturb_scenario, train,
                              with_default_r_max)
+from uavcontract import runner
 from uavcontract.runner import (SCHEME_ORDER, csv_text, default_linear_price,
                                 fmt, json_text, metrics_rows, scale_counts,
                                 trajectory_text)
@@ -360,6 +365,133 @@ class TestRunPhc:
         row = (tmp_path / "phc_summary.csv").read_text().splitlines()[1]
         seed, ty, converged, *_rest, slot, _rs, _rr = row.split(",")
         assert (seed, ty, converged) == ("0", "1", "0")
+
+
+def force_cpus(monkeypatch, count):
+    """Make `run_phc` see ``count`` usable CPUs, so it splits the seeds
+    into min(count, seeds) groups."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+def sha256s(out_dir, names):
+    return {name: hashlib.sha256((Path(out_dir) / name).read_bytes())
+            .hexdigest() for name in names}
+
+
+class TestSeedGroups:
+    # 1 group, 2 groups of 2 + 1 seeds, one seed per group, and more CPUs
+    # than seeds
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("config, pinned", [
+        ("phc_single_type.yaml", TestRunPhc.REFERENCE_DIGESTS),
+        ("phc_wide.yaml", TestRunPhc.WIDE_DIGESTS)])
+    def test_pinned_artifacts_hold_for_any_cpu_count(
+            self, config, pinned, cpus, tmp_path, monkeypatch):
+        force_cpus(monkeypatch, cpus)
+        cfg = load_config(DATA / config)
+        summaries = run_phc(cfg, tmp_path)
+        assert sha256s(tmp_path, pinned) == pinned
+        assert multiprocessing.active_children() == []
+        # summaries come back in seed order, types in table order
+        assert [(s.seed, s.type_index) for s in summaries] == [
+            (seed, ty.index) for seed in cfg.seeds
+            for ty in cfg.scenario.eligible]
+
+    def test_groups_are_contiguous_and_larger_first(self, tmp_path,
+                                                    monkeypatch):
+        force_cpus(monkeypatch, 3)
+        seen = []
+
+        def record(task, groups):
+            seen.append(groups)
+            return [task(group) for group in groups]
+
+        monkeypatch.setattr(runner, "_run_groups", record)
+        monkeypatch.setattr(runner, "_phc_seed_group",
+                            lambda *args: [])
+        for seeds in ([5], [5, 6], [5, 6, 7, 8], [5, 6, 7, 8, 9, 10, 11]):
+            run_phc(phc_config(seeds=seeds), tmp_path)
+        assert seen == [[[5]], [[5], [6]], [[5, 6], [7], [8]],
+                        [[5, 6, 7], [8, 9], [10, 11]]]
+
+    def test_one_group_where_other_threads_run(self, tmp_path,
+                                               monkeypatch):
+        force_cpus(monkeypatch, 2)
+        seen = []
+        monkeypatch.setattr(runner, "_run_groups",
+                            lambda task, groups: seen.append(groups) or [])
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            run_phc(phc_config(seeds=[0, 1]), tmp_path)
+        finally:
+            release.set()
+            other.join()
+        run_phc(phc_config(seeds=[0, 1]), tmp_path)
+        assert seen == [[[0, 1]], [[0], [1]]]
+
+    def test_one_group_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert runner._usable_cpus() == 1
+
+    def test_strict_raises_after_every_group_wrote(self, tmp_path,
+                                                   monkeypatch):
+        force_cpus(monkeypatch, 2)
+        cfg = phc_config(seeds=[0, 1, 2], phc={"slots": 200, "window": 200,
+                                               "tolerance": 1.0})
+        with pytest.raises(NotConverged):
+            run_phc(cfg, tmp_path, strict=True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "phc_seed0.csv", "phc_seed1.csv",
+            "phc_seed2.csv", "phc_summary.csv"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_a_group_that_raises_is_joined(self, failing, tmp_path,
+                                           monkeypatch):
+        # seed 0 fails in this process, seed 2 in the worker; either way
+        # the refusal arrives as itself and no worker outlives the call
+        force_cpus(monkeypatch, 2)
+        real = runner.trajectory_text
+
+        def refuse(name, log, strings):
+            if name == f"phc_seed{failing}.csv":
+                raise NonFiniteOutput(name, "gcs_term", math.inf)
+            return real(name, log, strings)
+
+        monkeypatch.setattr(runner, "trajectory_text", refuse)
+        with pytest.raises(NonFiniteOutput,
+                           match=rf"^phc_seed{failing}\.csv: gcs_term is inf"):
+            run_phc(phc_config(seeds=[0, 1, 2]), tmp_path)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "phc_summary.csv").exists()
+
+    def test_a_worker_that_dies_is_reported(self):
+        def task(group):
+            if group == [2]:
+                os._exit(7)
+            return group
+
+        with pytest.raises(ChildProcessError, match="exited with code 7"):
+            runner._run_groups(task, [[0], [1], [2]])
+        assert multiprocessing.active_children() == []
+        assert runner._run_groups(task, [[0], [1]]) == [[0], [1]]
+
+
+class TestPicklableErrors:
+    def test_round_trip_keeps_class_message_and_fields(self):
+        error = pickle.loads(pickle.dumps(ValidationError("slots", "x")))
+        assert type(error) is ValidationError
+        assert (str(error), error.field, error.message) == (
+            "slots: x", "slots", "x")
+        error = pickle.loads(pickle.dumps(
+            NonFiniteOutput("phc_seed2.csv", "gcs_term", -math.inf)))
+        assert type(error) is NonFiniteOutput
+        assert (str(error), error.file, error.key) == (
+            "phc_seed2.csv: gcs_term is -inf, not finite", "phc_seed2.csv",
+            "gcs_term")
 
 
 def two_type_log(slots=400):
