@@ -12,6 +12,7 @@ incentive-compatibility (IC) and monotonicity conditions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,8 +22,7 @@ from .errors import ValidationError, check_count, check_positive
 # need slack; strict comparisons would flag spurious violations.
 FEASIBILITY_TOL = 1e-9
 
-# deterministic tie nudge for equal marginal costs; affects ordering only
-_COST_TIE_EPS = 1e-12
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,23 @@ class UavType:
     n: int
 
     def __post_init__(self):
+        # every field at once; the checks below name the first that fails
+        c1, c2 = self.c1, self.c2
+        if not (self.index >= 1 and 0.0 <= c1 < math.inf
+                and 0.0 <= c2 < math.inf and 0.0 < c1 + c2 < math.inf
+                and 0.0 < self.t < math.inf and 0 <= self.n <= _FLOAT_MAX):
+            self._name_bad_field()
+
+    def _name_bad_field(self):
         if self.index < 1:
             raise ValidationError("index",
                                   f"must be at least 1, got {self.index}")
         check_positive(self, ("c1", "c2"), zero_ok=True)
-        check_positive(self, ("c", "t"))
+        if not 0.0 < self.c < math.inf:
+            # c is no key of its own: the sum is named by its last term
+            raise ValidationError("c2", f"c1 + c2 must be positive and "
+                                        f"finite, got {self.c}")
+        check_positive(self, ("t",))
         check_count("n", self.n, 0)
 
     @property
@@ -66,6 +78,8 @@ class ContractItem:
     r: float
 
     def __post_init__(self):
+        if 0.0 <= self.s < math.inf and 0.0 <= self.r < math.inf:
+            return
         for name in ("s", "r"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"item {name} must be non-negative and "
@@ -90,9 +104,19 @@ class ContractMenu:
 class Scenario:
     """Full problem instance: the type set and the GCS-side constants.
 
-    Derived state is computed once and cached outside the fields, so
-    equality, hash and repr see the fields alone, and a scenario made by
-    ``dataclasses.replace`` derives its own.
+    Derived state is kept outside the fields, so equality, hash and repr
+    see the fields alone, and a scenario made by ``dataclasses.replace``
+    derives its own.  At construction a scenario derives its eligible
+    order and, next to it, where each eligible type sits in ``types``:
+
+    - ``eligible``: the types meeting the deadline, by strictly
+      descending marginal cost, equal costs by ascending index; the
+      solver's canonical order 1..J'.
+    - ``eligible_positions``: ``types[eligible_positions[j]]`` is
+      ``eligible[j]``.  A menu's items are in scenario order, so this is
+      where the item of the j-th eligible type is read and written.
+
+    The partial-information optimum is derived at first use.
     """
 
     types: tuple[UavType, ...]
@@ -104,9 +128,27 @@ class Scenario:
     total_uavs: int
 
     def __post_init__(self):
-        object.__setattr__(self, "types", tuple(self.types))
-        if not self.types:
+        types = tuple(self.types)
+        object.__setattr__(self, "types", types)
+        if not types:
             raise ValidationError("types", "needs at least one type")
+        # every field at once; the checks below name the first that fails
+        t_max, total = self.t_max, self.total_uavs
+        if not (0.0 < self.satisfaction_factor < math.inf
+                and 0.0 < self.s_max < math.inf and 0.0 < t_max < math.inf
+                and 0.0 < self.vdd_demand < math.inf
+                and 0.0 <= self.deployment_cost < math.inf
+                and len({ty.index for ty in types}) == len(types)
+                and sum(ty.n for ty in types) == total
+                and 1 <= total <= _FLOAT_MAX):
+            self._name_bad_field()
+        positions = [k for k, ty in enumerate(types) if ty.t <= t_max]
+        positions.sort(key=lambda k: (-types[k].c, types[k].index))
+        object.__setattr__(self, "eligible_positions", tuple(positions))
+        object.__setattr__(self, "eligible",
+                           tuple(types[k] for k in positions))
+
+    def _name_bad_field(self):
         check_positive(self, ("satisfaction_factor", "s_max", "t_max",
                               "vdd_demand"))
         check_positive(self, ("deployment_cost",), zero_ok=True)
@@ -123,19 +165,14 @@ class Scenario:
         check_count("total_uavs", self.total_uavs, 1)
 
     @cached_property
-    def eligible(self) -> tuple[UavType, ...]:
-        """Types meeting the deadline, by strictly descending marginal cost:
-        the solver's canonical index 1..J'.  Equal costs are ordered by
-        nudging each down by ``1e-12 * index``; the types are unmodified."""
-        chosen = [ty for ty in self.types if ty.t <= self.t_max]
-        chosen.sort(key=lambda ty: -(ty.c - _COST_TIE_EPS * ty.index))
-        return tuple(chosen)
-
-    @cached_property
     def partial_info(self):
         """The partial-information optimum as (menu, SolverTrace)."""
         from .solver import _solve_partial_info  # solver imports this module
         return _solve_partial_info(self)
+
+
+# the item of every type that misses the deadline
+NULL_ITEM = ContractItem(s=0.0, r=0.0)
 
 
 @dataclass(frozen=True)
@@ -233,17 +270,20 @@ def verify_feasibility(scenario: Scenario, menu: ContractMenu,
     Ineligible types are required to hold the null contract (s = r = 0) and
     are otherwise excluded from the IR/IC comparisons.  All utility
     comparisons carry tolerance ``tol`` because the optimal menu makes IR
-    and adjacent IC bind with equality.  Items are paired with types once,
-    so the check is O(J^2).
+    and adjacent IC bind with equality.  Each eligible type's item is read
+    at its position once, so the check is O(J^2).
     """
     items = _items(scenario, menu)
-    offers = {ty.index: (item.s, item.r)
-              for ty, item in zip(scenario.types, items)}
-    priced = [(ty.index, *offers[ty.index]) for ty in scenario.eligible]
+    eligible = scenario.eligible
+    positions = scenario.eligible_positions
+    priced = [(ty.index, items[k].s, items[k].r)
+              for ty, k in zip(eligible, positions)]
     c0 = scenario.deployment_cost
     ir = []
     ic = []
-    for ty, (index, s_own, r_own) in zip(scenario.eligible, priced):
+    size_mono = reward_mono = True
+    last_s = last_r = -math.inf     # no bound on the costliest type's item
+    for ty, (index, s_own, r_own) in zip(eligible, priced):
         # uav_utility of an eligible type, with its arithmetic and order
         c = ty.c
         own = r_own - (c * s_own + c0)
@@ -255,17 +295,20 @@ def verify_feasibility(scenario: Scenario, menu: ContractMenu,
                 foreign = r - (c * s + c0)
                 if foreign > bar:
                     ic.append((index, other, foreign - own))
-    sizes = [s for _, s, _ in priced]
-    rewards = [r for _, _, r in priced]
-    size_mono = all(a <= b + tol for a, b in zip(sizes, sizes[1:]))
-    reward_mono = all(a <= b + tol for a, b in zip(rewards, rewards[1:]))
-    bad_ineligible = tuple(
-        ty.index for ty, item in zip(scenario.types, items)
-        if ty.t > scenario.t_max and (item.s != 0.0 or item.r != 0.0))
-    return FeasibilityReport(ir_violations=tuple(ir), ic_violations=tuple(ic),
-                             size_monotone=size_mono,
-                             reward_monotone=reward_mono,
-                             ineligible_nonzero=bad_ineligible)
+        if not last_s <= s_own + tol:
+            size_mono = False
+        if not last_r <= r_own + tol:
+            reward_mono = False
+        last_s, last_r = s_own, r_own
+    bad_ineligible = ()
+    if len(positions) < len(items):
+        t_max = scenario.t_max
+        bad_ineligible = tuple(
+            ty.index for ty, item in zip(scenario.types, items)
+            if item is not NULL_ITEM and ty.t > t_max
+            and (item.s != 0.0 or item.r != 0.0))
+    return FeasibilityReport(tuple(ir), tuple(ic), size_mono, reward_mono,
+                             bad_ineligible)
 
 
 def defensive_effectiveness(scenario: Scenario, menu: ContractMenu) -> float:

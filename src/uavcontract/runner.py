@@ -28,8 +28,9 @@ import numpy as np
 from ._kernels import JIT_ENABLED
 from .config import ExperimentConfig
 from .errors import NonFiniteOutput, NotConverged, ValidationError
-from .game import (Scenario, defensive_effectiveness, eligible_types,
-                   gcs_utility)
+from .game import Scenario, defensive_effectiveness, gcs_utility
+# unused here; kept as a module attribute for perfbench/tracing.py to wrap
+from .game import eligible_types  # noqa: F401
 from .phc import (EpisodeLog, check_payoffs, convergence_check,
                   convergence_slot, hotboot, perturb_scenario, train,
                   with_default_r_max)
@@ -180,7 +181,7 @@ def _oracle_report(config: ExperimentConfig, scenario: Scenario,
     step = (config.grid_oracle if config.grid_oracle is not None
             else DEFAULT_ORACLE_STEP)
     oracle_menu = brute_force_oracle(scenario, step)
-    positions = [scenario.types.index(ty) for ty in eligible_types(scenario)]
+    positions = scenario.eligible_positions
     return {
         "grid_step": step,
         "closed_form_sizes": [closed_menu.items[k].s for k in positions],

@@ -18,7 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .game import (ContractItem, ContractMenu, Scenario, _items,
+from .game import (NULL_ITEM, ContractItem, ContractMenu, Scenario, _items,
                    eligible_types, uav_utility)
 
 
@@ -137,14 +137,15 @@ def optimal_rewards(scenario: Scenario, sizes: list[float]) -> list[float]:
     return rewards
 
 
-def _assemble_menu(scenario: Scenario, order, sizes: list[float],
+def _assemble_menu(scenario: Scenario, sizes: list[float],
                    rewards: list[float]) -> ContractMenu:
-    """Menu in scenario order; ineligible types get the null item."""
-    by_index = {ty.index: ContractItem(s=s, r=r)
-                for ty, s, r in zip(order, sizes, rewards)}
-    null = ContractItem(s=0.0, r=0.0)
-    return ContractMenu(t_max=scenario.t_max, items=tuple(
-        by_index.get(ty.index, null) for ty in scenario.types))
+    """Menu in scenario order from sizes and rewards in eligible order,
+    each written at its eligible position; ineligible types get the null
+    item."""
+    items = [NULL_ITEM] * len(scenario.types)
+    for k, s, r in zip(scenario.eligible_positions, sizes, rewards):
+        items[k] = ContractItem(s, r)
+    return ContractMenu(t_max=scenario.t_max, items=tuple(items))
 
 
 def solve_partial_info(scenario: Scenario) -> tuple[ContractMenu, SolverTrace]:
@@ -162,7 +163,7 @@ def _solve_partial_info(scenario: Scenario):
     unconstrained = _relaxed_sizes(scenario, w, a)
     sizes, pools = _iron_trace(scenario, w, a, unconstrained)
     rewards = optimal_rewards(scenario, sizes)
-    menu = _assemble_menu(scenario, order, sizes, rewards)
+    menu = _assemble_menu(scenario, sizes, rewards)
     trace = SolverTrace(eligible_order=tuple(ty.index for ty in order),
                         unconstrained_sizes=tuple(unconstrained),
                         pools=pools)
@@ -175,15 +176,14 @@ def solve_complete_info(scenario: Scenario) -> ContractMenu:
     Only IR binds: every type's size is its first-best maximizer and the
     reward repays exactly cost plus deployment, leaving zero utility.
     """
-    order = scenario.eligible
     sizes = []
     rewards = []
-    for ty in order:
+    for ty in scenario.eligible:
         s = scenario.satisfaction_factor / (ty.t * ty.c) - 1.0
         s = min(max(s, 0.0), scenario.s_max)
         sizes.append(s)
         rewards.append(ty.c * s + scenario.deployment_cost)
-    return _assemble_menu(scenario, order, sizes, rewards)
+    return _assemble_menu(scenario, sizes, rewards)
 
 
 def linear_contract(scenario: Scenario, unit_price: float) -> ContractMenu:
@@ -195,21 +195,19 @@ def linear_contract(scenario: Scenario, unit_price: float) -> ContractMenu:
     """
     if unit_price <= 0:
         raise ValueError(f"unit_price must be positive, got {unit_price}")
-    order = scenario.eligible
-    sizes = [scenario.s_max if ty.c < unit_price else 0.0 for ty in order]
+    sizes = [scenario.s_max if ty.c < unit_price else 0.0
+             for ty in scenario.eligible]
     rewards = [unit_price * s + scenario.deployment_cost for s in sizes]
-    return _assemble_menu(scenario, order, sizes, rewards)
+    return _assemble_menu(scenario, sizes, rewards)
 
 
 def uniform_contract(scenario: Scenario) -> ContractMenu:
     """Single-item menu: everyone gets the costliest eligible type's
     partial-information item, read from the scenario's solved menu."""
     menu, _ = scenario.partial_info
-    order = scenario.eligible
-    first = menu.items[scenario.types.index(order[0])]
-    sizes = [first.s] * len(order)
-    rewards = [first.r] * len(order)
-    return _assemble_menu(scenario, order, sizes, rewards)
+    first = menu.items[scenario.eligible_positions[0]]
+    count = len(scenario.eligible)
+    return _assemble_menu(scenario, [first.s] * count, [first.r] * count)
 
 
 def _size_grid(s_max: float, step: float) -> np.ndarray:
@@ -284,7 +282,7 @@ def brute_force_oracle(scenario: Scenario, grid_step: float) -> ContractMenu:
         picks.append(int(first[picks[-1]]))
     sizes = [float(grid[m]) for m in picks[1:]]
     rewards = optimal_rewards(scenario, sizes)
-    return _assemble_menu(scenario, order, sizes, rewards)
+    return _assemble_menu(scenario, sizes, rewards)
 
 
 def oracle_resolution_bound(scenario: Scenario, grid_step: float) -> float:

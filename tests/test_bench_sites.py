@@ -1,9 +1,10 @@
 """The benchmark's traced run (``perfbench/tracing.py``) wraps program
-functions by module and name, and its driver (``perfbench/run.py``) reads a
-few more names from `_kernels` on every run.  Each name must exist where
-the benchmark looks it up, or a refactor breaks the benchmark while every
-other test passes.  The benchmark's sources are read, not imported, so
-nothing is written under ``perfbench/``."""
+functions by module and name, and its driver (``perfbench/run.py``) and
+workloads (``perfbench/workloads.py``) call and read names on the program's
+modules.  Each name must exist where the benchmark looks it up, or a
+refactor breaks the benchmark while every other test passes.  The
+benchmark's sources are read, not imported, so nothing is written under
+``perfbench/``."""
 
 import ast
 import importlib
@@ -38,23 +39,68 @@ def test_every_traced_name_is_a_module_attribute():
     assert missing == []
 
 
-def kernel_reads(path):
-    """Every ``<name>`` read as ``kernels.<name>`` or ``<x>.kernels.<name>``
-    in the source at ``path``."""
+WORKLOADS = PERFBENCH / "workloads.py"
+
+# the namespace's attribute names
+NAMESPACE = {name.lstrip("_") for name in MODULES}
+
+
+def program_reads(path):
+    """Every (module, name) the source at ``path`` reads off the program
+    namespace: ``prog.<module>.<name>``, ``<x>.prog.<module>.<name>``, or
+    ``<alias>.<name>`` where ``<alias>`` is bound to ``prog.<module>``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+    def module_of(node):
+        if isinstance(node, ast.Attribute) and node.attr in NAMESPACE:
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == "prog"
+                    or isinstance(owner, ast.Attribute)
+                    and owner.attr == "prog"):
+                return node.attr
+        return None
+
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            else:
+                pairs = [(target, value)]
+            for name, bound in pairs:
+                module = module_of(bound)
+                if module and isinstance(name, ast.Name):
+                    aliases[name.id] = module
     reads = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             owner = node.value
-            if (isinstance(owner, ast.Name) and owner.id == "kernels"
-                    or isinstance(owner, ast.Attribute)
-                    and owner.attr == "kernels"):
-                reads.add(node.attr)
+            module = module_of(owner) or (
+                aliases.get(owner.id) if isinstance(owner, ast.Name)
+                else None)
+            if module:
+                reads.add((module, node.attr))
     return reads
 
 
 def test_every_kernel_name_the_driver_reads_exists():
-    reads = kernel_reads(RUN)
+    reads = {name for module, name in program_reads(RUN)
+             if module == "kernels"}
     assert reads
     assert sorted(name for name in reads
                   if not hasattr(_kernels, name)) == []
+
+
+def test_every_program_name_the_benchmark_calls_exists():
+    prog = {name.lstrip("_"): importlib.import_module(f"uavcontract.{name}")
+            for name in MODULES}
+    reads = program_reads(RUN) | program_reads(WORKLOADS)
+    # the parse finds each way the benchmark reaches the program
+    assert {("config", "load_config"), ("kernels", "warmup"),
+            ("game", "UavType"), ("game", "Scenario"),
+            ("environment", "derived_delay"),
+            ("solver", "oracle_resolution_bound"),
+            ("runner", "run_phc")} <= reads
+    assert sorted((module, name) for module, name in reads
+                  if not hasattr(prog[module], name)) == []

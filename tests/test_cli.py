@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import multiprocessing
@@ -7,8 +8,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+from uavcontract import load_config, solve_partial_info, verify_feasibility
 from uavcontract.cli import build_parser, main
 from uavcontract.errors import NonFiniteOutput
+from uavcontract.game import FEASIBILITY_TOL
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -95,7 +98,11 @@ NON_FINITE_INPUTS = {
     "cost_sum_overflows": ("compare",
                            lambda raw: raw["scenario"]["types"][0].update(
                                c1=1.0e308, c2=1.0e308),
-                           "scenario.types[0].c"),
+                           "scenario.types[0].c2"),
+    "cost_sum_zero": ("solve",
+                      lambda raw: raw["scenario"]["types"][1].update(
+                          c1=0.0, c2=0.0),
+                      "scenario.types[1].c2"),
     "kappa_los_nan": ("compare",
                       lambda raw: (_set_position(raw, [100.0, 0.0, 30.0]),
                                    raw.update(channel={"kappa_los": math.nan})),
@@ -200,6 +207,27 @@ class TestExitCodes:
         assert -1e-9 <= gap <= oracle["resolution_bound"]
 
     # (verb, oracle, first type's count, file and key named in the error)
+    @pytest.mark.parametrize("index", [10 ** 13, 10 ** 400])
+    def test_large_index_keeps_the_cost_order(self, index, tmp_path):
+        # the index breaks exact cost ties only: however large, it must not
+        # outweigh a real cost gap
+        raw = _solve_raw()
+        raw["scenario"]["types"] = [
+            {"index": 1, "c1": 0.5, "n": 5, "t": 1.0},
+            {"index": index, "c1": 0.6, "n": 5, "t": 1.0}]
+        cfg = tmp_path / "ties.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["eligible_types"] == [index, 1]
+        with open(out / "menu.csv", newline="") as f:
+            utilities = [float(row["utility"]) for row in csv.DictReader(f)]
+        assert min(utilities) >= -FEASIBILITY_TOL
+        scenario = load_config(cfg).scenario
+        menu, _ = solve_partial_info(scenario)
+        assert verify_feasibility(scenario, menu).feasible
+
     @pytest.mark.parametrize("verb, oracle, count, named", [
         ("solve", False, 10 ** 308, "summary.json: gcs_utility is nan"),
         ("compare", False, 10 ** 308, "compare.csv: gcs_utility is nan"),

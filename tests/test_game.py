@@ -425,7 +425,9 @@ class TestInvariants:
     def test_cost_sum_named(self, c1, c2):
         with pytest.raises(ValidationError) as err:
             UavType(index=1, c1=c1, c2=c2, t=1.0, n=5)
-        assert err.value.field == "c"
+        # c is no YAML key: the sum is named by its last term
+        assert err.value.field == "c2"
+        assert err.value.message.startswith("c1 + c2 must be positive")
 
     @pytest.mark.parametrize("field,value", [
         ("satisfaction_factor", math.nan), ("deployment_cost", -1.0),
