@@ -54,9 +54,11 @@ class UavType:
                                   f"must be at least 1, got {self.index}")
         check_positive(self, ("c1", "c2"), zero_ok=True)
         if not 0.0 < self.c < math.inf:
-            # c is no key of its own: the sum is named by its last term
-            raise ValidationError("c2", f"c1 + c2 must be positive and "
-                                        f"finite, got {self.c}")
+            # c is no key of its own: a zero sum is named by c1, which
+            # every type gives, and an overflowing one by c2
+            raise ValidationError("c2" if self.c2 > 0.0 else "c1",
+                                  f"c1 + c2 must be positive and finite, "
+                                  f"got {self.c}")
         check_positive(self, ("t",))
         check_count("n", self.n, 0)
 
@@ -109,9 +111,9 @@ class Scenario:
     derives its own.  At construction a scenario derives its eligible
     order and, next to it, where each eligible type sits in ``types``:
 
-    - ``eligible``: the types meeting the deadline, by strictly
-      descending marginal cost, equal costs by ascending index; the
-      solver's canonical order 1..J'.
+    - ``eligible``: the types meeting the deadline, by descending
+      marginal cost, equal costs by ascending index; the solver's
+      canonical order 1..J'.
     - ``eligible_positions``: ``types[eligible_positions[j]]`` is
       ``eligible[j]``.  A menu's items are in scenario order, so this is
       where the item of the j-th eligible type is read and written.

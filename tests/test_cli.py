@@ -102,7 +102,11 @@ NON_FINITE_INPUTS = {
     "cost_sum_zero": ("solve",
                       lambda raw: raw["scenario"]["types"][1].update(
                           c1=0.0, c2=0.0),
-                      "scenario.types[1].c2"),
+                      "scenario.types[1].c1"),
+    "cost_zero_without_c2": ("compare",
+                             lambda raw: raw["scenario"]["types"][0].update(
+                                 c1=0.0),
+                             "scenario.types[0].c1"),
     "kappa_los_nan": ("compare",
                       lambda raw: (_set_position(raw, [100.0, 0.0, 30.0]),
                                    raw.update(channel={"kappa_los": math.nan})),

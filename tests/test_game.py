@@ -425,8 +425,8 @@ class TestInvariants:
     def test_cost_sum_named(self, c1, c2):
         with pytest.raises(ValidationError) as err:
             UavType(index=1, c1=c1, c2=c2, t=1.0, n=5)
-        # c is no YAML key: the sum is named by its last term
-        assert err.value.field == "c2"
+        # c is no YAML key: a zero sum names c1, an overflowing one c2
+        assert err.value.field == ("c2" if c2 else "c1")
         assert err.value.message.startswith("c1 + c2 must be positive")
 
     @pytest.mark.parametrize("field,value", [
