@@ -29,9 +29,10 @@ _FLOAT_MAX = sys.float_info.max
 class UavType:
     """One UAV type: costs, delivery delay, and population count.
 
-    The marginal cost ``c`` is always the exact sum of the VDD-collection
-    component ``c1`` and the privacy-leakage component ``c2``; it is exposed
-    as a property so the identity cannot drift.
+    The marginal cost ``c`` is the exact sum of the VDD-collection
+    component ``c1`` and the privacy-leakage component ``c2``.  It is set
+    once at construction, outside the fields, so equality, hash and repr
+    see the fields alone and ``dataclasses.replace`` sums it afresh.
     """
 
     index: int
@@ -43,8 +44,10 @@ class UavType:
     def __post_init__(self):
         # every field at once; the checks below name the first that fails
         c1, c2 = self.c1, self.c2
+        c = c1 + c2
+        object.__setattr__(self, "c", c)
         if not (self.index >= 1 and 0.0 <= c1 < math.inf
-                and 0.0 <= c2 < math.inf and 0.0 < c1 + c2 < math.inf
+                and 0.0 <= c2 < math.inf and 0.0 < c < math.inf
                 and 0.0 < self.t < math.inf and 0 <= self.n <= _FLOAT_MAX):
             self._name_bad_field()
 
@@ -61,11 +64,6 @@ class UavType:
                                   f"got {self.c}")
         check_positive(self, ("t",))
         check_count("n", self.n, 0)
-
-    @property
-    def c(self) -> float:
-        """Marginal VDD cost, c1 + c2."""
-        return self.c1 + self.c2
 
 
 @dataclass(frozen=True)
@@ -108,8 +106,7 @@ class Scenario:
 
     Derived state is kept outside the fields, so equality, hash and repr
     see the fields alone, and a scenario made by ``dataclasses.replace``
-    derives its own.  At construction a scenario derives its eligible
-    order and, next to it, where each eligible type sits in ``types``:
+    derives its own.  At construction a scenario derives:
 
     - ``eligible``: the types meeting the deadline, by descending
       marginal cost, equal costs by ascending index; the solver's
@@ -117,8 +114,15 @@ class Scenario:
     - ``eligible_positions``: ``types[eligible_positions[j]]`` is
       ``eligible[j]``.  A menu's items are in scenario order, so this is
       where the item of the j-th eligible type is read and written.
+    - ``weights``: ``weights[j]`` is the GCS weight
+      ``satisfaction_factor * n / t`` of ``eligible[j]``, the one place
+      it is computed.
+    - ``utility_terms``: (position in ``types``, count, weight) of each
+      eligible type, in scenario order, the order every utility sum
+      keeps.
 
-    The partial-information optimum is derived at first use.
+    The relaxed objective's coefficients and the partial-information
+    optimum are derived at first use.
     """
 
     types: tuple[UavType, ...]
@@ -144,11 +148,17 @@ class Scenario:
                 and sum(ty.n for ty in types) == total
                 and 1 <= total <= _FLOAT_MAX):
             self._name_bad_field()
-        positions = [k for k, ty in enumerate(types) if ty.t <= t_max]
-        positions.sort(key=lambda k: (-types[k].c, types[k].index))
-        object.__setattr__(self, "eligible_positions", tuple(positions))
+        factor = self.satisfaction_factor
+        terms = tuple((k, ty.n, factor * ty.n / ty.t)
+                      for k, ty in enumerate(types) if ty.t <= t_max)
+        ranked = sorted(terms, key=lambda term: (-types[term[0]].c,
+                                                 types[term[0]].index))
+        object.__setattr__(self, "utility_terms", terms)
+        object.__setattr__(self, "eligible_positions",
+                           tuple(k for k, _, _ in ranked))
         object.__setattr__(self, "eligible",
-                           tuple(types[k] for k in positions))
+                           tuple(types[k] for k, _, _ in ranked))
+        object.__setattr__(self, "weights", tuple(w for _, _, w in ranked))
 
     def _name_bad_field(self):
         check_positive(self, ("satisfaction_factor", "s_max", "t_max",
@@ -167,10 +177,14 @@ class Scenario:
         check_count("total_uavs", self.total_uavs, 1)
 
     @cached_property
+    def coefficients(self):
+        """The relaxed objective's (w, a) along the eligible order."""
+        return solver._coefficients(self)
+
+    @cached_property
     def partial_info(self):
         """The partial-information optimum as (menu, SolverTrace)."""
-        from .solver import _solve_partial_info  # solver imports this module
-        return _solve_partial_info(self)
+        return solver._solve_partial_info(self)
 
 
 # the item of every type that misses the deadline
@@ -230,15 +244,16 @@ def uav_utility(uav_type: UavType, item: ContractItem, t_max: float,
 def gcs_utility(scenario: Scenario, menu: ContractMenu) -> float:
     """GCS satisfaction minus payments, summed over types.
 
-    Each type contributes ``w * (n/t) * ln(1 + s)`` of satisfaction (natural
-    log) minus ``n * r`` of payment, with both terms suppressed entirely for
-    types missing the deadline.
+    Each type contributes ``factor * (n/t) * ln(1 + s)`` of satisfaction
+    (natural log) minus ``n * r`` of payment, with both terms suppressed
+    entirely for types missing the deadline.  The sum walks the eligible
+    types in scenario order (`Scenario.utility_terms`).
     """
+    items = _items(scenario, menu)
     total = 0.0
-    for ty, item in zip(scenario.types, _items(scenario, menu)):
-        if ty.t <= scenario.t_max:
-            w = scenario.satisfaction_factor * ty.n / ty.t
-            total += w * math.log1p(item.s) - ty.n * item.r
+    for k, n, w in scenario.utility_terms:
+        item = items[k]
+        total += w * math.log1p(item.s) - n * item.r
     return total
 
 
@@ -319,8 +334,13 @@ def defensive_effectiveness(scenario: Scenario, menu: ContractMenu) -> float:
     The numerator weights each eligible type's size by its count, so the
     metric responds to population sweeps.
     """
+    items = _items(scenario, menu)
     total = 0.0
-    for ty, item in zip(scenario.types, _items(scenario, menu)):
-        if ty.t <= scenario.t_max:
-            total += ty.n * item.s
+    for k, n, _ in scenario.utility_terms:
+        total += n * items[k].s
     return total / scenario.vdd_demand
+
+
+# solver imports this module, so it is bound last, once every name solver
+# reads from here exists
+from . import solver  # noqa: E402

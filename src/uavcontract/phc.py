@@ -110,7 +110,7 @@ def check_payoffs(scenario: Scenario, params: PhcParams,
     non-finite is refused before it trains.
 
     A signed item (s, r) pays the UAV r - c*s - C0 and the GCS
-    w*log(1+s) - n*r, with w = factor*n/t as `train` computes it, and a Q
+    w*log(1+s) - n*r, with w = factor*n/t as in `Scenario.weights`, and a Q
     value stays within a side's largest payoff over 1 - discount.  With
     ``spread`` the terms cover every scenario `perturb_scenario` draws with
     that range, whose costs and counts are at most 1 + spread times these.
@@ -375,9 +375,7 @@ def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
     bounds = np.cumsum([0] + [len(order) for order in orders]).tolist()
     types = [ty for order in orders for ty in order]
     cost = np.array([ty.c for ty in types])
-    weight = np.array([sc.satisfaction_factor * ty.n / ty.t
-                       for sc, order in zip(scenarios, orders)
-                       for ty in order])
+    weight = np.array([w for sc in scenarios for w in sc.weights])
     count = np.array([float(ty.n) for ty in types])
     reward_index = np.zeros((slots, rows), dtype=np.int64)
     size_index = np.zeros((slots, rows), dtype=np.int64)

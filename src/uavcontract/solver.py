@@ -18,6 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .errors import ValidationError
 from .game import (NULL_ITEM, ContractItem, ContractMenu, Scenario, _items,
                    eligible_types, uav_utility)
 
@@ -37,24 +38,23 @@ class SolverTrace:
     pools: tuple[tuple[int, int], ...]
 
 
-def _coefficients(scenario: Scenario, order):
+def _coefficients(scenario: Scenario):
     """Per eligible position: satisfaction weight w_j and the linear cost
-    coefficient a_j of the relaxed objective.
+    coefficient a_j of the relaxed objective, as two tuples.
 
     a_j couples type j's own payment to the information rents it creates for
     every cheaper type below it in the order; for the last type it reduces
     to the plain cost times count.  The count suffix sums are exact
-    integers.
+    integers.  Derived once per scenario, as `Scenario.coefficients`.
     """
+    order = scenario.eligible
     suffix = list(accumulate(ty.n for ty in reversed(order)))[::-1]
     suffix.append(0)
-    w = []
     a = []
     for pos, ty in enumerate(order):
-        w.append(scenario.satisfaction_factor * ty.n / ty.t)
         next_c = order[pos + 1].c if pos + 1 < len(order) else 0.0
         a.append(ty.c * suffix[pos] - next_c * suffix[pos + 1])
-    return w, a
+    return scenario.weights, tuple(a)
 
 
 def objective_term(scenario: Scenario, j: int, s: float) -> float:
@@ -62,7 +62,7 @@ def objective_term(scenario: Scenario, j: int, s: float) -> float:
     order = eligible_types(scenario)
     if not 1 <= j <= len(order):
         raise IndexError(f"eligible position {j} out of range 1..{len(order)}")
-    w, a = _coefficients(scenario, order)
+    w, a = scenario.coefficients
     return w[j - 1] * math.log1p(s) - a[j - 1] * s
 
 
@@ -86,8 +86,7 @@ def _relaxed_sizes(scenario: Scenario, w, a) -> list[float]:
 
 def optimal_vdd_unconstrained(scenario: Scenario) -> list[float]:
     """Relaxed per-type size maximizers, clamped to [0, s_max]."""
-    return _relaxed_sizes(scenario,
-                          *_coefficients(scenario, scenario.eligible))
+    return _relaxed_sizes(scenario, *scenario.coefficients)
 
 
 def _iron_trace(scenario: Scenario, w, a, sizes: list[float]):
@@ -117,7 +116,7 @@ def iron(scenario: Scenario, sizes: list[float]) -> list[float]:
     neighbours, until the sequence is non-decreasing.  Monotone input is
     returned unchanged.
     """
-    w, a = _coefficients(scenario, scenario.eligible)
+    w, a = scenario.coefficients
     ironed, _ = _iron_trace(scenario, w, a, sizes)
     return ironed
 
@@ -159,7 +158,7 @@ def solve_partial_info(scenario: Scenario) -> tuple[ContractMenu, SolverTrace]:
 
 def _solve_partial_info(scenario: Scenario):
     order = scenario.eligible
-    w, a = _coefficients(scenario, order)
+    w, a = scenario.coefficients
     unconstrained = _relaxed_sizes(scenario, w, a)
     sizes, pools = _iron_trace(scenario, w, a, unconstrained)
     rewards = optimal_rewards(scenario, sizes)
@@ -210,12 +209,31 @@ def uniform_contract(scenario: Scenario) -> ContractMenu:
     return _assemble_menu(scenario, [first.s] * count, [first.r] * count)
 
 
+# the most points a size grid may hold: each value row the oracle keeps
+# is 8 bytes a point, so 80 MB a position at the cap
+MAX_GRID_POINTS = 10 ** 7
+
+
 def _size_grid(s_max: float, step: float) -> np.ndarray:
-    """Multiples of step capped at s_max, with s_max itself always last."""
-    if step <= 0:
-        raise ValueError(f"grid_step must be positive, got {step}")
+    """Multiples of step capped at s_max, with s_max itself always last.
+
+    Raises ValidationError naming ``grid_oracle``, before anything is
+    allocated, for a step that is not positive and finite or whose grid
+    could hold more than MAX_GRID_POINTS points.
+    """
+    if not 0.0 < step < math.inf:
+        raise ValidationError("grid_oracle",
+                              f"must be positive and finite, got {step}")
     # tolerate float wobble when s_max is an exact multiple of step
-    n_steps = int(math.floor(s_max / step * (1.0 + 1e-12) + 1e-12))
+    span = s_max / step * (1.0 + 1e-12) + 1e-12
+    # the grid holds floor(span) + 1 multiples, then maybe s_max; a span
+    # that overflows to inf fails the test too
+    if not span < MAX_GRID_POINTS - 1:
+        raise ValidationError(
+            "grid_oracle", f"step {step} is too fine: [0, {s_max}] would "
+                           f"take about {span:.3g} grid points, and at most "
+                           f"{MAX_GRID_POINTS} are allowed")
+    n_steps = int(math.floor(span))
     grid = np.arange(n_steps + 1) * step
     if grid[-1] > s_max:
         grid[-1] = s_max
@@ -246,25 +264,33 @@ def brute_force_oracle(scenario: Scenario, grid_step: float) -> ContractMenu:
     if not order:
         raise ValueError("no eligible types: every delay exceeds t_max")
     grid = _size_grid(scenario.s_max, grid_step)
-    w, _ = _coefficients(scenario, order)
+    w, _ = scenario.coefficients
     logs = np.log1p(grid)
     c0 = scenario.deployment_cost
-    points = grid.shape[0]
-    index = np.arange(points)
-    # backward over positions: best[m] is the best sum over positions j..J
-    # with s_j at least grid[m], and first[m] the first index from m on
-    # that attains it
-    best = np.zeros(points)
+    # backward over positions: values[j][m] is f_j(grid[m]) plus the best
+    # sum over positions after j with sizes at least grid[m], and best the
+    # suffix maximum of the last row, best[m] = max(values[j][m:])
+    values = np.empty((len(order), grid.shape[0]))
+    term = np.empty_like(grid)
+    best = np.zeros_like(grid)
     later_n = 0.0
-    firsts = []
     with np.errstate(invalid="ignore"):
         for pos in reversed(range(len(order))):
             ty = order[pos]
             n = float(ty.n)
             next_c = order[pos + 1].c if pos + 1 < len(order) else 0.0
-            value = (w[pos] * logs - n * (ty.c * grid + c0)
-                     - later_n * ((ty.c - next_c) * grid) + best)
-            best = np.maximum.accumulate(value[::-1])[::-1]
+            # w*log1p(s) - n*(c*s + C0) - later_n*((c - next_c)*s) + best,
+            # operation by operation
+            value = np.multiply(logs, w[pos], out=values[pos])
+            np.multiply(grid, ty.c, out=term)
+            np.add(term, c0, out=term)
+            np.multiply(term, n, out=term)
+            np.subtract(value, term, out=value)
+            np.multiply(grid, ty.c - next_c, out=term)
+            np.multiply(term, later_n, out=term)
+            np.subtract(value, term, out=value)
+            np.add(value, best, out=value)
+            np.maximum.accumulate(value[::-1], out=best[::-1])
             # the running max is NaN once any term is: an overflow to
             # inf - inf leaves nothing to rank.  An infinite term still
             # ranks, and the output guard refuses the utility it gives.
@@ -273,14 +299,14 @@ def brute_force_oracle(scenario: Scenario, grid_step: float) -> ContractMenu:
                     f"grid oracle: eligible position {pos + 1} (type "
                     f"{ty.index}) has an objective term that overflows to "
                     f"nan")
-            firsts.append(np.minimum.accumulate(
-                np.where(value == best, index, points)[::-1])[::-1])
             later_n += n
-    # forward: each size is the first best index at or above the last
-    picks = [0]
-    for first in reversed(firsts):
-        picks.append(int(first[picks[-1]]))
-    sizes = [float(grid[m]) for m in picks[1:]]
+    # forward: each size is the first best index at or above the last,
+    # the first maximum of the rest of its row
+    sizes = []
+    m = 0
+    for value in values:
+        m += int(value[m:].argmax())
+        sizes.append(float(grid[m]))
     rewards = optimal_rewards(scenario, sizes)
     return _assemble_menu(scenario, sizes, rewards)
 
@@ -293,8 +319,7 @@ def oracle_resolution_bound(scenario: Scenario, grid_step: float) -> float:
     drops by at most the sum of the per-size Lipschitz constants times the
     step: w_j bounds the log term's slope and a_j the payment side's.
     """
-    order = eligible_types(scenario)
-    w, a = _coefficients(scenario, order)
+    w, a = scenario.coefficients
     return grid_step * (sum(w) + sum(abs(x) for x in a))
 
 

@@ -127,6 +127,13 @@ NON_FINITE_INPUTS = {
                            lambda raw: raw["scenario"]["types"][0].update(
                                n=10 ** 400),
                            "scenario.types[0].n"),
+    # s_max 300 over these steps is an infinite and a 3e11-point grid,
+    # refused before it is built
+    "oracle_step_denormal": ("solve",
+                             lambda raw: raw.update(grid_oracle=5.0e-324),
+                             "grid_oracle"),
+    "oracle_step_tiny": ("solve", lambda raw: raw.update(grid_oracle=1.0e-9),
+                         "grid_oracle"),
     "population_beyond_float": ("sweep-population",
                                 lambda raw: raw.update(
                                     sweep={"populations": [4, 10 ** 400]}),

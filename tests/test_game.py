@@ -124,6 +124,41 @@ class TestGcsUtility:
             assert total == pytest.approx(parts, rel=1e-12, abs=1e-9)
 
 
+    def test_matches_the_scenario_order_walk(self):
+        # the walk over eligible positions against every type filtered by
+        # the deadline, as bits, for gcs_utility and zeta; some eligible
+        # types hold the null item
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            sc = random_scenario(rng, max_types=12)
+            menu = ContractMenu(t_max=sc.t_max, items=tuple(
+                ContractItem(0.0, 0.0) if rng.uniform() < 0.3 else
+                ContractItem(s=float(rng.uniform(0, sc.s_max)),
+                             r=float(rng.uniform(0, 50)))
+                for _ in sc.types))
+            utility = zeta = 0.0
+            for ty, item in zip(sc.types, menu.items):
+                if ty.t <= sc.t_max:
+                    w = sc.satisfaction_factor * ty.n / ty.t
+                    utility += w * math.log1p(item.s) - ty.n * item.r
+                    zeta += ty.n * item.s
+            assert repr(gcs_utility(sc, menu)) == repr(utility)
+            assert (repr(defensive_effectiveness(sc, menu))
+                    == repr(zeta / sc.vdd_demand))
+
+    def test_infinite_weight_on_a_null_item_is_nan(self):
+        # an eligible type's null item still adds its term, so a weight
+        # that overflows gives the NaN the output guard refuses
+        sc = Scenario(types=(UavType(index=1, c1=1.0, c2=0.0, t=1e-320,
+                                     n=5),),
+                      satisfaction_factor=6.0, deployment_cost=1.0,
+                      s_max=300.0, t_max=2.0, vdd_demand=800.0,
+                      total_uavs=5)
+        assert sc.weights == (math.inf,)
+        menu = ContractMenu(t_max=2.0, items=(ContractItem(0.0, 0.0),))
+        assert math.isnan(gcs_utility(sc, menu))
+
+
 class TestEligibility:
     def test_descending_costs(self):
         order = eligible_types(make_scenario_a())
@@ -155,6 +190,24 @@ class TestEligibility:
         assert sc == twin and hash(sc) == hash(twin)
         assert repr(sc) == repr(twin)
         assert "eligible" not in repr(sc)
+
+    def test_weights_and_terms(self):
+        sc = Scenario(types=(UavType(index=3, c1=0.5, c2=0.0, t=1.0, n=4),
+                             UavType(index=1, c1=1.0, c2=0.0, t=5.0, n=5),
+                             UavType(index=2, c1=1.0, c2=0.0, t=0.5, n=2)),
+                      satisfaction_factor=6.0, deployment_cost=1.0,
+                      s_max=300.0, t_max=2.0, vdd_demand=800.0,
+                      total_uavs=11)
+        assert sc.eligible_positions == (2, 0)
+        assert sc.weights == (6.0 * 2 / 0.5, 6.0 * 4 / 1.0)
+        assert sc.utility_terms == ((0, 4, 24.0), (2, 2, 24.0))
+        assert "weights" not in repr(sc)
+        wide = dataclasses.replace(sc, t_max=6.0)
+        # equal costs order by index
+        assert wide.eligible_positions == (1, 2, 0)
+        assert wide.weights == (6.0, 24.0, 24.0)
+        assert wide.utility_terms == ((0, 4, 24.0), (1, 5, 6.0),
+                                      (2, 2, 24.0))
 
     def test_replace_derives_afresh(self):
         sc = Scenario(types=(UavType(index=1, c1=1.0, c2=0.0, t=5.0, n=5),
@@ -420,6 +473,17 @@ class TestInvariants:
         with pytest.raises(ValidationError) as err:
             UavType(**kwargs)
         assert err.value.field == field
+
+    def test_cost_set_once_outside_the_fields(self):
+        ty = UavType(index=1, c1=0.25, c2=0.5, t=1.0, n=3)
+        assert ty.c == 0.75
+        twin = UavType(index=1, c1=0.25, c2=0.5, t=1.0, n=3)
+        assert ty == twin and hash(ty) == hash(twin)
+        assert repr(ty) == ("UavType(index=1, c1=0.25, c2=0.5, t=1.0, "
+                            "n=3)")
+        assert dataclasses.replace(ty, c2=0.125).c == 0.375
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ty.c = 1.0
 
     @pytest.mark.parametrize("c1,c2", [(0.0, 0.0), (1.0e308, 1.0e308)])
     def test_cost_sum_named(self, c1, c2):

@@ -15,7 +15,7 @@ from uavcontract import (ContractItem, ContractMenu, Scenario, UavType,
                          optimal_vdd_unconstrained, oracle_resolution_bound,
                          solve_complete_info, solve_partial_info,
                          uniform_contract, verify_feasibility)
-from uavcontract import _kernels, solver
+from uavcontract import ValidationError, _kernels, solver
 from uavcontract.solver import _size_grid
 
 from conftest import (make_scenario_a, make_scenario_b, make_single_type,
@@ -57,7 +57,7 @@ def scan_sizes(sc, step):
     """The scalar scans' pick for one to three eligible types, as sizes."""
     order = eligible_types(sc)
     grid = _size_grid(sc.s_max, step)
-    w, _ = solver._coefficients(sc, order)
+    w, _ = sc.coefficients
     scan = (_kernels.oracle_scan_1, _kernels.oracle_scan_2,
             _kernels.oracle_scan_3)[len(order) - 1]
     picks = scan(grid, *w, *(ty.c for ty in order),
@@ -69,6 +69,61 @@ def oracle_sizes(sc, step):
     """The oracle's sizes along the eligible order."""
     menu = brute_force_oracle(sc, step)
     return [menu.items[sc.types.index(ty)].s for ty in eligible_types(sc)]
+
+
+def reference_oracle_sizes(sc, step):
+    """The grid oracle's dynamic program in its first form, as sizes along
+    the eligible order: each position keeps a row of first best indices,
+    first[m] the first index from m on that attains the suffix maximum,
+    and the forward pass reads one entry of each row."""
+    order = eligible_types(sc)
+    grid = _size_grid(sc.s_max, step)
+    w = [sc.satisfaction_factor * ty.n / ty.t for ty in order]
+    logs = np.log1p(grid)
+    c0 = sc.deployment_cost
+    points = grid.shape[0]
+    index = np.arange(points)
+    best = np.zeros(points)
+    later_n = 0.0
+    firsts = []
+    with np.errstate(invalid="ignore"):
+        for pos in reversed(range(len(order))):
+            ty = order[pos]
+            n = float(ty.n)
+            next_c = order[pos + 1].c if pos + 1 < len(order) else 0.0
+            value = (w[pos] * logs - n * (ty.c * grid + c0)
+                     - later_n * ((ty.c - next_c) * grid) + best)
+            best = np.maximum.accumulate(value[::-1])[::-1]
+            if math.isnan(best[0]):
+                raise ValueError(
+                    f"grid oracle: eligible position {pos + 1} (type "
+                    f"{ty.index}) has an objective term that overflows to "
+                    f"nan")
+            firsts.append(np.minimum.accumulate(
+                np.where(value == best, index, points)[::-1])[::-1])
+            later_n += n
+    picks = [0]
+    for first in reversed(firsts):
+        picks.append(int(first[picks[-1]]))
+    return [float(grid[m]) for m in picks[1:]]
+
+
+def tied_scenario(rng, j, s_max_range=(2.0, 40.0)):
+    """j eligible types, and at random one more that misses the deadline;
+    costs on a dyadic grid, so some tie exactly and their sums too, and
+    some counts zero, so some objectives are flat."""
+    types = []
+    for k in range(j + int(rng.uniform() < 0.3)):
+        types.append(UavType(
+            index=k + 1, c1=float(rng.integers(1, 9)) / 8.0,
+            c2=float(rng.integers(0, 3)) / 4.0,
+            t=float(rng.uniform(0.3, 2.0)) if k < j else 3.0,
+            n=0 if k and rng.uniform() < 0.3 else int(rng.integers(1, 11))))
+    return Scenario(types=tuple(types),
+                    satisfaction_factor=float(rng.uniform(1.0, 10.0)),
+                    deployment_cost=float(rng.uniform(0.0, 2.0)),
+                    s_max=float(rng.uniform(*s_max_range)), t_max=2.0,
+                    vdd_demand=800.0, total_uavs=sum(ty.n for ty in types))
 
 
 def binding_menu(sc, sizes):
@@ -481,6 +536,90 @@ class TestOracle:
             got = gcs_utility(sc, brute_force_oracle(sc, step))
             assert got == pytest.approx(best, rel=1e-12, abs=1e-12)
 
+    def test_matches_first_form(self):
+        # the suffix argmax against the first-index rows it replaced, as
+        # bits: 1-12 eligible types, exact cost ties, zero counts (flat
+        # objectives tie everywhere), coarse and fine grids
+        rng = np.random.default_rng(61)
+        tied = flat = 0
+        for case in range(480):
+            j = case % 12 + 1
+            sc = tied_scenario(rng, j)
+            order = eligible_types(sc)
+            costs = [ty.c for ty in order]
+            tied += len(set(costs)) < len(costs)
+            flat += any(ty.n == 0 for ty in order)
+            step = (sc.s_max / int(rng.integers(2, 30)) if case % 2
+                    else float(rng.choice([0.01, 0.05, 0.1])))
+            menu = brute_force_oracle(sc, step)
+            assert repr(menu) == repr(
+                binding_menu(sc, reference_oracle_sizes(sc, step)))
+        assert tied >= 100 and flat >= 100
+
+    def test_matches_first_form_on_benchmark_inputs(self):
+        # the validate workload's scenarios of one seed, at its step
+        config = load_config(PERFBENCH / "configs" / "validate.yaml")
+        base = config.scenario
+        inputs = benchmark_workloads().validate_inputs(1, base.t_max)
+        for x in inputs:
+            sc = dataclasses.replace(
+                base, total_uavs=sum(x.n), types=tuple(
+                    UavType(index=k + 1, c1=x.c1[k], c2=x.c2[k], t=x.t[k],
+                            n=x.n[k]) for k in range(len(x.t))))
+            menu = brute_force_oracle(sc, 0.1)
+            assert repr(menu) == repr(
+                binding_menu(sc, reference_oracle_sizes(sc, 0.1)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_infinite_terms_rank_as_first_form(self):
+        # a weight of 1e308 makes the log term +inf past s = 5.03 but not
+        # at 0; a count of 1e308 makes the payment -inf past s = 2.67:
+        # such rows rank, and the picks are the first form's
+        for factor, t, n in ((10.0, 1e-307, 1), (1.0, 2.0, 10 ** 308)):
+            for pos in range(3):
+                types = [UavType(index=k + 1, c1=0.9 - 0.3 * k, c2=0.0,
+                                 t=t if k == pos else 1.0,
+                                 n=n if k == pos else 3)
+                         for k in range(3)]
+                sc = Scenario(types=tuple(types),
+                              satisfaction_factor=factor,
+                              deployment_cost=1.0, s_max=20.0, t_max=2.0,
+                              vdd_demand=800.0,
+                              total_uavs=sum(ty.n for ty in types))
+                got = oracle_sizes(sc, 0.5)
+                assert got == reference_oracle_sizes(sc, 0.5)
+
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_nan_names_the_same_position(self, pos):
+        # a delay of 1e-320 makes the weight inf, and inf * log1p(0) NaN
+        types = [UavType(index=k + 1, c1=0.9 - 0.3 * k, c2=0.0,
+                         t=1e-320 if k == pos else 1.0, n=3)
+                 for k in range(3)]
+        sc = Scenario(types=tuple(types), satisfaction_factor=6.0,
+                      deployment_cost=1.0, s_max=5.0, t_max=2.0,
+                      vdd_demand=800.0, total_uavs=9)
+        with pytest.raises(ValueError) as first:
+            reference_oracle_sizes(sc, 0.25)
+        with pytest.raises(ValueError) as got:
+            brute_force_oracle(sc, 0.25)
+        assert str(got.value) == str(first.value)
+        assert f"eligible position {pos + 1} (type {pos + 1})" in str(
+            got.value)
+
+    def test_coefficients_derived_once(self, monkeypatch):
+        # the solve, the oracle and the bound read one copy of (w, a)
+        calls = []
+        coefficients = solver._coefficients
+        monkeypatch.setattr(solver, "_coefficients",
+                            lambda *args: calls.append(args)
+                            or coefficients(*args))
+        sc = make_scenario_b()
+        solve_partial_info(sc)
+        brute_force_oracle(sc, 0.25)
+        oracle_resolution_bound(sc, 0.25)
+        assert len(calls) == 1
+        assert sc.coefficients is sc.coefficients
+
     def test_grid_contains_endpoint(self):
         grid = _size_grid(1.0, 0.3)
         assert grid[0] == 0.0
@@ -490,3 +629,13 @@ class TestOracle:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             brute_force_oracle(make_scenario_a(), 0.0)
+
+    def test_point_cap(self, monkeypatch):
+        # a grid that could pass the cap is refused before it is built
+        monkeypatch.setattr(solver, "MAX_GRID_POINTS", 12)
+        assert _size_grid(10.0, 1.0).shape == (11,)
+        assert _size_grid(10.5, 1.0).shape == (12,)
+        for s_max, step in ((11.0, 1.0), (10.0, 0.9), (10.0, 5e-324)):
+            with pytest.raises(ValidationError) as err:
+                _size_grid(s_max, step)
+            assert err.value.field == "grid_oracle"
