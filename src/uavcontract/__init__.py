@@ -17,16 +17,14 @@ from .errors import (InsufficientData, NonFiniteOutput, NotConverged,
                      ValidationError, ZeroCapacity)
 from .game import (ContractItem, ContractMenu, FeasibilityReport, Scenario,
                    UavType, defensive_effectiveness, eligible_types,
-                   gcs_utility, item_for, uav_utility, verify_feasibility)
+                   gcs_utility, uav_utility, verify_feasibility)
 from .phc import (EpisodeLog, PhcParams, PolicyTables, TrainResult,
                   action_grids, convergence_check, convergence_slot,
-                  hotboot, perturb_scenario, phc_update, select_action,
-                  train, with_default_r_max)
+                  hotboot, perturb_scenario, train, with_default_r_max)
 from .runner import (MetricsRow, run_compare, run_mode, run_phc, run_solve,
                      run_sweep_cost, run_sweep_population)
-from .solver import (SolverTrace, brute_force_oracle, iron, linear_contract,
-                     menu_utilities, objective_term, optimal_rewards,
-                     optimal_vdd_unconstrained, oracle_resolution_bound,
+from .solver import (SolverTrace, brute_force_oracle, linear_contract,
+                     menu_utilities, optimal_rewards, oracle_resolution_bound,
                      solve_complete_info, solve_partial_info,
                      uniform_contract)
 
@@ -40,15 +38,13 @@ __all__ = [
     "SpeedViolation", "UavContractError", "ValidationError", "ZeroCapacity",
     "ContractItem", "ContractMenu", "FeasibilityReport", "Scenario",
     "UavType", "defensive_effectiveness", "eligible_types", "gcs_utility",
-    "item_for", "uav_utility", "verify_feasibility",
+    "uav_utility", "verify_feasibility",
     "EpisodeLog", "PhcParams", "PolicyTables", "TrainResult",
     "action_grids", "convergence_check", "convergence_slot", "hotboot",
-    "perturb_scenario", "phc_update", "select_action", "train",
-    "with_default_r_max",
+    "perturb_scenario", "train", "with_default_r_max",
     "MetricsRow", "run_compare", "run_mode", "run_phc", "run_solve",
     "run_sweep_cost", "run_sweep_population",
-    "SolverTrace", "brute_force_oracle", "iron", "linear_contract",
-    "menu_utilities", "objective_term", "optimal_rewards",
-    "optimal_vdd_unconstrained", "oracle_resolution_bound",
+    "SolverTrace", "brute_force_oracle", "linear_contract",
+    "menu_utilities", "optimal_rewards", "oracle_resolution_bound",
     "solve_complete_info", "solve_partial_info", "uniform_contract",
 ]

@@ -4,9 +4,9 @@
 of a batch: the GCS's item-wide policy in whole-array numpy calls, each row
 over its own support (`_Support`), the rest per row in Python floats.  It
 follows the scalar update rule `phc_step` and draw `sample_index` bit for
-bit, and the tests hold it to a one-slot-at-a-time loop over those two.
-`phc_step` and `sample_index` also stand behind the public `phc_update`
-and `select_action`; `explore_rate` is both sides' exploration schedule.
+bit.  Those two, and the one-slot-at-a-time loop over them that the tests
+hold it to, live in ``tests/reference_kernels.py``.  `explore_rate` is
+both sides' exploration schedule.
 """
 
 from __future__ import annotations
@@ -15,54 +15,6 @@ import math
 from bisect import bisect_left
 
 import numpy as np
-
-
-def sample_index(row, u):
-    """Inverse-CDF draw from a probability row using one uniform u.
-
-    Returns the first index whose running sum exceeds u, or the last index
-    when rounding leaves u above the final sum.
-    """
-    acc = 0.0
-    for i in range(row.shape[0] - 1):
-        acc += row[i]
-        if u < acc:
-            return i
-    return row.shape[0] - 1
-
-
-def phc_step(q, pi, state, action, payoff, next_state, rate, discount, step):
-    """One learner update: Bellman step on Q, then nudge pi toward greedy.
-
-    The greedy action is read from the just-updated Q row (first index wins
-    ties).  The pi row gains ``step`` on the greedy action, loses
-    ``step / n_actions`` elsewhere, and is clamped to [0, 1] and
-    renormalised by its running sum, in index order, so it stays a
-    distribution.
-    """
-    best_next = q[next_state, 0]
-    for i in range(1, q.shape[1]):
-        if q[next_state, i] > best_next:
-            best_next = q[next_state, i]
-    q[state, action] = ((1.0 - rate) * q[state, action]
-                        + rate * (payoff + discount * best_next))
-    greedy = 0
-    for i in range(1, q.shape[1]):
-        if q[state, i] > q[state, greedy]:
-            greedy = i
-    n = pi.shape[1]
-    dec = step / n
-    total = 0.0
-    for i in range(n):
-        p = pi[state, i] + step if i == greedy else pi[state, i] - dec
-        if p < 0.0:
-            p = 0.0
-        elif p > 1.0:
-            p = 1.0
-        pi[state, i] = p
-        total += p
-    for i in range(n):
-        pi[state, i] /= total
 
 
 def explore_rate(visits, horizon, floor):
@@ -112,10 +64,10 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
     holds each row's policy on its own support (`_Support`); then, per row
     in Python floats, the UAV answers and both sides update the one
     Q entry the slot touched, read and written through memoryviews of the
-    tables.  Both follow `sample_index` and `phc_step` bit for bit: the
-    same operations in the same order, running sums as sequential
-    accumulations, ties to the first index, and the GCS's log term read
-    from a ``math.log1p`` table.
+    tables.  Both follow the scalar `sample_index` and `phc_step` of
+    ``tests/reference_kernels.py`` bit for bit: the same operations in the
+    same order, running sums as sequential accumulations, ties to the
+    first index, and the GCS's log term read from a ``math.log1p`` table.
 
     Each row's greedy item, and its Q value, are kept in Python from one
     ``argmax`` at entry.  A slot changes one GCS Q entry per row, so the

@@ -42,8 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (overrides config)")
         sp.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="single seed overriding the config's list")
-        sp.add_argument("--oracle", action="store_true",
-                        help="cross-check against the exact grid oracle")
+        if verb == "solve":
+            sp.add_argument("--oracle", action="store_true",
+                            help="cross-check against the exact grid oracle")
         if verb == "phc":
             sp.add_argument("--strict", action="store_true",
                             help="exit 4 when any seed fails the "
@@ -66,7 +67,8 @@ def main(argv=None) -> int:
     out_dir = args.out if args.out is not None else config.output_dir
     tic = time.perf_counter()
     try:
-        result = run_mode(config, args.out, oracle=args.oracle,
+        result = run_mode(config, args.out,
+                          oracle=getattr(args, "oracle", False),
                           strict=getattr(args, "strict", False),
                           config_digest=digest)
     except NotConverged as exc:

@@ -270,15 +270,6 @@ def eligible_types(scenario: Scenario) -> list[UavType]:
     return list(scenario.eligible)
 
 
-def item_for(scenario: Scenario, menu: ContractMenu,
-             uav_type: UavType) -> ContractItem:
-    """Menu item assigned to the given type (menus are in scenario order)."""
-    for ty, item in zip(scenario.types, menu.items):
-        if ty.index == uav_type.index:
-            return item
-    raise KeyError(f"type index {uav_type.index} not in scenario")
-
-
 def verify_feasibility(scenario: Scenario, menu: ContractMenu,
                        tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
     """Check IR for every eligible type, IC for every ordered pair, and

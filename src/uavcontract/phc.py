@@ -200,25 +200,6 @@ class PolicyTables:
     def check(self) -> None:
         _check_tables(self.q, self.pi, self.visits)
 
-    def copy(self) -> "PolicyTables":
-        return PolicyTables(q=self.q.copy(), pi=self.pi.copy(),
-                            visits=self.visits.copy())
-
-
-def phc_update(tables: PolicyTables, state: int, action: int, payoff: float,
-               next_state: int, rate: float, discount: float,
-               step: float) -> PolicyTables:
-    """Single in-place learning step; returns the same tables."""
-    _kernels.phc_step(tables.q, tables.pi, state, action, float(payoff),
-                      next_state, rate, discount, step)
-    return tables
-
-
-def select_action(tables: PolicyTables, state: int,
-                  rng: np.random.Generator) -> int:
-    """Sample an action index from the state's policy row."""
-    return int(_kernels.sample_index(tables.pi[state], rng.random()))
-
 
 @dataclass(frozen=True)
 class EpisodeLog:
@@ -260,18 +241,6 @@ class EpisodeLog:
     def signed(self) -> np.ndarray:
         """Whether the UAV signed the posted item, shape (slots, types)."""
         return self.gcs_state == 1
-
-    def equals(self, other: "EpisodeLog") -> bool:
-        """Bit-exact comparison of two logs."""
-        return (self.type_indices == other.type_indices
-                and np.array_equal(self.reward_grid, other.reward_grid)
-                and np.array_equal(self.size_grid, other.size_grid)
-                and np.array_equal(self.reward_index, other.reward_index)
-                and np.array_equal(self.size_index, other.size_index)
-                and np.array_equal(self.gcs_state, other.gcs_state)
-                and np.array_equal(self.uav_state, other.uav_state)
-                and np.array_equal(self.uav_utility, other.uav_utility)
-                and np.array_equal(self.gcs_term, other.gcs_term))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .game import (NULL_ITEM, ContractItem, ContractMenu, Scenario, _items,
-                   eligible_types, uav_utility)
+                   uav_utility)
+# unused here; kept as a module attribute for perfbench/tracing.py to wrap
+from .game import eligible_types  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -57,15 +59,6 @@ def _coefficients(scenario: Scenario):
     return scenario.weights, tuple(a)
 
 
-def objective_term(scenario: Scenario, j: int, s: float) -> float:
-    """Relaxed objective contribution of eligible position j (1-based) at size s."""
-    order = eligible_types(scenario)
-    if not 1 <= j <= len(order):
-        raise IndexError(f"eligible position {j} out of range 1..{len(order)}")
-    w, a = scenario.coefficients
-    return w[j - 1] * math.log1p(s) - a[j - 1] * s
-
-
 def _maximizer(scenario: Scenario, w: float, a: float) -> float:
     """Maximizer of w*ln(1+s) - a*s over [0, s_max].
 
@@ -79,17 +72,15 @@ def _maximizer(scenario: Scenario, w: float, a: float) -> float:
 
 
 def _relaxed_sizes(scenario: Scenario, w, a) -> list[float]:
+    """Relaxed per-position size maximizers, clamped to [0, s_max]."""
     if not w:
         raise ValueError("no eligible types: every delay exceeds t_max")
     return [_maximizer(scenario, wj, aj) for wj, aj in zip(w, a)]
 
 
-def optimal_vdd_unconstrained(scenario: Scenario) -> list[float]:
-    """Relaxed per-type size maximizers, clamped to [0, s_max]."""
-    return _relaxed_sizes(scenario, *scenario.coefficients)
-
-
 def _iron_trace(scenario: Scenario, w, a, sizes: list[float]):
+    """Closest non-decreasing repair of the relaxed sizes, and the pools
+    (start, end) it merged; monotone sizes come back unchanged."""
     if len(sizes) != len(w):
         raise ValueError(f"{len(sizes)} sizes for {len(w)} eligible types")
     # a stack of (start, end, shared value) pools over eligible positions:
@@ -106,19 +97,6 @@ def _iron_trace(scenario: Scenario, w, a, sizes: list[float]):
               for _ in range(start, end + 1)]
     return ironed, tuple((start, end) for start, end, _ in pools
                          if end > start)
-
-
-def iron(scenario: Scenario, sizes: list[float]) -> list[float]:
-    """Closest non-decreasing repair of the relaxed sizes.
-
-    Repeatedly merges a decreasing adjacent pair into a pool holding the
-    pooled objective's maximizer, re-checking merged pools against their
-    neighbours, until the sequence is non-decreasing.  Monotone input is
-    returned unchanged.
-    """
-    w, a = scenario.coefficients
-    ironed, _ = _iron_trace(scenario, w, a, sizes)
-    return ironed
 
 
 def optimal_rewards(scenario: Scenario, sizes: list[float]) -> list[float]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
@@ -73,3 +75,9 @@ def random_scenario(rng: np.random.Generator, max_types: int = 6,
         deployment_cost=float(rng.uniform(0.0, 2.0)),
         s_max=float(rng.uniform(*s_max_range)), t_max=t_max,
         vdd_demand=800.0, total_uavs=sum(ty.n for ty in types))
+
+
+def logs_equal(a, b) -> bool:
+    """Whether two `EpisodeLog`s hold the same bits in every field."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a))

@@ -5,7 +5,8 @@ tests hold it, bit for bit, to `train_loop` here, which plays the game one
 type and one slot at a time with `phc_step` on the UAV's rows and
 `phc_step_wide` on the GCS's.  The whole-row forms `sample_index_wide` and
 `phc_step_wide` are held in turn to the scalar `sample_index` and
-`phc_step` that the package keeps behind `select_action` and `phc_update`.
+`phc_step`, the learners' draw and update rule, which live here alone:
+the package runs them only inlined in `_kernels.train_loop`.
 `update_many_wide` applies a batch of updates through `phc_step_wide`, for
 the bulk simplex checks, and is held to the scalar `update_many`.
 """
@@ -14,9 +15,57 @@ import math
 
 import numpy as np
 
-from uavcontract._kernels import explore_rate, phc_step, sample_index
+from uavcontract._kernels import explore_rate
 
 SIGN = 0
+
+
+def sample_index(row, u):
+    """Inverse-CDF draw from a probability row using one uniform u.
+
+    Returns the first index whose running sum exceeds u, or the last index
+    when rounding leaves u above the final sum.
+    """
+    acc = 0.0
+    for i in range(row.shape[0] - 1):
+        acc += row[i]
+        if u < acc:
+            return i
+    return row.shape[0] - 1
+
+
+def phc_step(q, pi, state, action, payoff, next_state, rate, discount, step):
+    """One learner update: Bellman step on Q, then nudge pi toward greedy.
+
+    The greedy action is read from the just-updated Q row (first index wins
+    ties).  The pi row gains ``step`` on the greedy action, loses
+    ``step / n_actions`` elsewhere, and is clamped to [0, 1] and
+    renormalised by its running sum, in index order, so it stays a
+    distribution.
+    """
+    best_next = q[next_state, 0]
+    for i in range(1, q.shape[1]):
+        if q[next_state, i] > best_next:
+            best_next = q[next_state, i]
+    q[state, action] = ((1.0 - rate) * q[state, action]
+                        + rate * (payoff + discount * best_next))
+    greedy = 0
+    for i in range(1, q.shape[1]):
+        if q[state, i] > q[state, greedy]:
+            greedy = i
+    n = pi.shape[1]
+    dec = step / n
+    total = 0.0
+    for i in range(n):
+        p = pi[state, i] + step if i == greedy else pi[state, i] - dec
+        if p < 0.0:
+            p = 0.0
+        elif p > 1.0:
+            p = 1.0
+        pi[state, i] = p
+        total += p
+    for i in range(n):
+        pi[state, i] /= total
 
 
 def sample_index_wide(row, u):

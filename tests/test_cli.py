@@ -53,13 +53,30 @@ class TestParser:
             assert args.verb == verb
             assert args.config == "x.yaml"
             assert args.out is None and args.seed is None
-            assert args.oracle is False
+            assert getattr(args, "oracle", None) is (
+                False if verb == "solve" else None)
 
     def test_strict_only_on_phc(self):
         parser = build_parser()
         assert parser.parse_args(["phc", "--config", "x", "--strict"]).strict
         with pytest.raises(SystemExit):
             parser.parse_args(["solve", "--config", "x", "--strict"])
+
+    @pytest.mark.parametrize("verb, config", [
+        ("compare", "scenario_a.yaml"),
+        ("sweep-cost", "scenario_a.yaml"),
+        ("sweep-population", "scenario_a.yaml"),
+        ("phc", "phc_single_type.yaml"),
+    ])
+    def test_oracle_refused_off_solve(self, verb, config, tmp_path):
+        # the other verbs never run the oracle, so the flag is a usage
+        # error there, before any output
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--config", str(DATA / config), "--out", str(out),
+                  "--seed", "0", "--oracle"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_config_required(self):
         with pytest.raises(SystemExit):

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uavcontract import (ContractItem, ContractMenu, FeasibilityReport,
-                         Scenario, UavType, ValidationError,
-                         defensive_effectiveness, eligible_types, gcs_utility,
-                         item_for, linear_contract, solve_complete_info,
-                         solve_partial_info, uav_utility, uniform_contract,
-                         verify_feasibility)
+from uavcontract import (ContractItem, ContractMenu, Scenario, UavType,
+                         ValidationError, defensive_effectiveness,
+                         eligible_types, gcs_utility, linear_contract,
+                         solve_complete_info, solve_partial_info, uav_utility,
+                         uniform_contract, verify_feasibility)
 from uavcontract.game import FEASIBILITY_TOL
 
 from conftest import make_scenario_a, random_scenario
+from reference_game import item_for, reference_feasibility
 
 sizes = st.floats(0.0, 1e3, allow_nan=False)
 rewards = st.floats(0.0, 1e3, allow_nan=False)
@@ -339,38 +339,6 @@ class TestFeasibility:
             if items[k].r < lo - tol or items[k].r > hi + tol:
                 return False
         return True
-
-
-def reference_feasibility(scenario, menu, tol=FEASIBILITY_TOL):
-    """The O(J^3) checker: every item looked up with `item_for`, every
-    utility from `uav_utility`."""
-    order = eligible_types(scenario)
-    ir = []
-    ic = []
-    for ty in order:
-        own = uav_utility(ty, item_for(scenario, menu, ty), scenario.t_max,
-                          scenario.deployment_cost)
-        if own < -tol:
-            ir.append((ty.index, own))
-        for other in order:
-            if other.index == ty.index:
-                continue
-            foreign = uav_utility(ty, item_for(scenario, menu, other),
-                                  scenario.t_max, scenario.deployment_cost)
-            if foreign > own + tol:
-                ic.append((ty.index, other.index, foreign - own))
-    sizes = [item_for(scenario, menu, ty).s for ty in order]
-    rewards = [item_for(scenario, menu, ty).r for ty in order]
-    return FeasibilityReport(
-        ir_violations=tuple(ir), ic_violations=tuple(ic),
-        size_monotone=all(a <= b + tol for a, b in zip(sizes, sizes[1:])),
-        reward_monotone=all(a <= b + tol
-                            for a, b in zip(rewards, rewards[1:])),
-        ineligible_nonzero=tuple(
-            ty.index for ty in scenario.types
-            if ty.t > scenario.t_max
-            and (item_for(scenario, menu, ty).s != 0.0
-                 or item_for(scenario, menu, ty).r != 0.0)))
 
 
 def perturbed(menu, rng):

@@ -1,0 +1,107 @@
+"""The package's public surface: the README's quickstart runs as printed,
+and every function that `uavcontract.__all__` exports is used by a mode,
+the quickstart or the benchmark.
+
+The quickstart is the ```` ```python ```` blocks of ``README.md``, run in
+order in one namespace.  The surface guard traces function entries with
+``sys.setprofile`` while every CLI verb runs on the ``tests/data``
+configs (``phc`` on one seed, so in this process) and the quickstart
+runs; a public function that none of them enters, and that the benchmark
+does not read (`test_bench_sites.program_reads`), fails it by name.
+"""
+
+import importlib
+import inspect
+import re
+import sys
+from pathlib import Path
+
+import yaml
+
+import uavcontract
+from conftest import logs_equal
+from test_bench_sites import MODULES, RUN, WORKLOADS, program_reads
+from uavcontract.cli import main
+
+HERE = Path(__file__).parent
+DATA = HERE / "data"
+README = HERE.parent / "README.md"
+
+# public functions that wait on an open ROADMAP item
+EXEMPT = {
+    "step_mobility",    # item 6, contracts in a moving network
+}
+
+
+def quickstart_blocks():
+    text = README.read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
+
+
+def run_quickstart():
+    namespace = {"__name__": "readme"}
+    for block in quickstart_blocks():
+        exec(compile(block, str(README), "exec"), namespace)
+    return namespace
+
+
+def test_readme_quickstart_runs(capsys):
+    assert len(quickstart_blocks()) == 2
+    ns = run_quickstart()
+    utility = ns["uc"].gcs_utility(ns["scenario"], ns["menu"])
+    assert str(utility).startswith("56.1360")
+    assert str(utility) in capsys.readouterr().out.splitlines()
+    # "same bits as above": seed 0 of the batch is the one-run call
+    assert logs_equal(ns["results"][0].log, ns["result"].log)
+
+
+def cli_runs(tmp_path):
+    """Every verb on every config it runs on (``scenario_b.yaml`` sets
+    ``grid_oracle``, so its `solve` runs the oracle), and `solve` on a
+    scenario whose first type's delay comes from the channel model."""
+    raw = yaml.safe_load((DATA / "scenario_a.yaml").read_text())
+    raw["scenario"]["reference_bytes"] = 2.0e6
+    first = raw["scenario"]["types"][0]
+    del first["t"]
+    first["position"] = [80.0, 0.0, 60.0]
+    positioned = tmp_path / "positioned.yaml"
+    positioned.write_text(yaml.safe_dump(raw))
+    runs = [[verb, "--config", str(DATA / config)]
+            for verb in ("solve", "compare", "sweep-cost",
+                         "sweep-population")
+            for config in ("scenario_a.yaml", "scenario_b.yaml")]
+    runs.append(["solve", "--config", str(positioned)])
+    runs += [["phc", "--config", str(DATA / config), "--seed", "0"]
+             for config in ("phc_single_type.yaml", "phc_wide.yaml")]
+    return [run + ["--out", str(tmp_path / f"run{k}")]
+            for k, run in enumerate(runs)]
+
+
+def test_every_public_function_is_used(tmp_path):
+    runs = cli_runs(tmp_path)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(run) for run in runs]
+        run_quickstart()
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(runs)
+    prog = {name.lstrip("_"): importlib.import_module(f"uavcontract.{name}")
+            for name in MODULES}
+    read = {id(getattr(prog[module], name, None))
+            for module, name in program_reads(RUN) | program_reads(WORKLOADS)}
+    public = {name: getattr(uavcontract, name)
+              for name in uavcontract.__all__}
+    functions = {name: obj for name, obj in public.items()
+                 if inspect.isfunction(obj)}
+    assert set(EXEMPT) <= set(functions)
+    unused = sorted(name for name, obj in functions.items()
+                    if obj.__code__ not in entered and id(obj) not in read
+                    and name not in EXEMPT)
+    assert unused == [], f"exported, but nothing uses: {unused}"
