@@ -543,7 +543,16 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
 
 def run_mode(config: ExperimentConfig, out_dir=None, oracle: bool = False,
              strict: bool = False, config_digest: str | None = None):
-    """Dispatch on config.mode; returns the mode's result object."""
+    """Dispatch on config.mode; returns the mode's result object.
+
+    Raises ValidationError naming ``oracle`` or ``strict`` when the flag
+    is set for a mode that does not take it, before anything is written.
+    """
+    for flag, value, mode in (("oracle", oracle, "solve"),
+                              ("strict", strict, "phc")):
+        if value and config.mode != mode:
+            raise ValidationError(flag, f"applies to mode {mode} only, "
+                                        f"not {config.mode}")
     if config.mode == "solve":
         return run_solve(config, out_dir, oracle, config_digest)
     if config.mode == "compare":

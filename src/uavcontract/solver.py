@@ -212,7 +212,8 @@ def _size_grid(s_max: float, step: float) -> np.ndarray:
                            f"take about {span:.3g} grid points, and at most "
                            f"{MAX_GRID_POINTS} are allowed")
     n_steps = int(math.floor(span))
-    grid = np.arange(n_steps + 1) * step
+    grid = np.arange(n_steps + 1, dtype=float)
+    grid *= step
     if grid[-1] > s_max:
         grid[-1] = s_max
     elif s_max - grid[-1] > 1e-9 * step:
@@ -234,9 +235,14 @@ def brute_force_oracle(scenario: Scenario, grid_step: float) -> ContractMenu:
                  - (c_j - c_{j+1})*s*(n_{j+1} + ... + n_J),
 
     so a dynamic program over positions replaces the enumeration of all
-    C(M+J-1, J) tuples of an M-point grid with O(J*M) work.  Raises
-    ValueError naming the eligible position whose objective overflows to
-    NaN somewhere on the grid.
+    C(M+J-1, J) tuples of an M-point grid with O(J*M) work.  Only the
+    passes a pick or the NaN test reads are made: the last position has
+    no later positions, so its later-rent term and its suffix bonus are
+    zero and are skipped, and the first position's row is picked from
+    directly, with no suffix maximum.  Raises ValueError naming the
+    eligible position whose objective overflows to NaN somewhere on the
+    grid, or whose cost times s_max overflows, as the skipped zero times
+    that infinite term would.
     """
     order = scenario.eligible
     if not order:
@@ -245,18 +251,18 @@ def brute_force_oracle(scenario: Scenario, grid_step: float) -> ContractMenu:
     w, _ = scenario.coefficients
     logs = np.log1p(grid)
     c0 = scenario.deployment_cost
+    last = len(order) - 1
     # backward over positions: values[j][m] is f_j(grid[m]) plus the best
     # sum over positions after j with sizes at least grid[m], and best the
     # suffix maximum of the last row, best[m] = max(values[j][m:])
     values = np.empty((len(order), grid.shape[0]))
     term = np.empty_like(grid)
-    best = np.zeros_like(grid)
+    best = np.empty_like(grid)
     later_n = 0.0
     with np.errstate(invalid="ignore"):
         for pos in reversed(range(len(order))):
             ty = order[pos]
             n = float(ty.n)
-            next_c = order[pos + 1].c if pos + 1 < len(order) else 0.0
             # w*log1p(s) - n*(c*s + C0) - later_n*((c - next_c)*s) + best,
             # operation by operation
             value = np.multiply(logs, w[pos], out=values[pos])
@@ -264,29 +270,42 @@ def brute_force_oracle(scenario: Scenario, grid_step: float) -> ContractMenu:
             np.add(term, c0, out=term)
             np.multiply(term, n, out=term)
             np.subtract(value, term, out=value)
-            np.multiply(grid, ty.c - next_c, out=term)
-            np.multiply(term, later_n, out=term)
-            np.subtract(value, term, out=value)
-            np.add(value, best, out=value)
-            np.maximum.accumulate(value[::-1], out=best[::-1])
-            # the running max is NaN once any term is: an overflow to
-            # inf - inf leaves nothing to rank.  An infinite term still
-            # ranks, and the output guard refuses the utility it gives.
-            if math.isnan(best[0]):
-                raise ValueError(
-                    f"grid oracle: eligible position {pos + 1} (type "
-                    f"{ty.index}) has an objective term that overflows to "
-                    f"nan")
+            if pos < last:
+                np.multiply(grid, ty.c - order[pos + 1].c, out=term)
+                np.multiply(term, later_n, out=term)
+                np.subtract(value, term, out=value)
+                np.add(value, best, out=value)
+            elif math.isinf(ty.c * scenario.s_max):
+                # the skipped rent term, 0.0 * (c*s), is NaN where c*s
+                # overflows; c*s_max is the row's largest product
+                raise _overflow_error(pos, ty)
+            if pos > 0:
+                np.maximum.accumulate(value[::-1], out=best[::-1])
+                # the running max is NaN once any term is: an overflow
+                # to inf - inf leaves nothing to rank.  An infinite term
+                # still ranks, and the output guard refuses the utility
+                # it gives.
+                if math.isnan(best[0]):
+                    raise _overflow_error(pos, ty)
             later_n += n
     # forward: each size is the first best index at or above the last,
-    # the first maximum of the rest of its row
-    sizes = []
-    m = 0
-    for value in values:
+    # the first maximum of the rest of its row.  argmax takes the first
+    # NaN as the maximum, so the first row's NaN test is on its pick.
+    m = int(values[0].argmax())
+    if math.isnan(values[0, m]):
+        raise _overflow_error(0, order[0])
+    sizes = [float(grid[m])]
+    for value in values[1:]:
         m += int(value[m:].argmax())
         sizes.append(float(grid[m]))
     rewards = optimal_rewards(scenario, sizes)
     return _assemble_menu(scenario, sizes, rewards)
+
+
+def _overflow_error(pos: int, ty) -> ValueError:
+    return ValueError(f"grid oracle: eligible position {pos + 1} (type "
+                      f"{ty.index}) has an objective term that overflows "
+                      f"to nan")
 
 
 def oracle_resolution_bound(scenario: Scenario, grid_step: float) -> float:

@@ -200,16 +200,18 @@ def test_criterion_07_update_rule_fixed_points():
         reference_kernels.phc_step(cell.q, cell.pi, 0, 0, 10.0, 0, 0.7, 0.8,
                                    0.01)
     synth_ok = abs(float(cell.q[0, 0]) - 50.0) <= 1e-6
-    # policy rows survive a million arbitrary updates
-    rng = np.random.default_rng(7)
+    # policy rows survive a million updates of each side through the
+    # training loop: 50 seeds of 20 000 slots on a 4 x 5 item grid
     m = 1_000_000
-    tables = PolicyTables.cold(10, 20)
-    reference_kernels.update_many_wide(
-        tables.q, tables.pi, rng.integers(0, 10, m), rng.integers(0, 20, m),
-        rng.normal(scale=40.0, size=m), rng.integers(0, 10, m), 0.7, 0.8,
-        0.01)
+    seeds = 50
+    results = train(sc, PhcParams(reward_levels=3, size_levels=4),
+                    m // seeds, None,
+                    [np.random.default_rng(s) for s in range(seeds)])
+    assert sum(res.log.slots for res in results) == m
     try:
-        tables.check()
+        for res in results:
+            for tables in res.gcs_tables + res.uav_tables:
+                tables.check()
         simplex_ok = True
     except Exception:
         simplex_ok = False

@@ -482,10 +482,13 @@ class TestArbitraryLeaf:
             cfg = parse_or_reject(full_variant(path, value))
             if cfg is None:
                 continue
+            # one directory per mode: a second manifest.json renamed
+            # over the first would flush the file system every example
             with tempfile.TemporaryDirectory() as tmp:
-                run_compare(cfg, tmp)
-                run_solve(cfg, tmp)
-                for name in ("compare.csv", "menu.csv", "summary.json"):
+                run_compare(cfg, Path(tmp) / "compare")
+                run_solve(cfg, Path(tmp) / "solve")
+                for name in ("compare/compare.csv", "solve/menu.csv",
+                             "solve/summary.json"):
                     text = (Path(tmp) / name).read_text()
                     assert not NON_FINITE.search(text), (path, name, text)
             # the complete-information menu is not IC by design

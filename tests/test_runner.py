@@ -12,8 +12,9 @@ import pytest
 
 from uavcontract import (NonFiniteOutput, NotConverged, ValidationError,
                          gcs_utility, load_config, parse_config,
-                         run_compare, run_phc, run_solve, run_sweep_cost,
-                         run_sweep_population, solve_partial_info)
+                         run_compare, run_mode, run_phc, run_solve,
+                         run_sweep_cost, run_sweep_population,
+                         solve_partial_info)
 from uavcontract.phc import (EpisodeLog, hotboot, perturb_scenario, train,
                              with_default_r_max)
 from uavcontract import runner
@@ -234,6 +235,25 @@ class TestSweeps:
                                   populations=(1,))
         with pytest.raises(ValidationError):
             run_sweep_population(cfg, tmp_path)
+
+
+class TestRunMode:
+    @pytest.mark.parametrize("flag, mode", [
+        ("oracle", "compare"), ("oracle", "sweep-cost"),
+        ("oracle", "sweep-population"), ("oracle", "phc"),
+        ("strict", "compare"), ("strict", "solve"), ("strict", "sweep-cost"),
+        ("strict", "sweep-population")])
+    def test_flag_off_its_mode_is_refused(self, flag, mode, tmp_path):
+        # only solve runs the oracle and only phc has a verdict to be
+        # strict about: the flag is refused before anything is written
+        import dataclasses
+        cfg = (phc_config() if mode == "phc" else dataclasses.replace(
+            load_config(DATA / "scenario_a.yaml"), mode=mode))
+        with pytest.raises(ValidationError) as err:
+            run_mode(cfg, tmp_path / "out", **{flag: True})
+        assert err.value.field == flag
+        assert mode in str(err.value)
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunPhc:

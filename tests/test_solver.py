@@ -616,6 +616,38 @@ class TestOracle:
         assert f"eligible position {pos + 1} (type {pos + 1})" in str(
             got.value)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_cost_overflow_as_first_form(self):
+        # c1 = 1e308 on the types from k on, and on a lone type, makes
+        # c*s +inf past s = 1.8: at the last eligible position the first
+        # form's 0.0 * inf is NaN and refuses, elsewhere the -inf terms
+        # rank
+        scenarios = [single(1e308, s_max=20.0)]
+        for k in range(3):
+            types = [UavType(index=j + 1,
+                             c1=1e308 if j >= k else 0.9 - 0.3 * j,
+                             c2=0.0, t=1.0, n=3)
+                     for j in range(3)]
+            scenarios.append(Scenario(
+                types=tuple(types), satisfaction_factor=6.0,
+                deployment_cost=1.0, s_max=20.0, t_max=2.0,
+                vdd_demand=800.0, total_uavs=9))
+        outcomes = []
+        for sc in scenarios:
+            try:
+                first = binding_menu(sc, reference_oracle_sizes(sc, 0.5))
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    brute_force_oracle(sc, 0.5)
+                assert str(got.value) == str(exc)
+                outcomes.append(str(exc))
+            else:
+                assert repr(brute_force_oracle(sc, 0.5)) == repr(first)
+                outcomes.append("menu")
+        nan = ("grid oracle: eligible position {0} (type {0}) has an "
+               "objective term that overflows to nan")
+        assert outcomes == [nan.format(1), nan.format(3), "menu", "menu"]
+
     def test_coefficients_derived_once(self, monkeypatch):
         # the solve, the oracle and the bound read one copy of (w, a)
         calls = []
