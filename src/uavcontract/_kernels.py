@@ -106,12 +106,9 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
     g_signed = np.multiply(count[:, None], reward_of)
     np.subtract(np.multiply(weight[:, None], log_at), g_signed, out=g_signed)
     horizon = explore_visits * items
-    g_sample = np.empty((slots, rows), dtype=bool)
-    for r in range(rows):
-        seen = visits_g[r, 0] + np.arange(slots)
-        g_sample[:, r] = uniforms[:, r, 0] >= np.where(
-            seen >= horizon, floor,
-            1.0 - (1.0 - floor) * seen / max(horizon, 1))
+    seen = visits_g[:, 0] + np.arange(slots)[:, None]
+    g_sample = uniforms[:, :, 0] >= np.where(
+        seen >= horizon, floor, 1.0 - (1.0 - floor) * seen / max(horizon, 1))
     sampled = g_sample.sum(axis=1).tolist()
     samples = g_sample.tolist()
     picks = np.minimum((uniforms[:, :, 1] * items).astype(np.int64),

@@ -87,6 +87,11 @@ class ExperimentConfig:
             if not 0 <= seed < _MAX_SEED:
                 raise ValidationError(f"seeds[{i}]",
                                       f"must lie in [0, 2**64), got {seed}")
+            # a seed's files are named by it, so a repeat would write them
+            # twice, and in two processes at once
+            if seed in self.seeds[:i]:
+                raise ValidationError(f"seeds[{i}]",
+                                      f"repeats seed {seed}")
         check_positive(self, [name for name in ("grid_oracle", "linear_price")
                               if getattr(self, name) is not None])
         if not self.populations:

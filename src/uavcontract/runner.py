@@ -98,13 +98,28 @@ def json_text(file: str, data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_text_atomic(path: Path, text: str) -> None:
+def _write_chunks(path: Path, chunks) -> None:
+    """Write the strings of ``chunks`` to ``path`` in UTF-8 with '\\n'
+    newlines, through a temp file renamed into place."""
     # the directory is made at the first write, so a run refused before
     # it writes anything leaves none behind
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as stream:
+            for chunk in chunks:
+                stream.write(chunk)
+        # ext4 flushes the data of a file renamed over another one, so the
+        # old file goes first: a reader sees it, no file or the new one
+        path.unlink(missing_ok=True)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    _write_chunks(path, (text,))
 
 
 def _package_version() -> str:
@@ -316,6 +331,10 @@ TRAJECTORY_HEADER = ("slot,type,gcs_state,uav_state,reward,size,"
                      "uav_utility,gcs_term")
 
 
+# slots of a trajectory CSV built and written at a time
+TRAJECTORY_CHUNK_SLOTS = 2048
+
+
 def _formatted(values: np.ndarray, strings: dict) -> list[str]:
     """`fmt` of each value, each distinct value formatted once and kept in
     ``strings``.  (Equal values format alike: `fmt` writes -0.0 as 0.)"""
@@ -325,56 +344,114 @@ def _formatted(values: np.ndarray, strings: dict) -> list[str]:
     return list(map(strings.__getitem__, values))
 
 
-def trajectory_text(file: str, log: EpisodeLog, strings: dict) -> str:
-    """The trajectory CSV of one log: a line per slot and column, in order.
+def _log_fields(log: EpisodeLog) -> tuple:
+    return (log.gcs_state, log.uav_state, log.reward_index, log.size_index,
+            log.uav_utility, log.gcs_term)
 
-    In a log `train` writes, every cell but its slot number is a function
-    of (column, posted item, answer), so cells are coded by those and each
-    distinct tail is built, and checked finite, once.  A cell whose fields
-    differ from the first cell of its code, as a hand-built log may hold,
-    is built on its own, and so is a NaN payoff, which equals nothing.
-    ``strings`` maps values to their `fmt` strings and gains each value
-    met for the first time: the logs of one run share it, since they share
-    the grids and, where the seeds train one scenario, the payoffs.
-    """
-    slots, width = log.reward_index.shape
-    column = np.broadcast_to(np.arange(width), (slots, width))
-    code = (log.uav_state * 2 + log.gcs_state) * width + column
-    _, first, inverse = np.unique(code.ravel(), return_index=True,
+
+def _refusal(file: str, log: EpisodeLog) -> NonFiniteOutput:
+    """The refusal of a log holding a non-finite value, naming the value
+    the whole-log form of `trajectory_text` met first: each code's first
+    cell in code order, then each cell unlike its code's first."""
+    width = log.reward_index.shape[1]
+    code = ((log.uav_state * 2 + log.gcs_state) * width
+            + np.arange(width)).ravel()
+    _, first, inverse = np.unique(code, return_index=True,
                                   return_inverse=True)
-    fields = [field.ravel() for field in (
-        log.gcs_state, log.uav_state, log.reward_index, log.size_index,
-        log.uav_utility, log.gcs_term)]
-    # cells of one code with equal items and answers share a column, even
-    # where the code wraps, so the column needs no comparison
+    fields = [field.ravel() for field in _log_fields(log)]
     odd = np.zeros(code.size, dtype=bool)
     for flat in fields:
         odd |= flat != flat.take(first).take(inverse)
-    singles = np.flatnonzero(odd)
-    inverse[singles] = first.size + np.arange(singles.size)
-    cells = np.concatenate([first, singles])
-    answer, item, reward, size, uav, gcs = (flat.take(cells)
-                                            for flat in fields)
-    values = {"reward": log.reward_grid.take(reward),
-              "size": log.size_grid.take(size),
-              "uav_utility": uav, "gcs_term": gcs}
-    for key, value in values.items():
+    cells = np.concatenate([first, np.flatnonzero(odd)])
+    for key, value in (
+            ("reward", log.reward_grid.take(fields[2].take(cells))),
+            ("size", log.size_grid.take(fields[3].take(cells))),
+            ("uav_utility", fields[4].take(cells)),
+            ("gcs_term", fields[5].take(cells))):
         bad = ~np.isfinite(value)
         if bad.any():
-            raise NonFiniteOutput(file, key, value[bad][0])
+            return NonFiniteOutput(file, key, value[bad][0])
+    raise AssertionError("no non-finite value in the log")
+
+
+def trajectory_text(file: str, log: EpisodeLog, strings: dict):
+    """The trajectory CSV of one log, a line per slot and column in order,
+    as an iterator of strings of `TRAJECTORY_CHUNK_SLOTS` slots each.
+
+    Every value is checked finite, over the whole log, before this
+    returns, so a refused log leaves nothing written.  In a log `train`
+    writes, every cell but its slot number is a function of (column,
+    posted item, answer), so cells are coded by those: each code's first
+    cell is kept in a table indexed by code, filled as the chunks meet
+    new codes, and its tail is built once.  A cell whose fields differ
+    from its code's first cell, or whose code lies outside the table, as
+    a hand-built log may hold, is built on its own.  ``strings`` maps
+    values to their `fmt` strings and gains each value met for the first
+    time: the logs of one run share it, since they share the grids and,
+    where the seeds train one scenario, the payoffs.
+    """
+    for lo in range(0, log.slots, TRAJECTORY_CHUNK_SLOTS):
+        part = slice(lo, lo + TRAJECTORY_CHUNK_SLOTS)
+        if not all(np.isfinite(value).all() for value in (
+                log.reward_grid.take(log.reward_index[part]),
+                log.size_grid.take(log.size_index[part]),
+                log.uav_utility[part], log.gcs_term[part])):
+            raise _refusal(file, log)
+    return _trajectory_chunks(log, strings)
+
+
+def _trajectory_chunks(log: EpisodeLog, strings: dict):
+    fields = _log_fields(log)
+    slots, width = log.reward_index.shape
+    codes = 2 * log.reward_grid.size * log.size_grid.size * width
+    # per code: its first cell's fields and the place of its tail, -1
+    # until the code is met
+    firsts = [np.zeros(codes, dtype=field.dtype) for field in fields]
+    tail_of = np.full(codes, -1, dtype=np.int64)
+    tails: list[str] = []
     # each grid point is formatted once, and the cells index its string
     reward_text = _formatted(log.reward_grid, strings)
     size_text = _formatted(log.size_grid, strings)
-    types = np.array(log.type_indices).take(cells % width)
-    tails = list(map("{},{},{},{},{},{},{}".format, types.tolist(),
-                     answer.tolist(), item.tolist(),
-                     map(reward_text.__getitem__, reward.tolist()),
-                     map(size_text.__getitem__, size.tolist()),
-                     _formatted(uav, strings), _formatted(gcs, strings)))
-    slot_of = np.repeat(np.arange(1, slots + 1), width)
-    return TRAJECTORY_HEADER + "\n" + "".join(map(
-        "{},{}\n".format, slot_of.tolist(),
-        map(tails.__getitem__, inverse.tolist())))
+    types = np.array(log.type_indices)
+
+    def built(part, cells):
+        answer, item, reward, size, uav, gcs = (flat.take(cells)
+                                                for flat in part)
+        return list(map("{},{},{},{},{},{},{}".format,
+                        types.take(cells % width).tolist(), answer.tolist(),
+                        item.tolist(),
+                        map(reward_text.__getitem__, reward.tolist()),
+                        map(size_text.__getitem__, size.tolist()),
+                        _formatted(uav, strings), _formatted(gcs, strings)))
+
+    yield TRAJECTORY_HEADER + "\n"
+    for lo in range(0, slots, TRAJECTORY_CHUNK_SLOTS):
+        hi = min(lo + TRAJECTORY_CHUNK_SLOTS, slots)
+        part = [field[lo:hi].ravel() for field in fields]
+        code = ((fields[1][lo:hi] * 2 + fields[0][lo:hi]) * width
+                + np.arange(width)).ravel()
+        odd = (code < 0) | (code >= codes)
+        code[odd] = 0
+        new = ~odd & (tail_of.take(code) < 0)
+        if new.any():
+            fresh, at = np.unique(code[new], return_index=True)
+            at = np.flatnonzero(new).take(at)
+            tail_of[fresh] = len(tails) + np.arange(fresh.size)
+            for first, flat in zip(firsts, part):
+                first[fresh] = flat.take(at)
+            tails.extend(built(part, at))
+        # cells of one code with equal items and answers share a column,
+        # even where the code wraps, so the column needs no comparison
+        for first, flat in zip(firsts, part):
+            odd |= flat != first.take(code)
+        index = tail_of.take(code)
+        singles = np.flatnonzero(odd)
+        index[singles] = len(tails) + np.arange(singles.size)
+        tails.extend(built(part, singles))
+        yield "".join(map("{},{}\n".format,
+                          np.repeat(np.arange(lo + 1, hi + 1), width).tolist(),
+                          map(tails.__getitem__, index.tolist())))
+        del tails[len(tails) - singles.size:]
 
 
 def _usable_cpus() -> int:
@@ -411,8 +488,7 @@ def _phc_seed_group(config: ExperimentConfig, params, reference_items,
         verdicts = convergence_check(result.log, run.window, run.tolerance)
         slot = convergence_slot(result.log, run.window, run.tolerance)
         name = f"phc_seed{seed}.csv"
-        write_text_atomic(out / name,
-                          trajectory_text(name, result.log, strings))
+        _write_chunks(out / name, trajectory_text(name, result.log, strings))
         for type_index, verdict in zip(result.log.type_indices, verdicts):
             ref_item = reference_items[type_index]
             summaries.append(PhcSeedSummary(

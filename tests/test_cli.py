@@ -182,6 +182,18 @@ class TestExitCodes:
         assert "config error: seeds[0]: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_seed(self, tmp_path, capsys):
+        raw = yaml.safe_load((DATA / "phc_single_type.yaml").read_text())
+        raw["seeds"] = [5, 5, 5, 5]
+        cfg = tmp_path / "repeated.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "run"
+        code = main(["phc", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert ("config error: seeds[1]: repeats seed 5"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_success(self, tmp_path, capsys):
         code = main(["compare", "--config", str(DATA / "scenario_a.yaml"),
                      "--out", str(tmp_path)])

@@ -380,6 +380,20 @@ class TestOneBoundary:
             dataclasses.replace(cfg, seeds=(0, seed))
         assert err.value.field == "seeds[1]"
 
+    def test_repeated_seed_refused(self):
+        # a repeat would write its seed's files twice, in two processes
+        raw = base_raw()
+        for seeds, field in (([5, 5, 5, 5], "seeds[1]"),
+                             ([1, 2, 1], "seeds[2]")):
+            raw["seeds"] = seeds
+            with pytest.raises(ValidationError, match="repeats seed") as err:
+                parse_config(raw)
+            assert err.value.field == field
+        cfg = load_config(f"{DATA}/phc_single_type.yaml")
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(cfg, seeds=(0, 7, 0))
+        assert err.value.field == "seeds[2]"
+
 
 def full_raw():
     """The base config with every optional block and a derived delay."""

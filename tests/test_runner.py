@@ -73,6 +73,69 @@ def reference_trajectory_text(log):
     return "\n".join(reference_trajectory_lines(log)) + "\n"
 
 
+def first_trajectory_text(file, log, strings):
+    """The first form of `trajectory_text`: the whole log coded at once by
+    `np.unique`, each distinct tail built once and the CSV joined whole.
+    The streamed form must give its bytes and its refusals."""
+    def formatted(values):
+        values = values.tolist()
+        for value in set(values).difference(strings):
+            strings[value] = fmt(value)
+        return list(map(strings.__getitem__, values))
+
+    slots, width = log.reward_index.shape
+    column = np.broadcast_to(np.arange(width), (slots, width))
+    code = (log.uav_state * 2 + log.gcs_state) * width + column
+    _, first, inverse = np.unique(code.ravel(), return_index=True,
+                                  return_inverse=True)
+    fields = [field.ravel() for field in (
+        log.gcs_state, log.uav_state, log.reward_index, log.size_index,
+        log.uav_utility, log.gcs_term)]
+    odd = np.zeros(code.size, dtype=bool)
+    for flat in fields:
+        odd |= flat != flat.take(first).take(inverse)
+    singles = np.flatnonzero(odd)
+    inverse[singles] = first.size + np.arange(singles.size)
+    cells = np.concatenate([first, singles])
+    answer, item, reward, size, uav, gcs = (flat.take(cells)
+                                            for flat in fields)
+    values = {"reward": log.reward_grid.take(reward),
+              "size": log.size_grid.take(size),
+              "uav_utility": uav, "gcs_term": gcs}
+    for key, value in values.items():
+        bad = ~np.isfinite(value)
+        if bad.any():
+            raise NonFiniteOutput(file, key, value[bad][0])
+    reward_text = formatted(log.reward_grid)
+    size_text = formatted(log.size_grid)
+    types = np.array(log.type_indices).take(cells % width)
+    tails = list(map("{},{},{},{},{},{},{}".format, types.tolist(),
+                     answer.tolist(), item.tolist(),
+                     map(reward_text.__getitem__, reward.tolist()),
+                     map(size_text.__getitem__, size.tolist()),
+                     formatted(uav), formatted(gcs)))
+    slot_of = np.repeat(np.arange(1, slots + 1), width)
+    return runner.TRAJECTORY_HEADER + "\n" + "".join(map(
+        "{},{}\n".format, slot_of.tolist(),
+        map(tails.__getitem__, inverse.tolist())))
+
+
+def joined(file, log, strings):
+    """`trajectory_text`'s chunks joined into the whole CSV, the same text
+    at the default chunk length and at chunks of 1 and 7 slots, which cut
+    the short logs of these tests."""
+    default = runner.TRAJECTORY_CHUNK_SLOTS
+    texts = set()
+    try:
+        for chunk_slots in (default, 1, 7):
+            runner.TRAJECTORY_CHUNK_SLOTS = chunk_slots
+            texts.add("".join(trajectory_text(file, log, strings)))
+    finally:
+        runner.TRAJECTORY_CHUNK_SLOTS = default
+    assert len(texts) == 1
+    return texts.pop()
+
+
 class TestFmt:
     def test_nine_significant_digits(self):
         assert fmt(56.13603032723673) == "56.1360303"
@@ -538,7 +601,7 @@ class TestTrajectoryText:
     def test_matches_cell_by_cell_loop(self):
         log = two_type_log()
         assert len(log.type_indices) == 2
-        assert (trajectory_text("t.csv", log, {})
+        assert (joined("t.csv", log, {})
                 == reference_trajectory_text(log))
 
     def test_column_slices_of_a_batch(self):
@@ -549,7 +612,7 @@ class TestTrajectoryText:
         strings = {}
         for result in train(scenario, params, 300, None,
                             [np.random.default_rng(s) for s in (1, 2)]):
-            assert (trajectory_text("t.csv", result.log, strings)
+            assert (joined("t.csv", result.log, strings)
                     == reference_trajectory_text(result.log))
 
     def test_mismatching_cells_are_formatted_alone(self):
@@ -571,12 +634,12 @@ class TestTrajectoryText:
             uav_state=[(11, 1, -3), (12, 0, 10 ** 15)])
         want = reference_trajectory_text(hand)
         assert want != reference_trajectory_text(log)
-        assert trajectory_text("t.csv", hand, {}) == want
+        assert joined("t.csv", hand, {}) == want
         # a table filled by the unedited log, +0.0 included, serves too
         strings = {}
-        trajectory_text("t.csv", log, strings)
+        joined("t.csv", log, strings)
         assert 0.0 in strings
-        assert trajectory_text("t.csv", hand, strings) == want
+        assert joined("t.csv", hand, strings) == want
 
     def test_all_cells_distinct_or_all_equal(self):
         log = two_type_log(slots=50)
@@ -585,11 +648,11 @@ class TestTrajectoryText:
                               for name in ("reward_index", "size_index",
                                            "gcs_state", "uav_state",
                                            "uav_utility", "gcs_term")})
-        assert (trajectory_text("t.csv", same, {})
+        assert (joined("t.csv", same, {})
                 == reference_trajectory_text(same))
         ramp = edited(log, uav_utility=[(t, j, t + 0.5 * j)
                                         for t in range(50) for j in range(2)])
-        assert (trajectory_text("t.csv", ramp, {})
+        assert (joined("t.csv", ramp, {})
                 == reference_trajectory_text(ramp))
 
     @pytest.mark.parametrize("name, value", [
@@ -601,6 +664,93 @@ class TestTrajectoryText:
         with pytest.raises(NonFiniteOutput,
                            match=rf"^phc_seed7\.csv: {name} is "):
             trajectory_text("phc_seed7.csv", hand, {})
+
+
+def long_log():
+    """A trained two-type log of two chunks and 300 slots more, in which
+    one code of column 0 first appears in the third chunk and one cell of
+    the third chunk differs from its code's first cell in chunk 0."""
+    chunk = runner.TRAJECTORY_CHUNK_SLOTS
+    log = two_type_log(slots=2 * chunk + 300)
+    names = ("reward_index", "size_index", "gcs_state", "uav_state",
+             "uav_utility", "gcs_term")
+    fields = {name: getattr(log, name).copy() for name in names}
+    code = fields["uav_state"] * 2 + fields["gcs_state"]
+    late = code[2 * chunk + 5, 0]
+    donor = np.flatnonzero(code[:, 0] != late)[0]
+    # every earlier cell of that code takes a cell of another code
+    early = np.flatnonzero(code[:2 * chunk + 5, 0] == late)
+    for field in fields.values():
+        field[early, 0] = field[donor, 0]
+    code = fields["uav_state"] * 2 + fields["gcs_state"]
+    assert np.flatnonzero(code[:, 0] == late)[0] == 2 * chunk + 5
+    t = 2 * chunk + 50
+    assert (code[:chunk, 1] == code[t, 1]).any()
+    fields["uav_utility"][t, 1] += 0.125
+    return EpisodeLog(type_indices=log.type_indices,
+                      reward_grid=log.reward_grid, size_grid=log.size_grid,
+                      **fields)
+
+
+class TestStreamedTrajectory:
+    def test_matches_first_form_across_chunks(self):
+        log = long_log()
+        strings = {}
+        got = "".join(trajectory_text("t.csv", log, strings))
+        assert got == first_trajectory_text("t.csv", log, {})
+        assert got == reference_trajectory_text(log)
+        # a table filled by another log's text serves too
+        assert joined("t.csv", log, strings) == got
+
+    @pytest.mark.parametrize("cells", [
+        {"uav_utility": [(10, 1, math.nan)]},
+        {"gcs_term": [(10, 0, math.inf), (13, 1, -math.inf)]},
+        {"gcs_term": [(250, 1, math.nan)],
+         "uav_utility": [(20, 0, -math.inf), (30, 1, math.nan)]}])
+    def test_non_finite_cell_in_a_later_chunk(self, cells, tmp_path):
+        chunk = runner.TRAJECTORY_CHUNK_SLOTS
+        hand = edited(long_log(), **{
+            name: [(2 * chunk + t, j, value) for t, j, value in edits]
+            for name, edits in cells.items()})
+        with pytest.raises(NonFiniteOutput) as want:
+            first_trajectory_text("phc_seed7.csv", hand, {})
+        out = tmp_path / "out"
+        with pytest.raises(NonFiniteOutput) as got:
+            runner._write_chunks(out / "phc_seed7.csv", trajectory_text(
+                "phc_seed7.csv", hand, {}))
+        assert str(got.value) == str(want.value)
+        assert not out.exists()
+
+
+class TestWriteChunks:
+    def test_rerun_into_one_directory(self, tmp_path):
+        # the second run removes each old file before its rename
+        run_compare(load_config(DATA / "scenario_a.yaml"), tmp_path)
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        run_compare(load_config(DATA / "scenario_a.yaml"), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+        cfg = phc_config(seeds=[3, 4])
+        run_phc(cfg, tmp_path / "phc")
+        first = {p.name: p.read_bytes() for p in (tmp_path / "phc").iterdir()}
+        run_phc(cfg, tmp_path / "phc")
+        assert {p.name: p.read_bytes()
+                for p in (tmp_path / "phc").iterdir()} == first
+        assert no_leftover_tmp(tmp_path) and no_leftover_tmp(tmp_path / "phc")
+
+    def test_a_failing_chunk_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        runner.write_text_atomic(path, "old\n")
+
+        def chunks():
+            yield "new\n"
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            runner._write_chunks(path, chunks())
+        assert path.read_bytes() == b"old\n"
+        assert no_leftover_tmp(tmp_path)
+        runner._write_chunks(path, iter(["a,\u00e9\n", "b\n"]))
+        assert path.read_bytes() == "a,\u00e9\nb\n".encode("utf-8")
 
 
 class TestFiniteGuard:
