@@ -28,21 +28,19 @@ def explore_rate(visits, horizon, floor):
     return 1.0 - (1.0 - floor) * visits / horizon
 
 
-def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
-               count, c0, rate_g, disc_g, step_g, rate_u, disc_u, step_u,
-               visits_g, visits_u, explore_visits, explore_floor,
-               reward_idx, size_idx, gcs_state, uav_state, uav_pay, gcs_pay):
+def train_loop(q_g, pi_g, q_u, pi_u, uniforms, uav_payoff, gcs_payoff,
+               rate_g, disc_g, step_g, rate_u, disc_u, step_u, visits_g,
+               visits_u, explore_visits, explore_floor, item, signed):
     """Run the committed contract game for every row over all slots.
 
     Rows (types, or (seed, type) pairs) share nothing.  Per row and slot
-    the GCS posts one (size, reward) grid item, its action
-    ``k = size_index * len(rgrid) + reward_index`` from its single state;
+    the GCS posts one grid item ``k``, its action from its single state;
     the UAV observes the item, which is its state, and signs (action 0) or
-    declines (action 1).  A signed item pays the UAV ``r - c*s - c0`` and
-    the GCS ``weight*log1p(s) - count*r``; a declined one pays both sides
-    0.  Both updates close in the slot, each learner bootstrapping from the
-    state it is in, so a trade repeated every slot is valued at
-    payoff / (1 - discount).
+    declines (action 1).  A signed item pays the UAV ``uav_payoff[row, k]``
+    and the GCS ``gcs_payoff[row, k]``, the (rows, items) tables
+    `phc.train` builds; a declined one pays both sides 0.  Both updates
+    close in the slot, each learner bootstrapping from the state it is in,
+    so a trade repeated every slot is valued at payoff / (1 - discount).
 
     Each side explores: with a share falling linearly from 1 to
     ``explore_floor`` over ``explore_visits`` visits per item (the GCS's
@@ -55,9 +53,8 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
     Tables are (rows, states, actions) arrays updated in place; uniforms
     has shape (slots, rows, 4): draws 0 and 1 pick the GCS's item (explore
     coin, then action), draws 2 and 3 the UAV's answer.  The trajectory
-    arrays are (slots, rows), filled in place: the posted item's indices,
-    ``gcs_state`` 1 where the UAV signed and 0 where it declined (what the
-    GCS observes), ``uav_state`` the posted item, and both payoffs.
+    arrays ``item`` (the posted item) and ``signed`` (the answer) are
+    (slots, rows), filled in place.
 
     Each slot the GCS draws every row's item, and steps every row's
     item-wide policy, in a few whole-array numpy calls over a block that
@@ -66,8 +63,8 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
     Q entry the slot touched, read and written through memoryviews of the
     tables.  Both follow the scalar `sample_index` and `phc_step` of
     ``tests/reference_kernels.py`` bit for bit: the same operations in the
-    same order, running sums as sequential accumulations, ties to the
-    first index, and the GCS's log term read from a ``math.log1p`` table.
+    same order, running sums as sequential accumulations and ties to the
+    first index.
 
     Each row's greedy item, and its Q value, are kept in Python from one
     ``argmax`` at entry.  A slot changes one GCS Q entry per row, so the
@@ -82,29 +79,16 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
 
     Draws that do not depend on the tables (the GCS's explore coin, whose
     visits rise by one a slot, and its exploring pick) are taken for all
-    slots up front.  Only the posted item and the answer are kept per
-    slot, and the other trajectory columns are filled from them at the
-    end.  The tables must be C-contiguous, since they are updated through
-    flat views.
+    slots up front.  The tables, payoffs and trajectory arrays must be
+    C-contiguous, since they are read and written through flat views.
     """
-    for table in (q_g, pi_g, q_u, pi_u, visits_u):
+    for table in (q_g, pi_g, q_u, pi_u, visits_u, uav_payoff, gcs_payoff,
+                  item, signed):
         if not table.flags.c_contiguous:
             raise ValueError("train tables must be C-contiguous")
     slots, rows = uniforms.shape[0], uniforms.shape[1]
-    na = rgrid.shape[0]
-    items = na * sgrid.shape[0]
+    items = q_u.shape[1]
     floor = explore_floor
-    # what a signed item pays each side, per row and item, built in place
-    # so that no (rows, items) temporaries pile up
-    size_of = np.arange(items) // na
-    reward_of = rgrid[np.arange(items) - size_of * na]
-    size_at = sgrid[size_of]
-    log_at = np.array([math.log1p(s) for s in sgrid])[size_of]
-    u_signed = np.multiply(cost[:, None], size_at)
-    np.subtract(reward_of, u_signed, out=u_signed)
-    u_signed -= c0
-    g_signed = np.multiply(count[:, None], reward_of)
-    np.subtract(np.multiply(weight[:, None], log_at), g_signed, out=g_signed)
     horizon = explore_visits * items
     seen = visits_g[:, 0] + np.arange(slots)[:, None]
     g_sample = uniforms[:, :, 0] >= np.where(
@@ -123,8 +107,8 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
     qu = memoryview(q_u.reshape(-1))
     pu = memoryview(pi_u.reshape(-1))
     vu = memoryview(visits_u.reshape(-1))
-    us = memoryview(u_signed.reshape(-1))
-    gs = memoryview(g_signed.reshape(-1))
+    us = memoryview(uav_payoff.reshape(-1))
+    gs = memoryview(gcs_payoff.reshape(-1))
     draws = memoryview(np.ascontiguousarray(uniforms).reshape(-1))
     ev = int(explore_visits)
     u_share = [explore_rate(v, ev, floor) for v in range(ev + 1)]
@@ -136,10 +120,8 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
     row_at = [r * items for r in range(rows)]
     greedy = qg.argmax(axis=1).tolist()
     bests = [qgs[at + g] for at, g in zip(row_at, greedy)]
-    posted = np.empty((slots, rows), dtype=np.int64)
-    declined = np.empty((slots, rows), dtype=np.int64)
-    posts = memoryview(posted.reshape(-1))
-    answers = memoryview(declined.reshape(-1))
+    posts = memoryview(item.reshape(-1))
+    answers = memoryview(signed.reshape(-1))
     changed = list(range(rows))
     for t in range(slots):
         ks = picks[t]
@@ -156,22 +138,22 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
             vu[i] = seen + 1
             at = 4 * (base + r)
             if draws[at + 2] < u_share[seen if seen < ev else ev]:
-                no = draws[at + 3] >= 0.5
+                sign = draws[at + 3] < 0.5
             else:
-                no = draws[at + 3] >= pu[i + i]
-            answers[base + r] = no
+                sign = draws[at + 3] < pu[i + i]
+            answers[base + r] = sign
             s = i + i
             q0 = qu[s]
             q1 = qu[s + 1]
             best = q1 if q1 > q0 else q0
-            if no:
-                q1 = keep_u * q1 + rate_u * (0.0 + disc_u * best)
-                qu[s + 1] = q1
-                g_pay = 0.0
-            else:
+            if sign:
                 q0 = keep_u * q0 + rate_u * (us[i] + disc_u * best)
                 qu[s] = q0
                 g_pay = gs[i]
+            else:
+                q1 = keep_u * q1 + rate_u * (0.0 + disc_u * best)
+                qu[s + 1] = q1
+                g_pay = 0.0
             # the greedy answer can only pass 1 and the other only 0
             p0 = pu[s]
             p1 = pu[s + 1]
@@ -216,14 +198,6 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
         changed = []
     if slots:
         support.write_back()
-    offset = np.array(row_at)
-    uav_state[:] = posted
-    size_idx[:] = posted // na
-    reward_idx[:] = posted - size_idx * na
-    at = posted + offset
-    uav_pay[:] = np.where(declined, 0.0, u_signed.ravel().take(at))
-    gcs_pay[:] = np.where(declined, 0.0, g_signed.ravel().take(at))
-    gcs_state[:] = 1 - declined
 
 
 class _Support:

@@ -222,9 +222,10 @@ def _parse_channel(block) -> ChannelParams:
                      for key, value in block.items()})
 
 
-# the phc keys read as integers; every other phc key is a float
-_PHC_INTS = ("reward_levels", "size_levels", "slots", "hotboot_episodes",
-             "family_size", "slots_per_episode", "window")
+# the phc keys read as integers, those annotated int; every other phc key
+# is a float
+_PHC_INTS = frozenset(f.name for cls in (PhcParams, PhcRun)
+                      for f in dataclass_fields(cls) if f.type in (int, "int"))
 
 
 def _parse_phc(block) -> tuple[PhcParams, PhcRun]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InsufficientData, ValidationError, check_positive
-from .game import Scenario, UavType, eligible_types
+from .game import Scenario, eligible_types
 
 EXPLORE_VISITS = 30
 EXPLORE_FLOOR = 0.01
@@ -104,24 +104,29 @@ def action_grids(params: PhcParams,
 
 
 def check_payoffs(scenario: Scenario, params: PhcParams,
-                  spread: float = 0.0) -> None:
+                  spread: float | None = None) -> None:
     """Raise ValueError naming the first eligible type and payoff term that
     overflows on the action grids, so that a run whose tables would go
     non-finite is refused before it trains.
 
     A signed item (s, r) pays the UAV r - c*s - C0 and the GCS
     w*log(1+s) - n*r, with w = factor*n/t as in `Scenario.weights`, and a Q
-    value stays within a side's largest payoff over 1 - discount.  With
-    ``spread`` the terms cover every scenario `perturb_scenario` draws with
-    that range, whose costs and counts are at most 1 + spread times these.
+    value stays within a side's largest payoff over 1 - discount.  With a
+    ``spread`` the terms also cover every scenario `perturb_scenario` draws
+    with that range: costs at most 1 + spread times these, and each count
+    at most max(1, round(n*(1 + spread))), as it rounds them.
     """
     reward_grid, size_grid = action_grids(
         with_default_r_max(params, scenario), scenario.s_max)
     r_top, s_top = float(reward_grid[-1]), float(size_grid[-1])
-    grow = 1.0 + spread
+    grow = 1.0 if spread is None else 1.0 + spread
     c0 = scenario.deployment_cost
     for ty in eligible_types(scenario):
-        n = float(ty.n) * grow
+        n = float(ty.n)
+        if spread is not None:
+            n *= grow
+            if math.isfinite(n):
+                n = max(1.0, float(round(n)))
         weight = scenario.satisfaction_factor * n / ty.t
         cost = (ty.c1 * grow + ty.c2 * grow) * s_top + c0
         value = weight * math.log1p(s_top)
@@ -139,6 +144,20 @@ def check_payoffs(scenario: Scenario, params: PhcParams,
             if not math.isfinite(term):
                 raise ValueError(f"phc: type {ty.index}: {name} overflows "
                                  f"to {term}")
+
+
+def _signed_payoffs(reward_grid: np.ndarray, size_grid: np.ndarray,
+                    cost: np.ndarray, weight: np.ndarray, count: np.ndarray,
+                    c0: float) -> tuple[np.ndarray, np.ndarray]:
+    """What a signed item pays the UAV, r - c*s - C0, and the GCS,
+    w*log(1+s) - n*r, shape (rows, items) each: one row per entry of the
+    per-type ``cost``, ``weight`` and ``count``, and item k at size index
+    k // len(reward_grid) and reward index k % len(reward_grid)."""
+    rewards = np.tile(reward_grid, size_grid.size)
+    sizes = np.repeat(size_grid, reward_grid.size)
+    logs = np.repeat([math.log1p(s) for s in size_grid], reward_grid.size)
+    return (rewards - cost[:, None] * sizes - c0,
+            weight[:, None] * logs - count[:, None] * rewards)
 
 
 def _check_tables(q: np.ndarray, pi: np.ndarray, visits: np.ndarray) -> None:
@@ -203,29 +222,59 @@ class PolicyTables:
 
 @dataclass(frozen=True)
 class EpisodeLog:
-    """Per-slot trajectory for every learning type, plus the grids used.
+    """What the game decided each slot for every learning type, and what it
+    was played on.
 
-    All arrays have shape (slots, types); column j belongs to the type whose
-    1-based scenario index is ``type_indices[j]`` (descending-cost order).
-    ``reward_index`` / ``size_index`` give the posted item, ``uav_state``
-    its item index (size index * reward grid length + reward index),
-    ``gcs_state`` what the GCS observed (1 signed, 0 declined), and the two
-    payoffs are 0 on declined slots.
+    ``item`` and ``signed`` have shape (slots, types); column j belongs to
+    the type whose 1-based scenario index is ``type_indices[j]``
+    (descending-cost order).  ``item`` is the posted item's index, size
+    index * reward grid length + reward index, the UAV's state; ``signed``
+    is the UAV's answer, what the GCS observes.  ``uav_payoff`` and
+    ``gcs_payoff`` have shape (types, items): what a signed item pays each
+    side.  A declined item pays both 0.  Every other trajectory column is
+    derived from these.
     """
 
     type_indices: tuple[int, ...]
     reward_grid: np.ndarray
     size_grid: np.ndarray
-    reward_index: np.ndarray
-    size_index: np.ndarray
-    gcs_state: np.ndarray
-    uav_state: np.ndarray
-    uav_utility: np.ndarray
-    gcs_term: np.ndarray
+    item: np.ndarray
+    signed: np.ndarray
+    uav_payoff: np.ndarray
+    gcs_payoff: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = (len(self.type_indices),
+                 self.reward_grid.size * self.size_grid.size)
+        if self.item.ndim != 2 or self.item.shape[1] != shape[0]:
+            raise ValidationError("item", "must have one column per type")
+        if not np.issubdtype(self.item.dtype, np.integer):
+            raise ValidationError("item", "must hold integers")
+        if self.item.size and not (0 <= self.item.min()
+                                   and self.item.max() < shape[1]):
+            raise ValidationError("item", f"must lie in [0, {shape[1]})")
+        if self.signed.shape != self.item.shape:
+            raise ValidationError("signed", "must have the shape of item")
+        if self.signed.dtype != bool:
+            raise ValidationError("signed", "must hold booleans")
+        for name in ("uav_payoff", "gcs_payoff"):
+            if getattr(self, name).shape != shape:
+                raise ValidationError(name, "must have one row per type "
+                                            "and one column per item")
 
     @property
     def slots(self) -> int:
-        return self.reward_index.shape[0]
+        return self.item.shape[0]
+
+    @property
+    def reward_index(self) -> np.ndarray:
+        """Posted reward indices, shape (slots, types)."""
+        return self.item % self.reward_grid.size
+
+    @property
+    def size_index(self) -> np.ndarray:
+        """Posted size indices, shape (slots, types)."""
+        return self.item // self.reward_grid.size
 
     @property
     def rewards(self) -> np.ndarray:
@@ -237,10 +286,19 @@ class EpisodeLog:
         """Posted size values, shape (slots, types)."""
         return self.size_grid[self.size_index]
 
+    def _paid(self, payoff: np.ndarray) -> np.ndarray:
+        at = self.item + np.arange(payoff.shape[0]) * payoff.shape[1]
+        return np.where(self.signed, payoff.ravel().take(at), 0.0)
+
     @property
-    def signed(self) -> np.ndarray:
-        """Whether the UAV signed the posted item, shape (slots, types)."""
-        return self.gcs_state == 1
+    def uav_utility(self) -> np.ndarray:
+        """The UAV's payoff each slot, shape (slots, types)."""
+        return self._paid(self.uav_payoff)
+
+    @property
+    def gcs_term(self) -> np.ndarray:
+        """The GCS's payoff each slot, shape (slots, types)."""
+        return self._paid(self.gcs_payoff)
 
 
 @dataclass(frozen=True)
@@ -343,15 +401,13 @@ def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
     rows = len(gcs_tables)
     bounds = np.cumsum([0] + [len(order) for order in orders]).tolist()
     types = [ty for order in orders for ty in order]
-    cost = np.array([ty.c for ty in types])
-    weight = np.array([w for sc in scenarios for w in sc.weights])
-    count = np.array([float(ty.n) for ty in types])
-    reward_index = np.zeros((slots, rows), dtype=np.int64)
-    size_index = np.zeros((slots, rows), dtype=np.int64)
-    gcs_state = np.zeros((slots, rows), dtype=np.int64)
-    uav_state = np.zeros((slots, rows), dtype=np.int64)
-    uav_utility = np.zeros((slots, rows))
-    gcs_term = np.zeros((slots, rows))
+    uav_payoff, gcs_payoff = _signed_payoffs(
+        reward_grid, size_grid, np.array([ty.c for ty in types]),
+        np.array([w for sc in scenarios for w in sc.weights]),
+        np.array([float(ty.n) for ty in types]),
+        scenarios[0].deployment_cost)
+    item = np.empty((slots, rows), dtype=np.int64)
+    signed = np.empty((slots, rows), dtype=bool)
     # the kernel runs a block of slots at a time, so the uniforms it reads
     # stay SLOT_BLOCK slots long; blocks drawn in turn give each seed the
     # numbers one (slots, types, 4) draw would
@@ -360,29 +416,22 @@ def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
         uniforms = np.empty((block.stop - start, rows, 4))
         for g, lo, hi in zip(rngs, bounds, bounds[1:]):
             uniforms[:, lo:hi] = g.random((block.stop - start, hi - lo, 4))
-        _kernels.train_loop(q_g, pi_g, q_u, pi_u, uniforms, reward_grid,
-                            size_grid, cost, weight, count,
-                            scenarios[0].deployment_cost,
-                            params.learning_rate_gcs, params.discount_gcs,
-                            params.step_gcs, params.learning_rate_uav,
-                            params.discount_uav, params.step_uav,
-                            visits_g, visits_u, EXPLORE_VISITS,
-                            EXPLORE_FLOOR, reward_index[block],
-                            size_index[block], gcs_state[block],
-                            uav_state[block], uav_utility[block],
-                            gcs_term[block])
+        _kernels.train_loop(q_g, pi_g, q_u, pi_u, uniforms, uav_payoff,
+                            gcs_payoff, params.learning_rate_gcs,
+                            params.discount_gcs, params.step_gcs,
+                            params.learning_rate_uav, params.discount_uav,
+                            params.step_uav, visits_g, visits_u,
+                            EXPLORE_VISITS, EXPLORE_FLOOR, item[block],
+                            signed[block])
     _check_tables(q_g, pi_g, visits_g)
     _check_tables(q_u, pi_u, visits_u)
     results = []
     for order, lo, hi in zip(orders, bounds, bounds[1:]):
         log = EpisodeLog(type_indices=tuple(ty.index for ty in order),
                          reward_grid=reward_grid, size_grid=size_grid,
-                         reward_index=reward_index[:, lo:hi],
-                         size_index=size_index[:, lo:hi],
-                         gcs_state=gcs_state[:, lo:hi],
-                         uav_state=uav_state[:, lo:hi],
-                         uav_utility=uav_utility[:, lo:hi],
-                         gcs_term=gcs_term[:, lo:hi])
+                         item=item[:, lo:hi], signed=signed[:, lo:hi],
+                         uav_payoff=uav_payoff[lo:hi],
+                         gcs_payoff=gcs_payoff[lo:hi])
         results.append(TrainResult(
             log=log,
             gcs_tables=tuple(PolicyTables._checked(q_g[i], pi_g[i],
@@ -404,20 +453,15 @@ def perturb_scenario(scenario: Scenario, rng: np.random.Generator,
     """
     if not 0.0 <= rel_range < 1.0:
         raise ValidationError("rel_range", "must lie in [0, 1)")
-    new_types = []
+    types = []
     for ty in scenario.types:
         fc1 = 1.0 + rng.uniform(-rel_range, rel_range)
         fc2 = 1.0 + rng.uniform(-rel_range, rel_range)
         fn = 1.0 + rng.uniform(-rel_range, rel_range)
-        n = max(1, int(round(ty.n * fn)))
-        new_types.append(UavType(index=ty.index, c1=ty.c1 * fc1,
-                                 c2=ty.c2 * fc2, t=ty.t, n=n))
-    return Scenario(types=tuple(new_types),
-                    satisfaction_factor=scenario.satisfaction_factor,
-                    deployment_cost=scenario.deployment_cost,
-                    s_max=scenario.s_max, t_max=scenario.t_max,
-                    vdd_demand=scenario.vdd_demand,
-                    total_uavs=sum(t.n for t in new_types))
+        types.append(replace(ty, c1=ty.c1 * fc1, c2=ty.c2 * fc2,
+                             n=max(1, int(round(ty.n * fn)))))
+    return replace(scenario, types=tuple(types),
+                   total_uavs=sum(ty.n for ty in types))
 
 
 def hotboot(family: Sequence[Scenario] | Sequence[Sequence[Scenario]],
@@ -497,9 +541,10 @@ def convergence_check(log: EpisodeLog, window: int,
     out = []
     nb = log.size_grid.shape[0]
     na = log.reward_grid.shape[0]
+    size_index, reward_index = np.divmod(log.item[-window:], na)
     for j in range(len(log.type_indices)):
-        b_idx, b_share = _modal_share(log.size_index[-window:, j], nb)
-        a_idx, a_share = _modal_share(log.reward_index[-window:, j], na)
+        b_idx, b_share = _modal_share(size_index[:, j], nb)
+        a_idx, a_share = _modal_share(reward_index[:, j], na)
         out.append(TypeConvergence(
             converged=bool(b_share >= tolerance and a_share >= tolerance),
             size=float(log.size_grid[b_idx]),

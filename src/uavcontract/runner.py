@@ -344,114 +344,82 @@ def _formatted(values: np.ndarray, strings: dict) -> list[str]:
     return list(map(strings.__getitem__, values))
 
 
-def _log_fields(log: EpisodeLog) -> tuple:
-    return (log.gcs_state, log.uav_state, log.reward_index, log.size_index,
-            log.uav_utility, log.gcs_term)
+def _code_table(log: EpisodeLog) -> tuple:
+    """The cells of a trajectory line after its slot number, as arrays
+    indexed by the line's code ``(item * 2 + signed) * width + column``:
+    the type, the answer (1 signed), the item, and a dict of the four
+    values by column name.  The codes, in order, are the cells of a log
+    that posts every item, declined and then signed, on ``log``'s grids
+    and payoffs."""
+    width = len(log.type_indices)
+    line = np.arange(2 * log.uav_payoff.shape[1])
+    item = np.repeat(line // 2, width).reshape(-1, width)
+    answer = np.repeat(line % 2, width).reshape(-1, width)
+    every = dataclasses.replace(log, item=item, signed=answer == 1)
+    return ((np.tile(log.type_indices, line.size), answer.ravel(),
+             item.ravel()),
+            {key: value.ravel() for key, value in (
+                ("reward", every.rewards), ("size", every.sizes),
+                ("uav_utility", every.uav_utility),
+                ("gcs_term", every.gcs_term))})
 
 
-def _refusal(file: str, log: EpisodeLog) -> NonFiniteOutput:
-    """The refusal of a log holding a non-finite value, naming the value
-    the whole-log form of `trajectory_text` met first: each code's first
-    cell in code order, then each cell unlike its code's first."""
-    width = log.reward_index.shape[1]
-    code = ((log.uav_state * 2 + log.gcs_state) * width
-            + np.arange(width)).ravel()
-    _, first, inverse = np.unique(code, return_index=True,
-                                  return_inverse=True)
-    fields = [field.ravel() for field in _log_fields(log)]
-    odd = np.zeros(code.size, dtype=bool)
-    for flat in fields:
-        odd |= flat != flat.take(first).take(inverse)
-    cells = np.concatenate([first, np.flatnonzero(odd)])
-    for key, value in (
-            ("reward", log.reward_grid.take(fields[2].take(cells))),
-            ("size", log.size_grid.take(fields[3].take(cells))),
-            ("uav_utility", fields[4].take(cells)),
-            ("gcs_term", fields[5].take(cells))):
-        bad = ~np.isfinite(value)
-        if bad.any():
-            return NonFiniteOutput(file, key, value[bad][0])
-    raise AssertionError("no non-finite value in the log")
+def _codes(log: EpisodeLog):
+    """(first slot, end slot, codes of the chunk's cells in line order) for
+    every chunk of `TRAJECTORY_CHUNK_SLOTS` slots."""
+    width = len(log.type_indices)
+    for lo in range(0, log.slots, TRAJECTORY_CHUNK_SLOTS):
+        hi = min(lo + TRAJECTORY_CHUNK_SLOTS, log.slots)
+        yield lo, hi, ((log.item[lo:hi] * 2 + log.signed[lo:hi]) * width
+                       + np.arange(width)).ravel()
 
 
 def trajectory_text(file: str, log: EpisodeLog, strings: dict):
     """The trajectory CSV of one log, a line per slot and column in order,
     as an iterator of strings of `TRAJECTORY_CHUNK_SLOTS` slots each.
 
-    Every value is checked finite, over the whole log, before this
-    returns, so a refused log leaves nothing written.  In a log `train`
-    writes, every cell but its slot number is a function of (column,
-    posted item, answer), so cells are coded by those: each code's first
-    cell is kept in a table indexed by code, filled as the chunks meet
-    new codes, and its tail is built once.  A cell whose fields differ
-    from its code's first cell, or whose code lies outside the table, as
-    a hand-built log may hold, is built on its own.  ``strings`` maps
-    values to their `fmt` strings and gains each value met for the first
-    time: the logs of one run share it, since they share the grids and,
-    where the seeds train one scenario, the payoffs.
+    Every cell but the slot number is a function of the line's (column,
+    posted item, answer) code, so each code's text is built once, into a
+    table filled as the chunks meet new codes.  Every value is checked
+    finite before this returns, so a refused log leaves nothing written:
+    NonFiniteOutput names the first column, in CSV order, holding a
+    non-finite value, and the first such value in slot order.  ``strings``
+    maps values to their `fmt` strings and gains each value met for the
+    first time: the logs of one run share it, since they share the grids
+    and, where the seeds train one scenario, the payoffs.
     """
-    for lo in range(0, log.slots, TRAJECTORY_CHUNK_SLOTS):
-        part = slice(lo, lo + TRAJECTORY_CHUNK_SLOTS)
-        if not all(np.isfinite(value).all() for value in (
-                log.reward_grid.take(log.reward_index[part]),
-                log.size_grid.take(log.size_index[part]),
-                log.uav_utility[part], log.gcs_term[part])):
-            raise _refusal(file, log)
-    return _trajectory_chunks(log, strings)
+    labels, values = _code_table(log)
+    for key, value in values.items():
+        bad = ~np.isfinite(value)
+        if bad.any():
+            for _, _, code in _codes(log):
+                hit = code[bad.take(code)]
+                if hit.size:
+                    raise NonFiniteOutput(file, key, value[hit[0]])
+    return _trajectory_chunks(log, labels, values, strings)
 
 
-def _trajectory_chunks(log: EpisodeLog, strings: dict):
-    fields = _log_fields(log)
-    slots, width = log.reward_index.shape
-    codes = 2 * log.reward_grid.size * log.size_grid.size * width
-    # per code: its first cell's fields and the place of its tail, -1
-    # until the code is met
-    firsts = [np.zeros(codes, dtype=field.dtype) for field in fields]
-    tail_of = np.full(codes, -1, dtype=np.int64)
+def _trajectory_chunks(log: EpisodeLog, labels, values, strings: dict):
+    width = len(log.type_indices)
+    # per code, the place of its text in tails, -1 until the code is met
+    tail_of = np.full(labels[0].size, -1, dtype=np.int64)
     tails: list[str] = []
-    # each grid point is formatted once, and the cells index its string
-    reward_text = _formatted(log.reward_grid, strings)
-    size_text = _formatted(log.size_grid, strings)
-    types = np.array(log.type_indices)
-
-    def built(part, cells):
-        answer, item, reward, size, uav, gcs = (flat.take(cells)
-                                                for flat in part)
-        return list(map("{},{},{},{},{},{},{}".format,
-                        types.take(cells % width).tolist(), answer.tolist(),
-                        item.tolist(),
-                        map(reward_text.__getitem__, reward.tolist()),
-                        map(size_text.__getitem__, size.tolist()),
-                        _formatted(uav, strings), _formatted(gcs, strings)))
-
     yield TRAJECTORY_HEADER + "\n"
-    for lo in range(0, slots, TRAJECTORY_CHUNK_SLOTS):
-        hi = min(lo + TRAJECTORY_CHUNK_SLOTS, slots)
-        part = [field[lo:hi].ravel() for field in fields]
-        code = ((fields[1][lo:hi] * 2 + fields[0][lo:hi]) * width
-                + np.arange(width)).ravel()
-        odd = (code < 0) | (code >= codes)
-        code[odd] = 0
-        new = ~odd & (tail_of.take(code) < 0)
-        if new.any():
-            fresh, at = np.unique(code[new], return_index=True)
-            at = np.flatnonzero(new).take(at)
-            tail_of[fresh] = len(tails) + np.arange(fresh.size)
-            for first, flat in zip(firsts, part):
-                first[fresh] = flat.take(at)
-            tails.extend(built(part, at))
-        # cells of one code with equal items and answers share a column,
-        # even where the code wraps, so the column needs no comparison
-        for first, flat in zip(firsts, part):
-            odd |= flat != first.take(code)
+    for lo, hi, code in _codes(log):
         index = tail_of.take(code)
-        singles = np.flatnonzero(odd)
-        index[singles] = len(tails) + np.arange(singles.size)
-        tails.extend(built(part, singles))
+        if (index < 0).any():
+            fresh = np.flatnonzero(np.bincount(code[index < 0],
+                                               minlength=tail_of.size))
+            tail_of[fresh] = len(tails) + np.arange(fresh.size)
+            tails.extend(map(
+                "{},{},{},{},{},{},{}".format,
+                *(label.take(fresh).tolist() for label in labels),
+                *(_formatted(value.take(fresh), strings)
+                  for value in values.values())))
+            index = tail_of.take(code)
         yield "".join(map("{},{}\n".format,
                           np.repeat(np.arange(lo + 1, hi + 1), width).tolist(),
                           map(tails.__getitem__, index.tolist())))
-        del tails[len(tails) - singles.size:]
 
 
 def _usable_cpus() -> int:
@@ -581,8 +549,9 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
     scenario = config.scenario
     params = with_default_r_max(config.phc, scenario)
     run = config.phc_run
-    check_payoffs(scenario, params, run.perturbation
-                  if run.hotboot_episodes > 0 else 0.0)
+    perturbed = run.hotboot_episodes > 0 and run.family_size > 1
+    check_payoffs(scenario, params,
+                  run.perturbation if perturbed else None)
     reference, _ = solve_partial_info(scenario)
     reference_items = {ty.index: item
                        for ty, item in zip(scenario.types, reference.items)}

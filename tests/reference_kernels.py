@@ -111,9 +111,14 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, rgrid, sgrid, cost, weight,
                reward_idx, size_idx, gcs_state, uav_state, uav_pay, gcs_pay):
     """`_kernels.train_loop`'s game, one type and one slot at a time.
 
-    Takes the same arguments and fills them in place the same way.  The
-    UAV answers (``SIGN`` or decline) and steps through the scalar
-    `sample_index` and `phc_step`, the GCS through the whole-row forms.
+    Takes the same tables, draws and constants, but the grids and per-type
+    cost, weight and count in place of the payoff tables, and computes
+    each slot's payoffs itself.  It fills six trajectory arrays in place:
+    the posted item's reward and size indices, ``gcs_state`` (1 signed),
+    ``uav_state`` (the item) and both payoffs, which the tests derive from
+    the kernel's posted items, answers and payoff tables.  The UAV answers
+    (``SIGN`` or decline) and steps through the scalar `sample_index` and
+    `phc_step`, the GCS through the whole-row forms.
     """
     slots = uniforms.shape[0]
     ntypes = uniforms.shape[1]

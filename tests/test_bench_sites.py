@@ -8,7 +8,10 @@ benchmark's sources are read, not imported, so nothing is written under
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
+
+import numpy as np
 
 from uavcontract import _kernels
 
@@ -22,11 +25,15 @@ MODULES = ("config", "environment", "game", "solver", "phc", "runner",
            "_kernels")
 
 
-def traced_sites():
+def tracing():
     namespace = {"__name__": "tracing"}
     exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"),
          namespace)
-    return namespace["SITES"]
+    return namespace
+
+
+def traced_sites():
+    return tracing()["SITES"]
 
 
 def test_every_traced_name_is_a_module_attribute():
@@ -104,3 +111,12 @@ def test_every_program_name_the_benchmark_calls_exists():
             ("runner", "run_phc")} <= reads
     assert sorted((module, name) for module, name in reads
                   if not hasattr(prog[module], name)) == []
+
+
+def test_train_loop_takes_uniforms_fifth():
+    # the tracer counts kernels.train_loop.slots from the call's args[4]
+    parameters = list(inspect.signature(_kernels.train_loop).parameters)
+    assert parameters[4] == "uniforms"
+    args = [None] * len(parameters)
+    args[4] = np.zeros((3, 2, 4))
+    assert tracing()["_train_loop_slots"](args) == 6

@@ -326,6 +326,23 @@ class TestExitCodes:
                 "overflows to inf" in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_phc_perturbed_count_overflow_is_refused(self, tmp_path, capsys):
+        # a type of no members has weight 0, but hot-boot perturbs its
+        # count to at least 1, whose weight overflows at this delay: exit 3
+        # naming the type and the term, before training, and no directory
+        raw = yaml.safe_load((DATA / "phc_single_type.yaml").read_text())
+        raw["scenario"]["types"].append({"c1": 0.3, "t": 1.0e-310, "n": 0})
+        raw["phc"].update(hotboot_episodes=2, family_size=3,
+                          slots_per_episode=50, slots=200, window=100)
+        cfg = tmp_path / "zero_count.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        code = main(["phc", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert ("solver error: phc: type 2: the GCS weight factor*n/t "
+                "overflows to inf" in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_phc_refusal_in_any_group_exits_3(self, cpus, tmp_path, capsys,
                                               monkeypatch):

@@ -329,6 +329,16 @@ class TestOneBoundary:
             parse_config(raw)
         assert err.value.field == field
 
+    @pytest.mark.parametrize("key", [
+        "reward_levels", "size_levels", "slots", "hotboot_episodes",
+        "family_size", "slots_per_episode", "window"])
+    def test_phc_integer_keys_refuse_a_fraction(self, key):
+        raw = base_raw()
+        raw["phc"] = {key: 2.5}
+        with pytest.raises(ValidationError) as err:
+            parse_config(raw)
+        assert err.value.field == f"phc.{key}"
+
     def test_sweep_entry_named(self):
         raw = base_raw()
         raw["sweep"] = {"populations": [3, 0]}

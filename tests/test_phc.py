@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from uavcontract import (InsufficientData, PhcParams, PolicyTables, Scenario,
                          hotboot, perturb_scenario, train, with_default_r_max)
 from uavcontract import _kernels
 from uavcontract.phc import (EXPLORE_FLOOR, EXPLORE_VISITS, EpisodeLog,
-                             check_payoffs, default_r_max)
+                             _signed_payoffs, check_payoffs, default_r_max)
 
 import reference_kernels as ref
 from conftest import logs_equal, make_scenario_a, make_single_type
@@ -25,15 +26,14 @@ def synthetic_log(size_index, reward_index):
         reward_index = reward_index[:, None]
     nb = int(size_index.max()) + 1
     na = int(reward_index.max()) + 1
-    slots, j = size_index.shape
-    zeros_i = np.zeros((slots, j), dtype=np.int64)
-    zeros_f = np.zeros((slots, j))
+    j = size_index.shape[1]
     return EpisodeLog(type_indices=tuple(range(1, j + 1)),
                       reward_grid=np.arange(na, dtype=np.float64),
                       size_grid=np.arange(nb, dtype=np.float64),
-                      reward_index=reward_index, size_index=size_index,
-                      gcs_state=zeros_i, uav_state=zeros_i,
-                      uav_utility=zeros_f, gcs_term=zeros_f)
+                      item=size_index * na + reward_index,
+                      signed=np.zeros(size_index.shape, dtype=bool),
+                      uav_payoff=np.zeros((j, na * nb)),
+                      gcs_payoff=np.zeros((j, na * nb)))
 
 
 def reference_convergence_slot(log, window, tolerance=0.95):
@@ -262,7 +262,7 @@ class TestSampling:
                            pi=np.tile([0.0, 1.0], (items, 1)))
         fresh = train(sc, params, 400, ((gcs,), (uav,)),
                       np.random.default_rng(0)).log
-        assert len(np.unique(fresh.uav_state)) == items
+        assert len(np.unique(fresh.item)) == items
         assert fresh.signed.any()
         # once the visits reach the horizon, the floor share is all that
         # strays from pi
@@ -270,7 +270,7 @@ class TestSampling:
         uav.visits[:] = EXPLORE_VISITS
         settled = train(sc, params, 2000, ((gcs,), (uav,)),
                         np.random.default_rng(0)).log
-        assert 0.0 < np.mean(settled.uav_state != 0) < 0.02
+        assert 0.0 < np.mean(settled.item != 0) < 0.02
         assert np.mean(settled.signed) < 0.02
 
     def test_same_seed_same_sequence(self):
@@ -354,8 +354,8 @@ class TestTrain:
         log = result.log
         assert np.array_equal(log.reward_index, arrays["a"])
         assert np.array_equal(log.size_index, arrays["b"])
-        assert np.array_equal(log.gcs_state, arrays["gs"])
-        assert np.array_equal(log.uav_state, arrays["us"])
+        assert np.array_equal(log.signed, arrays["gs"] == 1)
+        assert np.array_equal(log.item, arrays["us"])
         assert np.array_equal(log.uav_utility, arrays["up"])
         assert np.array_equal(log.gcs_term, arrays["gp"])
         for got, want in zip(result.gcs_tables + result.uav_tables,
@@ -380,22 +380,24 @@ class TestTrain:
         result = train(sc, self.PARAMS, 200, None, np.random.default_rng(2))
         log = result.log
         order = eligible_types(sc)
+        rewards, sizes = log.rewards, log.sizes
+        uav, gcs = log.uav_utility, log.gcs_term
         for j, ty in enumerate(order):
             signed = log.signed[:, j]
             assert 0 < signed.sum() < signed.size
-            r = log.rewards[signed, j]
-            s = log.sizes[signed, j]
+            r = rewards[signed, j]
+            s = sizes[signed, j]
             w = sc.satisfaction_factor * ty.n / ty.t
             # a signed item is delivered and paid
-            assert np.allclose(log.uav_utility[signed, j],
+            assert np.allclose(uav[signed, j],
                                r - ty.c * s - sc.deployment_cost,
                                rtol=0, atol=1e-12)
-            assert np.allclose(log.gcs_term[signed, j],
+            assert np.allclose(gcs[signed, j],
                                w * np.log1p(s) - ty.n * r,
                                rtol=0, atol=1e-12)
             # a declined one is worth nothing to either side
-            assert np.all(log.uav_utility[~signed, j] == 0.0)
-            assert np.all(log.gcs_term[~signed, j] == 0.0)
+            assert np.all(uav[~signed, j] == 0.0)
+            assert np.all(gcs[~signed, j] == 0.0)
 
     def test_observations_lag_actions(self):
         sc = make_single_type()
@@ -405,10 +407,10 @@ class TestTrain:
         # carried observation, not even in slot 1), and the GCS sees this
         # slot's answer to it
         na = log.reward_grid.shape[0]
-        assert np.array_equal(log.uav_state[:, 0],
+        assert np.array_equal(log.item[:, 0],
                               log.size_index[:, 0] * na
                               + log.reward_index[:, 0])
-        assert set(np.unique(log.gcs_state[:, 0])) == {0, 1}
+        assert set(np.unique(log.signed[:, 0])) == {False, True}
         traded = (log.uav_utility[:, 0] != 0.0) | (log.gcs_term[:, 0] != 0.0)
         assert not np.any(traded & ~log.signed[:, 0])
 
@@ -539,6 +541,42 @@ def kernel_args(rows, slots, reward_levels, size_levels, seed, hot):
     return args
 
 
+# the arguments of the scalar body that the training kernel does not take:
+# the grids and per-row constants the payoffs are built from, and the six
+# trajectory arrays
+SCALAR_ONLY = ("rgrid", "sgrid", "cost", "weight", "count", "c0",
+               "reward_idx", "size_idx", "gcs_state", "uav_state", "uav_pay",
+               "gcs_pay")
+
+
+def kernel_form(args):
+    """``args``, the scalar body's arguments, in `_kernels.train_loop`'s
+    form: the payoff tables `train` builds in place of the grids and the
+    per-row constants, and zeroed posted items and answers in place of the
+    six trajectory arrays."""
+    kernel = {k: v for k, v in args.items() if k not in SCALAR_ONLY}
+    kernel["uav_payoff"], kernel["gcs_payoff"] = _signed_payoffs(
+        args["rgrid"], args["sgrid"], args["cost"], args["weight"],
+        args["count"], args["c0"])
+    shape = args["uniforms"].shape[:2]
+    kernel["item"] = np.zeros(shape, dtype=np.int64)
+    kernel["signed"] = np.zeros(shape, dtype=bool)
+    return kernel
+
+
+def trajectory_arrays(kernel, args):
+    """The scalar body's six trajectory arrays, derived through an
+    `EpisodeLog` from a kernel run's posted items, answers and tables."""
+    log = EpisodeLog(type_indices=tuple(range(kernel["item"].shape[1])),
+                     reward_grid=args["rgrid"], size_grid=args["sgrid"],
+                     item=kernel["item"], signed=kernel["signed"],
+                     uav_payoff=kernel["uav_payoff"],
+                     gcs_payoff=kernel["gcs_payoff"])
+    return {"reward_idx": log.reward_index, "size_idx": log.size_index,
+            "gcs_state": log.signed.astype(np.int64), "uav_state": log.item,
+            "uav_pay": log.uav_utility, "gcs_pay": log.gcs_term}
+
+
 class TestRowKernel:
     """The row-stepped training body against the scalar one, bit for bit."""
 
@@ -557,18 +595,22 @@ class TestRowKernel:
 
     @staticmethod
     def both_bodies(args):
-        """Run both bodies on copies of ``args``, require the same bits,
-        and return the scalar body's arguments after the run."""
+        """Run both bodies on copies of ``args``, require the same bits in
+        the tables, the draws and the trajectory arrays (the kernel's
+        derived from its two), and return the scalar body's arguments
+        after the run."""
         scalar = {k: v.copy() if isinstance(v, np.ndarray) else v
                   for k, v in args.items()}
-        row = {k: v.copy() if isinstance(v, np.ndarray) else v
-               for k, v in args.items()}
+        row = kernel_form({k: v.copy() if isinstance(v, np.ndarray) else v
+                           for k, v in args.items()})
         ref.train_loop(**scalar)
         _kernels.train_loop(**row)
-        for name, value in scalar.items():
-            if isinstance(value, np.ndarray):
-                assert row[name].dtype == value.dtype, name
-                assert row[name].tobytes() == value.tobytes(), name
+        row.update(trajectory_arrays(row, args))
+        for name in ("q_g", "pi_g", "q_u", "pi_u", "visits_g", "visits_u",
+                     "uniforms", "reward_idx", "size_idx", "gcs_state",
+                     "uav_state", "uav_pay", "gcs_pay"):
+            assert row[name].dtype == scalar[name].dtype, name
+            assert row[name].tobytes() == scalar[name].tobytes(), name
         return scalar
 
     @pytest.mark.parametrize("rows, slots, levels, hot", [
@@ -914,10 +956,59 @@ class TestRowKernel:
         assert not np.signbit(scalar["pi_g"]).any()
 
     def test_rejects_non_contiguous_tables(self):
-        args = kernel_args(2, 10, 2, 2, seed=0, hot=False)
-        args["q_u"] = np.asfortranarray(args["q_u"])
-        with pytest.raises(ValueError):
-            _kernels.train_loop(**args)
+        for name in ("q_u", "uav_payoff", "item"):
+            args = kernel_form(kernel_args(2, 10, 2, 2, seed=0, hot=False))
+            args[name] = np.asfortranarray(args[name])
+            with pytest.raises(ValueError):
+                _kernels.train_loop(**args)
+
+
+class TestEpisodeLog:
+    @staticmethod
+    def log():
+        return train(make_scenario_a(), TestTrain.PARAMS, 30, None,
+                     np.random.default_rng(1)).log
+
+    def test_derived_columns(self):
+        # 2 reward points and 3 sizes: item k is size k // 2, reward k % 2
+        payoff = np.arange(12.0).reshape(2, 6)
+        log = EpisodeLog(type_indices=(3, 1),
+                         reward_grid=np.array([0.0, 2.0]),
+                         size_grid=np.array([0.0, 1.0, 4.0]),
+                         item=np.array([[0, 5], [3, 4]]),
+                         signed=np.array([[True, False], [False, True]]),
+                         uav_payoff=payoff, gcs_payoff=-payoff)
+        assert log.slots == 2
+        assert log.reward_index.tolist() == [[0, 1], [1, 0]]
+        assert log.size_index.tolist() == [[0, 2], [1, 2]]
+        assert log.rewards.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        assert log.sizes.tolist() == [[0.0, 4.0], [1.0, 4.0]]
+        assert log.uav_utility.tolist() == [[0.0, 0.0], [0.0, 10.0]]
+        assert log.gcs_term.tolist() == [[-0.0, 0.0], [0.0, -10.0]]
+
+    def test_refuses_an_item_off_the_grid(self):
+        # -1 would wrap to the last item under take; items is one past it
+        log = self.log()
+        for value in (-1, log.uav_payoff.shape[1]):
+            item = log.item.copy()
+            item[7, 1] = value
+            with pytest.raises(ValidationError) as err:
+                replace(log, item=item)
+            assert err.value.field == "item"
+
+    @pytest.mark.parametrize("field, edit", [
+        ("item", lambda log: log.item[:, :1]),
+        ("item", lambda log: log.item[:, 0]),
+        ("item", lambda log: log.item.astype(np.float64)),
+        ("signed", lambda log: log.signed[1:]),
+        ("signed", lambda log: log.signed.astype(np.int64)),
+        ("uav_payoff", lambda log: log.uav_payoff[:, 1:]),
+        ("gcs_payoff", lambda log: np.vstack([log.gcs_payoff] * 2))])
+    def test_refuses_a_mismatched_shape(self, field, edit):
+        log = self.log()
+        with pytest.raises(ValidationError) as err:
+            replace(log, **{field: edit(log)})
+        assert err.value.field == field
 
 
 class TestBatchTrain:
@@ -1184,6 +1275,39 @@ class TestValidation:
         check_payoffs(near, params)
         with pytest.raises(ValueError, match="the GCS's Q bound"):
             check_payoffs(near, params, spread=0.2)
+
+    def test_perturbed_counts_are_bounded_as_drawn(self):
+        # perturb_scenario draws max(1, round(n*f)) with f below 1 + spread:
+        # a count of 0 becomes 1 under any range, and 3 rounds up to 4
+        # under a 20% one, past 3 * 1.2
+        params = PhcParams(r_max=13.0)
+        zero = Scenario(types=(UavType(index=1, c1=0.5, c2=0.0, t=1.0, n=5),
+                               UavType(index=2, c1=0.3, c2=0.0, t=1e-310,
+                                       n=0)),
+                        satisfaction_factor=6.0, deployment_cost=1.0,
+                        s_max=13.75, t_max=1.0, vdd_demand=800.0,
+                        total_uavs=5)
+        check_payoffs(zero, params)
+        for spread in (0.0, 0.2):
+            with pytest.raises(ValueError, match=r"^phc: type 2: the GCS "
+                               r"weight factor\*n/t overflows to inf$"):
+                check_payoffs(zero, params, spread=spread)
+        three = Scenario(types=(UavType(index=1, c1=0.5, c2=0.0, t=1.3e-307,
+                                        n=3),),
+                         satisfaction_factor=6.0, deployment_cost=1.0,
+                         s_max=0.1, t_max=1.0, vdd_demand=800.0,
+                         total_uavs=3)
+        assert math.isfinite(6.0 * 3 * 1.2 / 1.3e-307)
+        check_payoffs(three, params)
+        with pytest.raises(ValueError, match=r"type 1: the GCS weight"):
+            check_payoffs(three, params, spread=0.2)
+        rng = np.random.default_rng(0)
+        assert 4 in {perturb_scenario(three, rng).types[0].n
+                     for _ in range(200)}
+        # a count past the float range once grown is named, not an
+        # OverflowError
+        with pytest.raises(ValueError, match=r"the GCS weight"):
+            check_payoffs(make_single_type(n=10 ** 308), params, spread=0.2)
 
     def test_policy_tables_checks(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -57,15 +58,15 @@ def reference_trajectory_lines(log):
     """The trajectory CSV's lines formatted cell by cell, the reference
     for the table-driven `trajectory_text`."""
     lines = ["slot,type,gcs_state,uav_state,reward,size,uav_utility,gcs_term"]
-    rewards = log.rewards
-    sizes = log.sizes
+    columns = (log.signed, log.item, log.rewards, log.sizes,
+               log.uav_utility, log.gcs_term)
     for t in range(log.slots):
         for j, type_index in enumerate(log.type_indices):
+            signed, item, reward, size, uav, gcs = (
+                column[t, j] for column in columns)
             lines.append(",".join([
-                str(t + 1), str(type_index),
-                str(int(log.gcs_state[t, j])), str(int(log.uav_state[t, j])),
-                fmt(rewards[t, j]), fmt(sizes[t, j]),
-                fmt(log.uav_utility[t, j]), fmt(log.gcs_term[t, j])]))
+                str(t + 1), str(type_index), str(int(signed)), str(int(item)),
+                fmt(reward), fmt(size), fmt(uav), fmt(gcs)]))
     return lines
 
 
@@ -83,13 +84,14 @@ def first_trajectory_text(file, log, strings):
             strings[value] = fmt(value)
         return list(map(strings.__getitem__, values))
 
-    slots, width = log.reward_index.shape
+    slots, width = log.item.shape
+    answer = log.signed.astype(np.int64)
     column = np.broadcast_to(np.arange(width), (slots, width))
-    code = (log.uav_state * 2 + log.gcs_state) * width + column
+    code = (log.item * 2 + answer) * width + column
     _, first, inverse = np.unique(code.ravel(), return_index=True,
                                   return_inverse=True)
     fields = [field.ravel() for field in (
-        log.gcs_state, log.uav_state, log.reward_index, log.size_index,
+        answer, log.item, log.reward_index, log.size_index,
         log.uav_utility, log.gcs_term)]
     odd = np.zeros(code.size, dtype=bool)
     for flat in fields:
@@ -118,6 +120,20 @@ def first_trajectory_text(file, log, strings):
     return runner.TRAJECTORY_HEADER + "\n" + "".join(map(
         "{},{}\n".format, slot_of.tolist(),
         map(tails.__getitem__, inverse.tolist())))
+
+
+def reference_refusal(file, log):
+    """The refusal `trajectory_text` must raise for ``log``, read off its
+    derived columns: the first column, in CSV order, holding a non-finite
+    value, and the first such value in slot order; None for a finite
+    log."""
+    for key, value in (("reward", log.rewards), ("size", log.sizes),
+                       ("uav_utility", log.uav_utility),
+                       ("gcs_term", log.gcs_term)):
+        bad = ~np.isfinite(value)
+        if bad.any():
+            return str(NonFiniteOutput(file, key, value[bad][0]))
+    return None
 
 
 def joined(file, log, strings):
@@ -248,7 +264,6 @@ class TestRunSolve:
 
     def test_oracle_flag_without_config_key(self, tmp_path):
         cfg = load_config(DATA / "scenario_a.yaml")
-        import dataclasses
         cfg = dataclasses.replace(cfg, mode="solve")
         plain = run_solve(cfg, tmp_path / "plain")
         assert "oracle" not in plain
@@ -260,7 +275,6 @@ class TestRunSolve:
 class TestSweeps:
     def test_cost_sweep_endpoints(self, tmp_path):
         cfg = load_config(DATA / "scenario_a.yaml")
-        import dataclasses
         cfg = dataclasses.replace(cfg, mode="sweep-cost", cost_points=5)
         records = run_sweep_cost(cfg, tmp_path)
         assert len(records) == 5 * 4
@@ -277,7 +291,6 @@ class TestSweeps:
 
     def test_population_sweep(self, tmp_path):
         cfg = load_config(DATA / "scenario_a.yaml")
-        import dataclasses
         cfg = dataclasses.replace(cfg, mode="sweep-population")
         records = run_sweep_population(cfg, tmp_path)
         assert len(records) == 5 * 4
@@ -293,7 +306,6 @@ class TestSweeps:
 
     def test_population_below_type_count(self, tmp_path):
         cfg = load_config(DATA / "scenario_a.yaml")
-        import dataclasses
         cfg = dataclasses.replace(cfg, mode="sweep-population",
                                   populations=(1,))
         with pytest.raises(ValidationError):
@@ -309,7 +321,6 @@ class TestRunMode:
     def test_flag_off_its_mode_is_refused(self, flag, mode, tmp_path):
         # only solve runs the oracle and only phc has a verdict to be
         # strict about: the flag is refused before anything is written
-        import dataclasses
         cfg = (phc_config() if mode == "phc" else dataclasses.replace(
             load_config(DATA / "scenario_a.yaml"), mode=mode))
         with pytest.raises(ValidationError) as err:
@@ -407,7 +418,6 @@ class TestRunPhc:
         # run_phc trains every seed in one batch; each seed's trajectory
         # must be the bytes a chain of one-run hotboot and train calls on
         # that seed's generator writes
-        import dataclasses
         cfg = load_config(DATA / "phc_single_type.yaml")
         two_types = dataclasses.replace(cfg.scenario, types=(
             cfg.scenario.types[0],
@@ -434,7 +444,6 @@ class TestRunPhc:
 
     def test_strict_raises_after_writing(self, tmp_path):
         cfg = load_config(DATA / "phc_single_type.yaml")
-        import dataclasses
         # a window spanning every slot at tolerance 1 asks for one posted
         # item throughout, which the early exploration rules out
         run = dataclasses.replace(cfg.phc_run, slots=200, window=200,
@@ -584,17 +593,23 @@ def two_type_log(slots=400):
                  np.random.default_rng(5)).log
 
 
-def edited(log, **cells):
-    """A copy of ``log`` with single cells replaced: name=[(t, j, value)]."""
+def edited(log, **entries):
+    """A copy of ``log`` with single entries of its arrays replaced:
+    name=[(row, column, value)], rows being slots for ``item`` and
+    ``signed`` and log columns for the payoff tables."""
     fields = {name: getattr(log, name).copy()
-              for name in ("reward_index", "size_index", "gcs_state",
-                           "uav_state", "uav_utility", "gcs_term")}
-    for name, edits in cells.items():
-        for t, j, value in edits:
-            fields[name][t, j] = value
-    return EpisodeLog(type_indices=log.type_indices,
-                      reward_grid=log.reward_grid, size_grid=log.size_grid,
-                      **fields)
+              for name in ("item", "signed", "uav_payoff", "gcs_payoff")}
+    for name, edits in entries.items():
+        for row, column, value in edits:
+            fields[name][row, column] = value
+    return dataclasses.replace(log, **fields)
+
+
+def first_signed(log, column, start=0):
+    """The first slot from ``start`` at which ``column`` signed."""
+    t = start + int(np.argmax(log.signed[start:, column]))
+    assert log.signed[t, column]
+    return t
 
 
 class TestTrajectoryText:
@@ -615,23 +630,22 @@ class TestTrajectoryText:
             assert (joined("t.csv", result.log, strings)
                     == reference_trajectory_text(result.log))
 
-    def test_mismatching_cells_are_formatted_alone(self):
-        # cells whose indices or payoffs differ from the first cell of
-        # their (column, item, answer) code, as a hand-built log may hold
+    def test_hand_edited_cells_match_cell_by_cell_loop(self):
+        # payoffs of signed codes set to 123.456, to -0.0 and one ulp above
+        # the trained value, a flipped answer and two moved items
         log = two_type_log()
-        signed = np.argwhere(log.gcs_state == 1)
-        t0, j0 = signed[3]
-        t1, j1 = signed[7]
-        t2, j2 = signed[-1]
+        items = log.uav_payoff.shape[1]
+        t, j = np.nonzero(log.signed)
+        codes = list(dict.fromkeys(zip(j.tolist(), log.item[t, j].tolist())))
+        (j0, k0), (j1, k1), (j2, k2) = codes[:3]
         hand = edited(
             log,
-            uav_utility=[(t0, j0, 123.456), (t1, j1, -0.0)],
-            gcs_term=[(t2, j2, log.gcs_term[t2, j2] * (1 + 2 ** -52))],
-            reward_index=[(t1, j1, (log.reward_index[t1, j1] + 1)
-                           % log.reward_grid.size)],
-            size_index=[(5, 1, 0)],
-            gcs_state=[(9, 0, 2)],
-            uav_state=[(11, 1, -3), (12, 0, 10 ** 15)])
+            uav_payoff=[(j0, k0, 123.456), (j1, k1, -0.0)],
+            gcs_payoff=[(j2, k2, np.nextafter(log.gcs_payoff[j2, k2],
+                                              math.inf))],
+            signed=[(9, 0, not log.signed[9, 0])],
+            item=[(11, 1, (log.item[11, 1] + 1) % items),
+                  (12, 0, items - 1 - log.item[12, 0])])
         want = reference_trajectory_text(hand)
         assert want != reference_trajectory_text(log)
         assert joined("t.csv", hand, {}) == want
@@ -643,58 +657,103 @@ class TestTrajectoryText:
 
     def test_all_cells_distinct_or_all_equal(self):
         log = two_type_log(slots=50)
-        same = edited(log, **{name: [(t, j, getattr(log, name)[0, 0])
-                                     for t in range(50) for j in range(2)]
-                              for name in ("reward_index", "size_index",
-                                           "gcs_state", "uav_state",
-                                           "uav_utility", "gcs_term")})
+        cells = [(t, j) for t in range(50) for j in range(2)]
+        same = edited(log, item=[(t, j, log.item[0, 0]) for t, j in cells],
+                      signed=[(t, j, True) for t, j in cells])
         assert (joined("t.csv", same, {})
                 == reference_trajectory_text(same))
-        ramp = edited(log, uav_utility=[(t, j, t + 0.5 * j)
-                                        for t in range(50) for j in range(2)])
-        assert (joined("t.csv", ramp, {})
-                == reference_trajectory_text(ramp))
+        # every (column, item) code pays its own values
+        ramp = np.arange(log.uav_payoff.size, dtype=np.float64).reshape(
+            log.uav_payoff.shape) + 0.5
+        distinct = dataclasses.replace(log, uav_payoff=ramp,
+                                       gcs_payoff=-ramp)
+        assert (joined("t.csv", distinct, {})
+                == reference_trajectory_text(distinct))
 
     @pytest.mark.parametrize("name, value", [
         ("uav_utility", math.nan), ("gcs_term", math.inf),
         ("gcs_term", -math.inf)])
     def test_non_finite_cell_is_refused(self, name, value):
         log = two_type_log(slots=60)
-        hand = edited(log, **{name: [(40, 1, value)]})
+        t = first_signed(log, 1, start=40)
+        table = {"uav_utility": "uav_payoff", "gcs_term": "gcs_payoff"}[name]
+        hand = edited(log, **{table: [(1, log.item[t, 1], value)]})
         with pytest.raises(NonFiniteOutput,
-                           match=rf"^phc_seed7\.csv: {name} is "):
+                           match=rf"^phc_seed7\.csv: {name} is ") as got:
             trajectory_text("phc_seed7.csv", hand, {})
+        assert str(got.value) == reference_refusal("phc_seed7.csv", hand)
+
+    def test_refusal_names_the_first_column_then_the_first_slot(self):
+        # gcs_term goes non-finite at the first signed cell, uav_utility,
+        # an earlier column, at the second and the last code met: the
+        # second is named
+        log = two_type_log(slots=200)
+        met = {}
+        for t, j in zip(*np.nonzero(log.signed)):
+            met.setdefault((j, log.item[t, j]), t)
+        codes = list(met)
+        assert met[codes[1]] < met[codes[-1]]
+        hand = edited(log, gcs_payoff=[(*codes[0], math.nan)],
+                      uav_payoff=[(*codes[-1], math.inf),
+                                  (*codes[1], -math.inf)])
+        with pytest.raises(NonFiniteOutput) as got:
+            trajectory_text("t.csv", hand, {})
+        assert str(got.value) == "t.csv: uav_utility is -inf, not finite"
+        assert str(got.value) == reference_refusal("t.csv", hand)
+
+    @pytest.mark.parametrize("grid, key", [
+        ("reward_grid", "reward"), ("size_grid", "size")])
+    def test_non_finite_grid_point_is_refused(self, grid, key):
+        log = two_type_log(slots=60)
+        values = getattr(log, grid).copy()
+        index = {"reward": log.reward_index, "size": log.size_index}[key]
+        values[index[30, 1]] = -math.inf
+        hand = dataclasses.replace(log, **{grid: values})
+        with pytest.raises(NonFiniteOutput,
+                           match=rf"^t\.csv: {key} is -inf") as got:
+            trajectory_text("t.csv", hand, {})
+        assert str(got.value) == reference_refusal("t.csv", hand)
+
+    def test_non_finite_payoffs_no_line_shows_pass(self):
+        # a declined item pays 0 whatever the table holds, and an item no
+        # column posted is never written
+        log = two_type_log(slots=60)
+        items = log.uav_payoff.shape[1]
+        declined = np.setdiff1d(log.item[:, 0], log.item[log.signed[:, 0], 0])
+        unposted = np.setdiff1d(np.arange(items), log.item)
+        assert declined.size and unposted.size
+        hand = edited(log,
+                      uav_payoff=[(0, declined[0], math.nan),
+                                  (1, unposted[0], math.inf)],
+                      gcs_payoff=[(0, unposted[-1], -math.inf)])
+        assert reference_refusal("t.csv", hand) is None
+        assert joined("t.csv", hand, {}) == reference_trajectory_text(log)
 
 
 def long_log():
-    """A trained two-type log of two chunks and 300 slots more, in which
-    one code of column 0 first appears in the third chunk and one cell of
-    the third chunk differs from its code's first cell in chunk 0."""
+    """A trained two-type log of two chunks and 300 slots more, an item
+    that column 0 signs for the first time in the third chunk and one it
+    never signs."""
     chunk = runner.TRAJECTORY_CHUNK_SLOTS
     log = two_type_log(slots=2 * chunk + 300)
-    names = ("reward_index", "size_index", "gcs_state", "uav_state",
-             "uav_utility", "gcs_term")
-    fields = {name: getattr(log, name).copy() for name in names}
-    code = fields["uav_state"] * 2 + fields["gcs_state"]
-    late = code[2 * chunk + 5, 0]
-    donor = np.flatnonzero(code[:, 0] != late)[0]
-    # every earlier cell of that code takes a cell of another code
-    early = np.flatnonzero(code[:2 * chunk + 5, 0] == late)
-    for field in fields.values():
-        field[early, 0] = field[donor, 0]
-    code = fields["uav_state"] * 2 + fields["gcs_state"]
-    assert np.flatnonzero(code[:, 0] == late)[0] == 2 * chunk + 5
-    t = 2 * chunk + 50
-    assert (code[:chunk, 1] == code[t, 1]).any()
-    fields["uav_utility"][t, 1] += 0.125
-    return EpisodeLog(type_indices=log.type_indices,
-                      reward_grid=log.reward_grid, size_grid=log.size_grid,
-                      **fields)
+    item, signed = log.item.copy(), log.signed.copy()
+    t = first_signed(log, 0, start=2 * chunk + 5)
+    late = item[t, 0]
+    # every earlier signed post of that item takes another code's cell
+    early = np.flatnonzero(signed[:t, 0] & (item[:t, 0] == late))
+    donor = np.flatnonzero(item[:, 0] != late)[0]
+    item[early, 0] = item[donor, 0]
+    signed[early, 0] = signed[donor, 0]
+    assert np.flatnonzero(signed[:, 0] & (item[:, 0] == late))[0] == t
+    never = next(k for k in range(log.uav_payoff.shape[1])
+                 if k not in (late, item[donor, 0]))
+    signed[item[:, 0] == never, 0] = False
+    return dataclasses.replace(log, item=item, signed=signed), late, never
 
 
 class TestStreamedTrajectory:
     def test_matches_first_form_across_chunks(self):
-        log = long_log()
+        log, _, _ = long_log()
         strings = {}
         got = "".join(trajectory_text("t.csv", log, strings))
         assert got == first_trajectory_text("t.csv", log, {})
@@ -703,22 +762,23 @@ class TestStreamedTrajectory:
         assert joined("t.csv", log, strings) == got
 
     @pytest.mark.parametrize("cells", [
-        {"uav_utility": [(10, 1, math.nan)]},
-        {"gcs_term": [(10, 0, math.inf), (13, 1, -math.inf)]},
-        {"gcs_term": [(250, 1, math.nan)],
-         "uav_utility": [(20, 0, -math.inf), (30, 1, math.nan)]}])
+        {"uav_payoff": [("late", math.nan)]},
+        {"gcs_payoff": [("late", math.inf)],
+         "uav_payoff": [("late", -math.inf)]},
+        {"gcs_payoff": [("late", math.nan), ("unsigned", -math.inf)]}])
     def test_non_finite_cell_in_a_later_chunk(self, cells, tmp_path):
-        chunk = runner.TRAJECTORY_CHUNK_SLOTS
-        hand = edited(long_log(), **{
-            name: [(2 * chunk + t, j, value) for t, j, value in edits]
-            for name, edits in cells.items()})
-        with pytest.raises(NonFiniteOutput) as want:
-            first_trajectory_text("phc_seed7.csv", hand, {})
+        # the payoffs of column 0's item first signed in the third chunk,
+        # and of an item it never signs
+        log, late, never = long_log()
+        at = {"late": late, "unsigned": never}
+        hand = edited(log, **{name: [(0, at[which], value)
+                                     for which, value in edits]
+                              for name, edits in cells.items()})
         out = tmp_path / "out"
         with pytest.raises(NonFiniteOutput) as got:
             runner._write_chunks(out / "phc_seed7.csv", trajectory_text(
                 "phc_seed7.csv", hand, {}))
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == reference_refusal("phc_seed7.csv", hand)
         assert not out.exists()
 
 
