@@ -18,7 +18,7 @@ from .errors import (InsufficientData, NonFiniteOutput, NotConverged,
 from .game import (ContractItem, ContractMenu, FeasibilityReport, Scenario,
                    UavType, defensive_effectiveness, eligible_types,
                    gcs_utility, uav_utility, verify_feasibility)
-from .phc import (EpisodeLog, PhcParams, PolicyTables, TrainResult,
+from .phc import (EpisodeLog, PhcParams, Tables, TrainResult,
                   action_grids, convergence_check, convergence_slot,
                   hotboot, perturb_scenario, train, with_default_r_max)
 from .runner import (MetricsRow, run_compare, run_mode, run_phc, run_solve,
@@ -39,7 +39,7 @@ __all__ = [
     "ContractItem", "ContractMenu", "FeasibilityReport", "Scenario",
     "UavType", "defensive_effectiveness", "eligible_types", "gcs_utility",
     "uav_utility", "verify_feasibility",
-    "EpisodeLog", "PhcParams", "PolicyTables", "TrainResult",
+    "EpisodeLog", "PhcParams", "Tables", "TrainResult",
     "action_grids", "convergence_check", "convergence_slot", "hotboot",
     "perturb_scenario", "train", "with_default_r_max",
     "MetricsRow", "run_compare", "run_mode", "run_phc", "run_solve",

@@ -25,7 +25,7 @@ with their exploration already decayed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -165,8 +165,7 @@ def _check_tables(q: np.ndarray, pi: np.ndarray, visits: np.ndarray) -> None:
     lies in [0, 1] (NaN does not), every pi row sums to 1 within 1e-9 and
     no visit count is negative.
 
-    The arrays are one table's or a stack of tables; a pi row is the last
-    axis.
+    The arrays are one side of a `Tables` stack; a pi row is the last axis.
     """
     if not np.isfinite(q).all():
         raise ValidationError("q", "values must be finite")
@@ -178,46 +177,79 @@ def _check_tables(q: np.ndarray, pi: np.ndarray, visits: np.ndarray) -> None:
         raise ValidationError("visits", "counts must be non-negative")
 
 
-@dataclass
-class PolicyTables:
-    """One agent's state-action value table, mixed policy and state visits.
+@dataclass(frozen=True)
+class Tables:
+    """Both sides' state-action values ``q``, mixed policies ``pi`` and
+    state ``visits``, stacked along a leading row axis: one row per
+    (seed, eligible type) of a batch, seeds in order.
 
-    ``visits`` counts how often each state has been acted in; it drives
-    the exploration schedule and defaults to zero.
+    A GCS row has one state and one action per grid item: ``gcs_q`` and
+    ``gcs_pi`` have shape (rows, 1, items), ``gcs_visits`` (rows, 1).  A
+    UAV row has one state per posted item and two actions, sign and
+    decline: (rows, items, 2) and (rows, items).  Each side has its own row
+    axis.  ``visits`` counts how often each state has been acted in; it
+    drives the exploration schedule.
+
+    Construction checks the shapes, then the values (`_check_tables`),
+    raising ValidationError naming ``q``, ``pi`` or ``visits``.  `rows`
+    and `join` build from rows already checked and check nothing again;
+    `train` checks the stack it is given.
     """
 
-    q: np.ndarray
-    pi: np.ndarray
-    visits: np.ndarray | None = None
+    gcs_q: np.ndarray
+    gcs_pi: np.ndarray
+    gcs_visits: np.ndarray
+    uav_q: np.ndarray
+    uav_pi: np.ndarray
+    uav_visits: np.ndarray
 
     def __post_init__(self) -> None:
-        self.q = np.asarray(self.q, dtype=np.float64)
-        self.pi = np.asarray(self.pi, dtype=np.float64)
-        if self.q.ndim != 2 or self.q.shape != self.pi.shape:
-            raise ValidationError("q", "q and pi must be equal-shape 2-D")
-        if self.visits is None:
-            self.visits = np.zeros(self.q.shape[0], dtype=np.int64)
-        self.visits = np.asarray(self.visits, dtype=np.int64)
-        if self.visits.shape != self.q.shape[:1]:
-            raise ValidationError("visits", "one count per state")
+        items = np.shape(self.gcs_q)[-1:]
+        # one row's (states, actions), a side's rows counted by its q
+        row = {"gcs": (1,) + items, "uav": items + (2,)}
+        for f in fields(self):
+            side, name = f.name.split("_")
+            shape = np.shape(getattr(self, side + "_q"))[:1] + (
+                row[side][:1] if name == "visits" else row[side])
+            array = np.asarray(getattr(self, f.name), dtype=np.int64
+                               if name == "visits" else np.float64)
+            if array.shape != shape:
+                raise ValidationError(name, f"{side} {name} must have shape "
+                                            f"{shape}, got {array.shape}")
+            object.__setattr__(self, f.name, array)
         self.check()
 
     @classmethod
-    def cold(cls, n_states: int, n_actions: int) -> "PolicyTables":
-        """Zero values and visits, uniform policy."""
-        return cls(q=np.zeros((n_states, n_actions)),
-                   pi=np.full((n_states, n_actions), 1.0 / n_actions))
+    def cold(cls, rows: int, items: int) -> "Tables":
+        """Zero values and visits, uniform policies."""
+        return cls(np.zeros((rows, 1, items)),
+                   np.full((rows, 1, items), 1.0 / items),
+                   np.zeros((rows, 1), dtype=np.int64),
+                   np.zeros((rows, items, 2)), np.full((rows, items, 2), 0.5),
+                   np.zeros((rows, items), dtype=np.int64))
 
-    @classmethod
-    def _checked(cls, q: np.ndarray, pi: np.ndarray,
-                 visits: np.ndarray) -> "PolicyTables":
-        """Tables over arrays that `_check_tables` has already passed."""
-        tables = object.__new__(cls)
-        tables.q, tables.pi, tables.visits = q, pi, visits
-        return tables
+    @staticmethod
+    def join(parts: Sequence["Tables"]) -> "Tables":
+        """One stack of the parts' rows, in order."""
+        return _unchecked(np.concatenate([getattr(p, f.name) for p in parts])
+                          for f in fields(Tables))
 
     def check(self) -> None:
-        _check_tables(self.q, self.pi, self.visits)
+        """Check the values of both sides (`_check_tables`)."""
+        _check_tables(self.gcs_q, self.gcs_pi, self.gcs_visits)
+        _check_tables(self.uav_q, self.uav_pi, self.uav_visits)
+
+    def rows(self, lo: int, hi: int) -> "Tables":
+        """Rows ``lo`` to ``hi`` of both sides, as views of these arrays."""
+        return _unchecked(getattr(self, f.name)[lo:hi] for f in fields(self))
+
+
+def _unchecked(arrays) -> Tables:
+    """`Tables` over ``arrays``, in field order, whose rows were checked."""
+    tables = object.__new__(Tables)
+    for f, array in zip(fields(Tables), arrays):
+        object.__setattr__(tables, f.name, array)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -303,73 +335,53 @@ class EpisodeLog:
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Trajectory log plus the final tables (one pair per learning type)."""
+    """One seed's trajectory log and its final tables, one row per learning
+    type: a view of the rows of the batch's stack."""
 
     log: EpisodeLog
-    gcs_tables: tuple[PolicyTables, ...]
-    uav_tables: tuple[PolicyTables, ...]
-
-
-InitTables = tuple[Sequence[PolicyTables], Sequence[PolicyTables]]
-
-
-def cold_tables(params: PhcParams, ntypes: int
-                ) -> tuple[tuple[PolicyTables, ...], tuple[PolicyTables, ...]]:
-    """Fresh (GCS, UAV) tables for ``ntypes`` learning types.
-
-    A GCS table has one state and one action per grid item; a UAV table
-    has one state per posted item and two actions, sign and decline.
-    """
-    items = (params.reward_levels + 1) * (params.size_levels + 1)
-    return (tuple(PolicyTables.cold(1, items) for _ in range(ntypes)),
-            tuple(PolicyTables.cold(items, 2) for _ in range(ntypes)))
+    tables: Tables
 
 
 def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
-          slots: int, init: InitTables | Sequence[InitTables | None] | None,
+          slots: int, init: Tables | None,
           rng: np.random.Generator | Sequence[np.random.Generator]
           ) -> TrainResult | list[TrainResult]:
     """Run the learning game for ``slots`` slots over all eligible types.
 
-    One run: ``rng`` is a Generator and ``init`` carries (GCS tables, UAV
-    tables) from a previous run, one pair per eligible type, visit counts
-    included; None starts cold (Q zero, pi uniform, no visits).  Returns a
-    TrainResult.
+    ``rng`` is a sequence of generators, one per seed; ``scenario`` is one
+    Scenario for every seed or a sequence with one per seed.  ``init`` is
+    None (every row cold: Q zero, pi uniform, no visits) or one `Tables`
+    stack for the whole batch, visit counts included: one row per (seed,
+    eligible type), seeds in order, on the seeds' action grids.  Returns a
+    list with one TrainResult per seed, the one a call with that seed's
+    arguments alone gives: every (seed, type) pair is a row of one kernel
+    call, and rows share nothing.  The seeds' scenarios must give the same
+    action grids and deployment cost.  A one-run call, ``rng`` a
+    Generator, is a batch of one and returns its TrainResult.
 
-    Batch form: ``rng`` is a sequence of generators, one per seed;
-    ``scenario`` is one Scenario for every seed or a sequence with one per
-    seed, and ``init`` is None (every seed cold) or a sequence with one
-    entry, tables or None, per seed.  Returns a list with one TrainResult
-    per seed, the one a one-run call with that seed's arguments gives:
-    every (seed, type) pair is a row of one kernel call, and rows share
-    nothing.  The seeds' scenarios must give the same action grids and
-    deployment cost.  A one-run call is a batch of one.
-
-    The tables passed in are not modified.  All randomness comes from the
-    generators: each seed draws four uniforms per type and slot, 0-1 for
-    the GCS's item and 2-3 for the UAV's answer, in the order of one
-    (slots, types, 4) draw, though they are drawn and used `SLOT_BLOCK`
-    slots at a time.  Trajectories are therefore reproducible for a given
-    seed regardless of the batch.
+    The tables passed in are copied once and not modified.  All randomness
+    comes from the generators: each seed draws four uniforms per type and
+    slot, 0-1 for the GCS's item and 2-3 for the UAV's answer, in the order
+    of one (slots, types, 4) draw, though they are drawn and used
+    `SLOT_BLOCK` slots at a time.  Trajectories are therefore reproducible
+    for a given seed regardless of the batch.
     """
     single = isinstance(rng, np.random.Generator)
-    if single:
-        scenario, init, rng = [scenario], [init], [rng]
-    rngs = list(rng)
+    rngs = [rng] if single else list(rng)
     scenarios = (len(rngs) * [scenario] if isinstance(scenario, Scenario)
                  else list(scenario))
-    inits = len(rngs) * [None] if init is None else list(init)
     if slots < 1:
         raise ValidationError("slots", "must be at least 1")
-    if not rngs or not len(scenarios) == len(inits) == len(rngs):
-        raise ValidationError("rng", "one scenario and init per generator")
-    orders, gcs_tables, uav_tables = [], [], []
-    for k, (sc, tables) in enumerate(zip(scenarios, inits)):
-        resolved = with_default_r_max(params, sc)
+    if not rngs or len(scenarios) != len(rngs):
+        raise ValidationError("rng", "one scenario per generator")
+    if init is not None and not isinstance(init, Tables):
+        raise ValidationError("init", "must be Tables or None")
+    orders = []
+    for k, sc in enumerate(scenarios):
         order = eligible_types(sc)
         if not order:
             raise ValidationError("scenario", "no eligible types to train")
-        grids = action_grids(resolved, sc.s_max)
+        grids = action_grids(with_default_r_max(params, sc), sc.s_max)
         if k == 0:
             reward_grid, size_grid = grids
         elif not (np.array_equal(grids[0], reward_grid)
@@ -378,28 +390,16 @@ def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
             raise ValidationError(
                 "scenario", "a batch must share action grids and "
                             "deployment cost")
-        gcs_init, uav_init = (tables if tables is not None
-                              else cold_tables(resolved, len(order)))
-        if len(gcs_init) != len(order) or len(uav_init) != len(order):
-            raise ValidationError("init", "one table pair per eligible type")
         orders.append(order)
-        gcs_tables.extend(gcs_init)
-        uav_tables.extend(uav_init)
-    items = reward_grid.shape[0] * size_grid.shape[0]
-    if ({t.q.shape for t in gcs_tables} != {(1, items)}
-            or {t.q.shape for t in uav_tables} != {(items, 2)}):
-        raise ValidationError("init", "table shapes do not match grids")
-    q_g = np.stack([t.q for t in gcs_tables])
-    pi_g = np.stack([t.pi for t in gcs_tables])
-    visits_g = np.stack([t.visits for t in gcs_tables])
-    q_u = np.stack([t.q for t in uav_tables])
-    pi_u = np.stack([t.pi for t in uav_tables])
-    visits_u = np.stack([t.visits for t in uav_tables])
-    # one check over each stack, at entry and on what the kernel leaves
-    _check_tables(q_g, pi_g, visits_g)
-    _check_tables(q_u, pi_u, visits_u)
-    rows = len(gcs_tables)
     bounds = np.cumsum([0] + [len(order) for order in orders]).tolist()
+    rows, items = bounds[-1], reward_grid.shape[0] * size_grid.shape[0]
+    # the copy's construction checks it
+    tables = (Tables.cold(rows, items) if init is None else
+              Tables(*(getattr(init, f.name).copy() for f in fields(init))))
+    if (tables.gcs_q.shape[0], tables.uav_q.shape[0],
+            tables.gcs_q.shape[2]) != (rows, rows, items):
+        raise ValidationError("init", f"needs {rows} rows, one per (seed, "
+                                      f"eligible type), of {items} items")
     types = [ty for order in orders for ty in order]
     uav_payoff, gcs_payoff = _signed_payoffs(
         reward_grid, size_grid, np.array([ty.c for ty in types]),
@@ -416,30 +416,23 @@ def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
         uniforms = np.empty((block.stop - start, rows, 4))
         for g, lo, hi in zip(rngs, bounds, bounds[1:]):
             uniforms[:, lo:hi] = g.random((block.stop - start, hi - lo, 4))
-        _kernels.train_loop(q_g, pi_g, q_u, pi_u, uniforms, uav_payoff,
-                            gcs_payoff, params.learning_rate_gcs,
-                            params.discount_gcs, params.step_gcs,
-                            params.learning_rate_uav, params.discount_uav,
-                            params.step_uav, visits_g, visits_u,
+        _kernels.train_loop(tables.gcs_q, tables.gcs_pi, tables.uav_q,
+                            tables.uav_pi, uniforms, uav_payoff, gcs_payoff,
+                            params.learning_rate_gcs, params.discount_gcs,
+                            params.step_gcs, params.learning_rate_uav,
+                            params.discount_uav, params.step_uav,
+                            tables.gcs_visits, tables.uav_visits,
                             EXPLORE_VISITS, EXPLORE_FLOOR, item[block],
                             signed[block])
-    _check_tables(q_g, pi_g, visits_g)
-    _check_tables(q_u, pi_u, visits_u)
-    results = []
-    for order, lo, hi in zip(orders, bounds, bounds[1:]):
-        log = EpisodeLog(type_indices=tuple(ty.index for ty in order),
-                         reward_grid=reward_grid, size_grid=size_grid,
-                         item=item[:, lo:hi], signed=signed[:, lo:hi],
-                         uav_payoff=uav_payoff[lo:hi],
-                         gcs_payoff=gcs_payoff[lo:hi])
-        results.append(TrainResult(
-            log=log,
-            gcs_tables=tuple(PolicyTables._checked(q_g[i], pi_g[i],
-                                                   visits_g[i])
-                             for i in range(lo, hi)),
-            uav_tables=tuple(PolicyTables._checked(q_u[i], pi_u[i],
-                                                   visits_u[i])
-                             for i in range(lo, hi))))
+    tables.check()
+    results = [TrainResult(
+        log=EpisodeLog(type_indices=tuple(ty.index for ty in order),
+                       reward_grid=reward_grid, size_grid=size_grid,
+                       item=item[:, lo:hi], signed=signed[:, lo:hi],
+                       uav_payoff=uav_payoff[lo:hi],
+                       gcs_payoff=gcs_payoff[lo:hi]),
+        tables=tables.rows(lo, hi))
+        for order, lo, hi in zip(orders, bounds, bounds[1:])]
     return results[0] if single else results
 
 
@@ -467,30 +460,33 @@ def perturb_scenario(scenario: Scenario, rng: np.random.Generator,
 def hotboot(family: Sequence[Scenario] | Sequence[Sequence[Scenario]],
             episodes: int, params: PhcParams,
             rng: np.random.Generator | Sequence[np.random.Generator],
-            slots_per_episode: int = 2000
-            ) -> InitTables | list[InitTables]:
+            slots_per_episode: int = 2000) -> Tables:
     """Pre-train tables offline on scenarios drawn from a family.
 
     Each episode picks a family member at random and continues training the
     same tables on it.  Zero episodes returns cold tables.  Grids are fixed
     from the first family member so action indices keep one meaning across
     the whole chain; every member must expose the same eligible type count.
-    One run (``rng`` a Generator) returns the (GCS tables, UAV tables) pair.
 
-    Batch form: ``rng`` is a sequence of generators, one per seed, and
-    ``family`` a sequence with one family per seed; every episode trains
-    all seeds in one `train` call.  Returns one table pair per seed, the
-    one a one-run call with that seed's family and generator gives: each
-    generator draws, per episode, its pick and then that episode's
-    uniforms.  The families must resolve to the same grids.
+    ``rng`` is a sequence of generators, one per seed, and ``family`` a
+    sequence with one family per seed; every episode trains all seeds in
+    one `train` call.  Returns the one `Tables` stack `train` takes for
+    that batch.  Each seed's rows are the ones a call with its family and
+    generator alone gives: each generator draws, per episode, its pick and
+    then that episode's uniforms.  The families must resolve to the same
+    grids.  A one-run call, ``rng`` a Generator and ``family`` one family,
+    is a batch of one.
     """
     single = isinstance(rng, np.random.Generator)
     families, rngs = ([family], [rng]) if single else (list(family),
                                                        list(rng))
     if not rngs or len(families) != len(rngs):
         raise ValidationError("family", "one family per generator")
-    if not all(families):
-        raise ValidationError("family", "must contain at least one scenario")
+    for fam in families:
+        if (isinstance(fam, Scenario) or not fam
+                or not all(isinstance(sc, Scenario) for sc in fam)):
+            raise ValidationError("family", "must be a non-empty sequence "
+                                            "of scenarios")
     if episodes < 0:
         raise ValidationError("episodes", "must be non-negative")
     resolved = [with_default_r_max(params, fam[0]) for fam in families]
@@ -498,7 +494,8 @@ def hotboot(family: Sequence[Scenario] | Sequence[Sequence[Scenario]],
     if any(p.r_max != params.r_max for p in resolved):
         raise ValidationError("family", "families must share the reward grid")
     counts = [len(eligible_types(fam[0])) for fam in families]
-    tables = [cold_tables(params, j) for j in counts]
+    tables = Tables.cold(sum(counts), (params.reward_levels + 1)
+                         * (params.size_levels + 1))
     for _ in range(episodes):
         picked = []
         for fam, g, j in zip(families, rngs, counts):
@@ -506,9 +503,9 @@ def hotboot(family: Sequence[Scenario] | Sequence[Sequence[Scenario]],
             if len(eligible_types(scenario)) != j:
                 raise ValidationError("family", "eligible type counts differ")
             picked.append(scenario)
-        tables = [(r.gcs_tables, r.uav_tables) for r in
-                  train(picked, params, slots_per_episode, tables, rngs)]
-    return tables[0] if single else tables
+        tables = Tables.join([result.tables for result in train(
+            picked, params, slots_per_episode, tables, rngs)])
+    return tables
 
 
 @dataclass(frozen=True)

@@ -81,3 +81,12 @@ def logs_equal(a, b) -> bool:
     """Whether two `EpisodeLog`s hold the same bits in every field."""
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
                for f in dataclasses.fields(a))
+
+
+def tables_equal(a, b) -> bool:
+    """Whether two `Tables` hold the same bits, dtypes and shapes included,
+    in all six arrays."""
+    return all(x.dtype == y.dtype and x.shape == y.shape
+               and x.tobytes() == y.tobytes()
+               for x, y in ((getattr(a, f.name), getattr(b, f.name))
+                            for f in dataclasses.fields(a)))

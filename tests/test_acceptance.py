@@ -17,8 +17,8 @@ import reference_kernels
 from conftest import (logs_equal, make_scenario_a, make_scenario_b,
                       make_single_type, random_scenario)
 from reference_game import item_for
-from uavcontract import (ChannelParams, PhcParams, PolicyTables,
-                         SpeedViolation, UavKinematics, a2g_pathloss,
+from uavcontract import (ChannelParams, PhcParams, SpeedViolation, Tables,
+                         UavKinematics, a2g_pathloss,
                          brute_force_oracle, convergence_check,
                          convergence_slot, eligible_types, gcs_utility,
                          hotboot, los_probability, menu_utilities,
@@ -188,18 +188,18 @@ def test_criterion_07_update_rule_fixed_points():
     sc = make_single_type()
     degenerate = PhcParams(reward_levels=0, size_levels=0, r_max=13.0)
     result = train(sc, degenerate, 10_000, None, np.random.default_rng(0))
-    uav_q = float(result.uav_tables[0].q[0, 0])
-    decline_q = float(result.uav_tables[0].q[0, 1])
-    gcs_q = float(result.gcs_tables[0].q[0, 0])
+    uav_q = float(result.tables.uav_q[0, 0, 0])
+    decline_q = float(result.tables.uav_q[0, 0, 1])
+    gcs_q = float(result.tables.gcs_q[0, 0, 0])
     fixed_ok = (abs(uav_q - (-1.0)) <= 1e-6 and decline_q == 0.0
                 and gcs_q == 0.0
-                and float(result.uav_tables[0].pi[0, 1]) == 1.0)
+                and float(result.tables.uav_pi[0, 0, 1]) == 1.0)
     # synthetic single-cell recursion with a positive payoff
-    cell = PolicyTables.cold(1, 1)
+    cell_q, cell_pi = np.zeros((1, 1)), np.ones((1, 1))
     for _ in range(200):
-        reference_kernels.phc_step(cell.q, cell.pi, 0, 0, 10.0, 0, 0.7, 0.8,
+        reference_kernels.phc_step(cell_q, cell_pi, 0, 0, 10.0, 0, 0.7, 0.8,
                                    0.01)
-    synth_ok = abs(float(cell.q[0, 0]) - 50.0) <= 1e-6
+    synth_ok = abs(float(cell_q[0, 0]) - 50.0) <= 1e-6
     # policy rows survive a million updates of each side through the
     # training loop: 50 seeds of 20 000 slots on a 4 x 5 item grid
     m = 1_000_000
@@ -210,8 +210,7 @@ def test_criterion_07_update_rule_fixed_points():
     assert sum(res.log.slots for res in results) == m
     try:
         for res in results:
-            for tables in res.gcs_tables + res.uav_tables:
-                tables.check()
+            res.tables.check()
         simplex_ok = True
     except Exception:
         simplex_ok = False
@@ -223,7 +222,7 @@ def test_criterion_07_update_rule_fixed_points():
     ok = fixed_ok and synth_ok and simplex_ok and replay_ok
     record(7, ok, f"uav q sign {uav_q:.9g} decline {decline_q}, gcs q "
                   f"{gcs_q}, synthetic q "
-                  f"{float(cell.q[0, 0]):.9g}, simplex {simplex_ok}, "
+                  f"{float(cell_q[0, 0]):.9g}, simplex {simplex_ok}, "
                   f"replay {replay_ok}")
 
 
@@ -241,7 +240,9 @@ def test_criterion_08_hotboot_speeds_convergence():
     inits = hotboot(families, 10, params, rngs, 2000)
     # hot and cold runs of every seed share one batch; each seed's cold
     # run has a fresh generator of its own
-    results = train(sc, params, 20_000, inits + [None] * len(seeds),
+    items = (params.reward_levels + 1) * (params.size_levels + 1)
+    results = train(sc, params, 20_000,
+                    Tables.join([inits, Tables.cold(len(seeds), items)]),
                     rngs + [np.random.default_rng(seed) for seed in seeds])
     for hot, cold in zip(results[:len(seeds)], results[len(seeds):]):
         hot_slot = convergence_slot(hot.log, 500, 0.95)

@@ -1,21 +1,31 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uavcontract import (InsufficientData, PhcParams, PolicyTables, Scenario,
+from uavcontract import (InsufficientData, PhcParams, Scenario, Tables,
                          UavType, ValidationError, action_grids,
                          convergence_check, convergence_slot, eligible_types,
                          hotboot, perturb_scenario, train, with_default_r_max)
 from uavcontract import _kernels
 from uavcontract.phc import (EXPLORE_FLOOR, EXPLORE_VISITS, EpisodeLog,
-                             _signed_payoffs, check_payoffs, default_r_max)
+                             _check_tables, _signed_payoffs, check_payoffs,
+                             default_r_max)
 
 import reference_kernels as ref
-from conftest import logs_equal, make_scenario_a, make_single_type
+from conftest import (logs_equal, make_scenario_a, make_single_type,
+                      tables_equal)
+
+
+def cold_arrays(states, actions):
+    """One agent's (q, pi, visits) arrays as a cold start: zero values and
+    visits, uniform policy."""
+    return (np.zeros((states, actions)),
+            np.full((states, actions), 1.0 / actions),
+            np.zeros(states, dtype=np.int64))
 
 
 def synthetic_log(size_index, reward_index):
@@ -90,69 +100,69 @@ class TestGrids:
 
 class TestPhcUpdate:
     def test_worked_bellman_step(self):
-        tables = PolicyTables.cold(3, 11)
-        ref.phc_step(tables.q, tables.pi, state=1, action=4, payoff=10.0,
+        q, pi, _ = cold_arrays(3, 11)
+        ref.phc_step(q, pi, state=1, action=4, payoff=10.0,
                      next_state=2, rate=0.7, discount=0.8, step=0.01)
-        assert tables.q[1, 4] == pytest.approx(7.0)
-        assert np.all(tables.q[0] == 0.0) and np.all(tables.q[2] == 0.0)
+        assert q[1, 4] == pytest.approx(7.0)
+        assert np.all(q[0] == 0.0) and np.all(q[2] == 0.0)
         gain = 1.0 / 11.0 + 0.01
         lose = 1.0 / 11.0 - 0.01 / 11.0
         total = gain + 10.0 * lose
-        assert tables.pi[1, 4] == pytest.approx(gain / total, rel=1e-12)
-        assert tables.pi[1, 0] == pytest.approx(lose / total, rel=1e-12)
-        assert np.all(tables.pi[0] == 1.0 / 11.0)
+        assert pi[1, 4] == pytest.approx(gain / total, rel=1e-12)
+        assert pi[1, 0] == pytest.approx(lose / total, rel=1e-12)
+        assert np.all(pi[0] == 1.0 / 11.0)
 
     def test_bootstrap_uses_next_state_row(self):
-        tables = PolicyTables.cold(2, 2)
-        tables.q[1] = [0.0, 4.0]
-        ref.phc_step(tables.q, tables.pi, state=0, action=0, payoff=1.0,
+        q, pi, _ = cold_arrays(2, 2)
+        q[1] = [0.0, 4.0]
+        ref.phc_step(q, pi, state=0, action=0, payoff=1.0,
                      next_state=1, rate=0.5, discount=0.5, step=0.01)
-        assert tables.q[0, 0] == pytest.approx(0.5 * (1.0 + 0.5 * 4.0))
+        assert q[0, 0] == pytest.approx(0.5 * (1.0 + 0.5 * 4.0))
 
     def test_self_bootstrap_reads_pre_update_value(self):
-        tables = PolicyTables.cold(1, 1)
-        tables.q[0, 0] = 2.0
-        ref.phc_step(tables.q, tables.pi, state=0, action=0, payoff=-1.0,
+        q, pi, _ = cold_arrays(1, 1)
+        q[0, 0] = 2.0
+        ref.phc_step(q, pi, state=0, action=0, payoff=-1.0,
                      next_state=0, rate=0.7, discount=0.8, step=0.01)
-        assert tables.q[0, 0] == pytest.approx(0.3 * 2.0 + 0.7 * (-1.0 + 0.8 * 2.0))
+        assert q[0, 0] == pytest.approx(0.3 * 2.0 + 0.7 * (-1.0 + 0.8 * 2.0))
 
     def test_zero_payoff_zero_tables_fixed_point(self):
-        tables = PolicyTables.cold(2, 3)
-        before = tables.pi.copy()
-        ref.phc_step(tables.q, tables.pi, 0, 1, 0.0, 1, 0.7, 0.8, 0.01)
-        assert np.all(tables.q == 0.0)
+        q, pi, _ = cold_arrays(2, 3)
+        before = pi.copy()
+        ref.phc_step(q, pi, 0, 1, 0.0, 1, 0.7, 0.8, 0.01)
+        assert np.all(q == 0.0)
         # greedy falls back to the first action of an all-equal row
-        assert tables.pi[0, 0] > before[0, 0]
-        assert tables.pi[0].sum() == pytest.approx(1.0, abs=1e-12)
+        assert pi[0, 0] > before[0, 0]
+        assert pi[0].sum() == pytest.approx(1.0, abs=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1))
     def test_simplex_preserved(self, seed):
         rng = np.random.default_rng(seed)
-        tables = PolicyTables.cold(4, 6)
+        q, pi, visits = cold_arrays(4, 6)
         for _ in range(50):
-            ref.phc_step(tables.q, tables.pi, int(rng.integers(4)),
+            ref.phc_step(q, pi, int(rng.integers(4)),
                          int(rng.integers(6)), float(rng.normal(scale=30.0)),
                          int(rng.integers(4)), 0.7, 0.8,
                          float(rng.uniform(0.001, 0.5)))
-        tables.check()
+        _check_tables(q, pi, visits)
 
     def test_simplex_preserved_bulk(self):
         rng = np.random.default_rng(0)
         m = 10_000
-        tables = PolicyTables.cold(8, 12)
-        ref.update_many_wide(tables.q, tables.pi,
+        q, pi, visits = cold_arrays(8, 12)
+        ref.update_many_wide(q, pi,
                              rng.integers(0, 8, m), rng.integers(0, 12, m),
                              rng.normal(scale=50.0, size=m),
                              rng.integers(0, 8, m), 0.7, 0.8, 0.01)
-        tables.check()
+        _check_tables(q, pi, visits)
 
     def test_wide_step_matches_scalar_rule(self):
         # the whole-row form the GCS's rows take must reproduce the scalar
         # rule bit for bit, clamps at 0 and 1 included
         rng = np.random.default_rng(4)
         n = 24
-        wide = PolicyTables.cold(3, n)
-        scalar = PolicyTables.cold(3, n)
+        wide_q, wide_pi, _ = cold_arrays(3, n)
+        scalar_q, scalar_pi, _ = cold_arrays(3, n)
         for k in range(400):
             args = (int(rng.integers(3)), int(rng.integers(n)),
                     float(rng.normal(scale=20.0)), int(rng.integers(3)),
@@ -160,11 +170,11 @@ class TestPhcUpdate:
             if k >= 300:
                 # keep rewarding one action so its probability hits 1
                 args = (0, 5, 100.0) + args[3:]
-            ref.phc_step_wide(wide.q, wide.pi, *args)
-            ref.phc_step(scalar.q, scalar.pi, *args)
-        assert np.array_equal(wide.q, scalar.q)
-        assert np.array_equal(wide.pi, scalar.pi)
-        assert np.any(wide.pi == 1.0) and np.any(wide.pi == 0.0)
+            ref.phc_step_wide(wide_q, wide_pi, *args)
+            ref.phc_step(scalar_q, scalar_pi, *args)
+        assert np.array_equal(wide_q, scalar_q)
+        assert np.array_equal(wide_pi, scalar_pi)
+        assert np.any(wide_pi == 1.0) and np.any(wide_pi == 0.0)
 
     def test_row_update_many_matches_scalar_body(self):
         # the whole-row batch update steps through phc_step_wide; over many
@@ -178,28 +188,28 @@ class TestPhcUpdate:
         # the last updates keep rewarding one action, so its probability
         # reaches 1
         states[-2000:], actions[-2000:], payoffs[-2000:] = 0, 3, 100.0
-        row = PolicyTables.cold(6, 12)
-        scalar = PolicyTables.cold(6, 12)
-        ref.update_many_wide(row.q, row.pi, states, actions, payoffs,
+        row_q, row_pi, _ = cold_arrays(6, 12)
+        scalar_q, scalar_pi, _ = cold_arrays(6, 12)
+        ref.update_many_wide(row_q, row_pi, states, actions, payoffs,
                              next_states, 0.7, 0.8, 0.05)
-        ref.update_many(scalar.q, scalar.pi, states, actions, payoffs,
+        ref.update_many(scalar_q, scalar_pi, states, actions, payoffs,
                         next_states, 0.7, 0.8, 0.05)
-        assert row.q.tobytes() == scalar.q.tobytes()
-        assert row.pi.tobytes() == scalar.pi.tobytes()
-        assert np.any(scalar.pi == 1.0) and np.any(scalar.pi == 0.0)
+        assert row_q.tobytes() == scalar_q.tobytes()
+        assert row_pi.tobytes() == scalar_pi.tobytes()
+        assert np.any(scalar_pi == 1.0) and np.any(scalar_pi == 0.0)
 
     def test_value_bound(self):
         # |Q| stays within max|payoff| / (1 - discount) from zero init
         rng = np.random.default_rng(2)
         cap = 20.0
         discount = 0.8
-        tables = PolicyTables.cold(5, 5)
+        q, pi, _ = cold_arrays(5, 5)
         m = 5000
-        ref.update_many_wide(tables.q, tables.pi,
+        ref.update_many_wide(q, pi,
                              rng.integers(0, 5, m), rng.integers(0, 5, m),
                              rng.uniform(-cap, cap, m),
                              rng.integers(0, 5, m), 0.9, discount, 0.05)
-        assert np.max(np.abs(tables.q)) <= cap / (1.0 - discount) + 1e-9
+        assert np.max(np.abs(q)) <= cap / (1.0 - discount) + 1e-9
 
 
 class TestSampling:
@@ -213,18 +223,17 @@ class TestSampling:
         assert ref.sample_index(row, 0.999999) == 2
 
     def test_point_mass(self):
-        tables = PolicyTables(q=np.zeros((1, 4)),
-                              pi=np.array([[0.0, 0.0, 1.0, 0.0]]))
+        pi = np.array([0.0, 0.0, 1.0, 0.0])
         rng = np.random.default_rng(1)
-        assert all(ref.sample_index(tables.pi[0], rng.random()) == 2
+        assert all(ref.sample_index(pi, rng.random()) == 2
                    for _ in range(200))
 
     def test_uniform_frequencies(self):
         n = 5
         draws = 100_000
-        tables = PolicyTables.cold(1, n)
+        pi = np.full(n, 1.0 / n)
         rng = np.random.default_rng(10)
-        counts = np.bincount([ref.sample_index(tables.pi[0], rng.random())
+        counts = np.bincount([ref.sample_index(pi, rng.random())
                               for _ in range(draws)], minlength=n)
         sigma = math.sqrt(draws * (1 / n) * (1 - 1 / n))
         assert np.all(np.abs(counts - draws / n) < 3.5 * sigma)
@@ -256,31 +265,27 @@ class TestSampling:
         params = PhcParams(reward_levels=4, size_levels=3, r_max=12.0,
                            step_gcs=1e-9, step_uav=1e-9)
         items = 20
-        gcs = PolicyTables(q=np.zeros((1, items)),
-                           pi=np.eye(1, items))
-        uav = PolicyTables(q=np.zeros((items, 2)),
-                           pi=np.tile([0.0, 1.0], (items, 1)))
-        fresh = train(sc, params, 400, ((gcs,), (uav,)),
-                      np.random.default_rng(0)).log
+        tables = Tables.cold(1, items)
+        tables.gcs_pi[:] = np.eye(1, items)
+        tables.uav_pi[:] = [0.0, 1.0]
+        fresh = train(sc, params, 400, tables, np.random.default_rng(0)).log
         assert len(np.unique(fresh.item)) == items
         assert fresh.signed.any()
         # once the visits reach the horizon, the floor share is all that
         # strays from pi
-        gcs.visits[:] = EXPLORE_VISITS * items
-        uav.visits[:] = EXPLORE_VISITS
-        settled = train(sc, params, 2000, ((gcs,), (uav,)),
+        tables.gcs_visits[:] = EXPLORE_VISITS * items
+        tables.uav_visits[:] = EXPLORE_VISITS
+        settled = train(sc, params, 2000, tables,
                         np.random.default_rng(0)).log
         assert 0.0 < np.mean(settled.item != 0) < 0.02
         assert np.mean(settled.signed) < 0.02
 
     def test_same_seed_same_sequence(self):
-        tables = PolicyTables.cold(1, 7)
+        pi = np.full(7, 1.0 / 7)
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
-        a = [ref.sample_index(tables.pi[0], rng_a.random())
-             for _ in range(50)]
-        b = [ref.sample_index(tables.pi[0], rng_b.random())
-             for _ in range(50)]
+        a = [ref.sample_index(pi, rng_a.random()) for _ in range(50)]
+        b = [ref.sample_index(pi, rng_b.random()) for _ in range(50)]
         assert a == b
 
 
@@ -301,18 +306,19 @@ def replica_train(scenario, params, slots, seed):
     rng = np.random.default_rng(seed)
     uniforms = rng.random((slots, len(order), 4))
     logs = {"a": [], "b": [], "gs": [], "us": [], "up": [], "gp": []}
-    gcs = [PolicyTables.cold(1, items) for _ in order]
-    uav = [PolicyTables.cold(items, 2) for _ in order]
+    gcs = [cold_arrays(1, items) for _ in order]
+    uav = [cold_arrays(items, 2) for _ in order]
 
     def pick(tables, state, horizon, u_explore, u_pick):
-        n = tables.pi.shape[1]
-        visits = tables.visits[state]
-        tables.visits[state] += 1
-        share = (floor if visits >= horizon
-                 else 1.0 - (1.0 - floor) * visits / horizon)
+        _, pi, visits = tables
+        n = pi.shape[1]
+        seen = visits[state]
+        visits[state] += 1
+        share = (floor if seen >= horizon
+                 else 1.0 - (1.0 - floor) * seen / horizon)
         if u_explore < share:
             return min(int(u_pick * n), n - 1)
-        return ref.sample_index(tables.pi[state], u_pick)
+        return ref.sample_index(pi[state], u_pick)
 
     for j, ty in enumerate(order):
         w = scenario.satisfaction_factor * ty.n / ty.t
@@ -329,10 +335,10 @@ def replica_train(scenario, params, slots, seed):
                 g_pay = w * math.log1p(s_val) - ty.n * r_val
             else:
                 u_pay = g_pay = 0.0
-            ref.phc_step(uav[j].q, uav[j].pi, k, answer, u_pay, k,
+            ref.phc_step(*uav[j][:2], k, answer, u_pay, k,
                          params.learning_rate_uav, params.discount_uav,
                          params.step_uav)
-            ref.phc_step(gcs[j].q, gcs[j].pi, 0, k, g_pay, 0,
+            ref.phc_step(*gcs[j][:2], 0, k, g_pay, 0,
                          params.learning_rate_gcs, params.discount_gcs,
                          params.step_gcs)
             for key, v in zip(("a", "b", "gs", "us", "up", "gp"),
@@ -341,7 +347,8 @@ def replica_train(scenario, params, slots, seed):
         for key in logs:
             logs[key].append(cols[key])
     arrays = {k: np.array(v).T for k, v in logs.items()}
-    return arrays, gcs, uav
+    return arrays, Tables(*(np.stack(rows) for side in (gcs, uav)
+                            for rows in zip(*side)))
 
 
 class TestTrain:
@@ -350,7 +357,7 @@ class TestTrain:
     def test_matches_hand_replica(self):
         sc = make_scenario_a()
         result = train(sc, self.PARAMS, 40, None, np.random.default_rng(8))
-        arrays, gcs, uav = replica_train(sc, self.PARAMS, 40, 8)
+        arrays, tables = replica_train(sc, self.PARAMS, 40, 8)
         log = result.log
         assert np.array_equal(log.reward_index, arrays["a"])
         assert np.array_equal(log.size_index, arrays["b"])
@@ -358,11 +365,7 @@ class TestTrain:
         assert np.array_equal(log.item, arrays["us"])
         assert np.array_equal(log.uav_utility, arrays["up"])
         assert np.array_equal(log.gcs_term, arrays["gp"])
-        for got, want in zip(result.gcs_tables + result.uav_tables,
-                             gcs + uav):
-            assert np.array_equal(got.q, want.q)
-            assert np.array_equal(got.pi, want.pi)
-            assert np.array_equal(got.visits, want.visits)
+        assert tables_equal(result.tables, tables)
         # the run exercised both answers
         assert 0 < log.signed.sum() < log.signed.size
 
@@ -422,11 +425,11 @@ class TestTrain:
         # cost and declining costs nothing, so the UAV learns to decline;
         # declining forever is worth 0 / (1 - discount), signing once and
         # then declining is worth -C0 + discount * 0; the GCS earns zero
-        uav = result.uav_tables[0]
-        assert uav.q[0, 1] == 0.0
-        assert uav.q[0, 0] == pytest.approx(-1.0, abs=1e-6)
-        assert result.gcs_tables[0].q[0, 0] == 0.0
-        assert uav.pi[0, 1] == 1.0
+        tables = result.tables
+        assert tables.uav_q[0, 0, 1] == 0.0
+        assert tables.uav_q[0, 0, 0] == pytest.approx(-1.0, abs=1e-6)
+        assert tables.gcs_q[0, 0, 0] == 0.0
+        assert tables.uav_pi[0, 0, 1] == 1.0
         log = result.log
         signed = log.signed[:, 0]
         assert np.all(log.uav_utility[signed, 0] == -1.0)
@@ -450,24 +453,22 @@ class TestTrain:
                 else:
                     q_decline = ((1.0 - 0.7) * q_decline
                                  + 0.7 * (0.0 + 0.8 * best))
-            assert result.uav_tables[0].q[0, 0] == q_sign
-            assert result.uav_tables[0].q[0, 1] == q_decline
-            assert result.gcs_tables[0].q[0, 0] == 0.0
+            assert result.tables.uav_q[0, 0, 0] == q_sign
+            assert result.tables.uav_q[0, 0, 1] == q_decline
+            assert result.tables.gcs_q[0, 0, 0] == 0.0
 
     def test_warm_start_continues(self):
         sc = make_single_type()
         params = PhcParams(reward_levels=3, size_levels=3)
         first = train(sc, params, 120, None, np.random.default_rng(3))
-        resumed = train(sc, params, 80,
-                        (first.gcs_tables, first.uav_tables),
+        resumed = train(sc, params, 80, first.tables,
                         np.random.default_rng(9))
         cold = train(sc, params, 80, None, np.random.default_rng(9))
-        assert not np.array_equal(resumed.uav_tables[0].q,
-                                  cold.uav_tables[0].q)
+        assert not np.array_equal(resumed.tables.uav_q, cold.tables.uav_q)
         # the source tables are not mutated by the resumed run
-        assert np.array_equal(first.uav_tables[0].q,
-                              train(sc, params, 120, None,
-                                    np.random.default_rng(3)).uav_tables[0].q)
+        assert tables_equal(first.tables,
+                            train(sc, params, 120, None,
+                                  np.random.default_rng(3)).tables)
 
     def test_warm_start_carries_visits(self):
         # exploration decays with the visits the tables carry, so a resumed
@@ -475,23 +476,22 @@ class TestTrain:
         sc = make_single_type()
         params = PhcParams(reward_levels=3, size_levels=3)
         first = train(sc, params, 500, None, np.random.default_rng(3))
-        assert first.gcs_tables[0].visits.tolist() == [500]
-        assert first.uav_tables[0].visits.sum() == 500
-        resumed = train(sc, params, 300,
-                        (first.gcs_tables, first.uav_tables),
+        assert first.tables.gcs_visits.tolist() == [[500]]
+        assert first.tables.uav_visits.sum() == 500
+        resumed = train(sc, params, 300, first.tables,
                         np.random.default_rng(9))
-        assert resumed.gcs_tables[0].visits.tolist() == [800]
-        assert np.all(resumed.uav_tables[0].visits
-                      >= first.uav_tables[0].visits)
-        assert resumed.uav_tables[0].visits.sum() == 800
+        assert resumed.tables.gcs_visits.tolist() == [[800]]
+        assert np.all(resumed.tables.uav_visits >= first.tables.uav_visits)
+        assert resumed.tables.uav_visits.sum() == 800
 
     def test_validation(self):
         sc = make_single_type()
         with pytest.raises(ValidationError):
             train(sc, self.PARAMS, 0, None, np.random.default_rng(0))
-        with pytest.raises(ValidationError):
-            train(sc, self.PARAMS, 10,
-                  ((), ()), np.random.default_rng(0))
+        for init in (((), ()), Tables.cold(0, 20)):
+            with pytest.raises(ValidationError) as err:
+                train(sc, self.PARAMS, 10, init, np.random.default_rng(0))
+            assert err.value.field == "init"
         bad = Scenario(types=(UavType(index=1, c1=0.5, c2=0.0, t=9.0, n=1),),
                        satisfaction_factor=6.0, deployment_cost=1.0,
                        s_max=10.0, t_max=2.0, vdd_demand=800.0, total_uavs=1)
@@ -1020,22 +1020,20 @@ class TestBatchTrain:
         warm = train(sc, params, 50, None, np.random.default_rng(9))
         family = [sc, perturb_scenario(sc, np.random.default_rng(4))]
         scenarios = [family[0], family[1], family[1]]
-        inits = [None, (warm.gcs_tables, warm.uav_tables), None]
-        batch = train(scenarios, params, 120, inits,
+        inits = [None, warm.tables, None]
+        stack = Tables.join([Tables.cold(2, 20) if init is None else init
+                             for init in inits])
+        batch = train(scenarios, params, 120, stack,
                       [np.random.default_rng(s) for s in (1, 2, 3)])
         assert len(batch) == 3
         for got, seed, sc_k, init in zip(batch, (1, 2, 3), scenarios, inits):
             want = train(sc_k, params, 120, init,
                          np.random.default_rng(seed))
             assert logs_equal(got.log, want.log)
-            for a, b in zip(got.gcs_tables + got.uav_tables,
-                            want.gcs_tables + want.uav_tables):
-                assert np.array_equal(a.q, b.q)
-                assert np.array_equal(a.pi, b.pi)
-                assert np.array_equal(a.visits, b.visits)
+            assert tables_equal(got.tables, want.tables)
         # the warm tables passed in are left as they were
         again = train(sc, params, 50, None, np.random.default_rng(9))
-        assert np.array_equal(warm.uav_tables[0].q, again.uav_tables[0].q)
+        assert tables_equal(warm.tables, again.tables)
 
     def test_hotboot_batch_equals_one_run_chains(self):
         sc = make_scenario_a()
@@ -1045,14 +1043,11 @@ class TestBatchTrain:
         batch = hotboot(families, 3, params,
                         [np.random.default_rng(s) for s in (5, 6)],
                         slots_per_episode=80)
-        for (gcs, uav), fam, seed in zip(batch, families, (5, 6)):
-            want_gcs, want_uav = hotboot(fam, 3, params,
-                                         np.random.default_rng(seed),
-                                         slots_per_episode=80)
-            for a, b in zip(gcs + uav, want_gcs + want_uav):
-                assert np.array_equal(a.q, b.q)
-                assert np.array_equal(a.pi, b.pi)
-                assert np.array_equal(a.visits, b.visits)
+        # two eligible types: seed k owns rows 2k and 2k + 1
+        for k, (fam, seed) in enumerate(zip(families, (5, 6))):
+            want = hotboot(fam, 3, params, np.random.default_rng(seed),
+                           slots_per_episode=80)
+            assert tables_equal(batch.rows(2 * k, 2 * k + 2), want)
 
     def test_batch_validation(self):
         sc = make_single_type()
@@ -1069,6 +1064,15 @@ class TestBatchTrain:
             train([sc, make_single_type(s_max=20.0)], params, 10, None, rngs)
         with pytest.raises(ValidationError):
             hotboot([[sc]], 1, params, rngs)
+        # a one-run call given a sequence of one scenario is a batch of one
+        one = train([sc], params, 10, None, np.random.default_rng(0))
+        want = train(sc, params, 10, None, np.random.default_rng(0))
+        assert logs_equal(one.log, want.log)
+        assert tables_equal(one.tables, want.tables)
+        # one generator takes one family of scenarios, not a family of them
+        with pytest.raises(ValidationError) as err:
+            hotboot([[sc]], 1, params, np.random.default_rng(0), 10)
+        assert err.value.field == "family"
 
 
 class TestTrajectoryShape:
@@ -1181,13 +1185,17 @@ class TestHotboot:
 
     def test_zero_episodes_cold(self):
         sc = make_single_type()
-        gcs, uav = hotboot([sc], 0, self.PARAMS, np.random.default_rng(0))
-        assert len(gcs) == len(uav) == 1
-        # one GCS state over the 25 items; one UAV state per item, 2 answers
-        assert gcs[0].q.shape == (1, 25) and uav[0].q.shape == (25, 2)
-        assert np.all(gcs[0].q == 0.0) and np.all(uav[0].q == 0.0)
-        assert np.all(gcs[0].pi == 1.0 / 25.0) and np.all(uav[0].pi == 0.5)
-        assert np.all(gcs[0].visits == 0) and np.all(uav[0].visits == 0)
+        tables = hotboot([sc], 0, self.PARAMS, np.random.default_rng(0))
+        # one row on each side: one GCS state over the 25 items; one UAV
+        # state per item, 2 answers
+        assert tables.gcs_q.shape == (1, 1, 25)
+        assert tables.uav_q.shape == (1, 25, 2)
+        assert np.all(tables.gcs_q == 0.0) and np.all(tables.uav_q == 0.0)
+        assert np.all(tables.gcs_pi == 1.0 / 25.0)
+        assert np.all(tables.uav_pi == 0.5)
+        assert np.all(tables.gcs_visits == 0)
+        assert np.all(tables.uav_visits == 0)
+        assert tables_equal(tables, Tables.cold(1, 25))
 
     def test_episodes_move_tables_deterministically(self):
         sc = make_single_type()
@@ -1196,12 +1204,9 @@ class TestHotboot:
                     slots_per_episode=200)
         b = hotboot(fam, 3, self.PARAMS, np.random.default_rng(1),
                     slots_per_episode=200)
-        assert np.array_equal(a[0][0].q, b[0][0].q)
-        assert np.array_equal(a[1][0].pi, b[1][0].pi)
-        assert not np.all(a[1][0].q == 0.0)
-        for side in a:
-            for t in side:
-                t.check()
+        assert tables_equal(a, b)
+        assert not np.all(a.uav_q == 0.0)
+        a.check()
 
     def test_family_must_share_type_count(self):
         sc = make_single_type()
@@ -1310,29 +1315,47 @@ class TestValidation:
             check_payoffs(make_single_type(n=10 ** 308), params, spread=0.2)
 
     def test_policy_tables_checks(self):
-        with pytest.raises(ValidationError):
-            PolicyTables(q=np.zeros((2, 3)), pi=np.full((3, 2), 0.5))
-        with pytest.raises(ValidationError):
-            PolicyTables(q=np.full((1, 2), np.nan), pi=np.full((1, 2), 0.5))
-        with pytest.raises(ValidationError):
-            PolicyTables(q=np.zeros((1, 2)), pi=np.array([[0.7, 0.6]]))
-        with pytest.raises(ValidationError):
-            PolicyTables(q=np.zeros((1, 2)), pi=np.array([[1.2, -0.2]]))
-        with pytest.raises(ValidationError):
-            PolicyTables(q=np.zeros((2, 2)), pi=np.full((2, 2), 0.5),
-                         visits=np.zeros(3))
-        with pytest.raises(ValidationError):
-            PolicyTables(q=np.zeros((1, 2)), pi=np.full((1, 2), 0.5),
-                         visits=np.array([-1]))
-        # NaN lies in no range and sums to nothing
-        with pytest.raises(ValidationError) as err:
-            PolicyTables(q=np.zeros((1, 3)), pi=np.array([[np.nan, .5, .5]]))
-        assert err.value.field == "pi"
+        # each malformed array of either side is named by what it holds
+        tables = Tables.cold(2, 3)
+
+        def edited(field, at, value):
+            array = getattr(tables, field).copy()
+            array[at] = value
+            return array
+
+        for field, name, array in (
+                ("uav_pi", "pi", np.full((2, 2, 3), 0.5)),
+                ("gcs_q", "q", np.zeros((2, 3))),
+                ("uav_q", "q", np.zeros((2, 3, 3))),
+                ("uav_q", "q", np.zeros((2, 4, 2))),
+                ("gcs_q", "q", edited("gcs_q", (1, 0, 2), np.nan)),
+                ("uav_pi", "pi", edited("uav_pi", (0, 1), [0.7, 0.6])),
+                ("uav_pi", "pi", edited("uav_pi", (1, 2), [1.2, -0.2])),
+                ("uav_visits", "visits", np.zeros((2, 4))),
+                ("gcs_visits", "visits", edited("gcs_visits", 1, -1)),
+                # NaN lies in no range and sums to nothing
+                ("gcs_pi", "pi", edited("gcs_pi", (0, 0),
+                                        [np.nan, .5, .5]))):
+            with pytest.raises(ValidationError) as err:
+                replace(tables, **{field: array})
+            assert err.value.field == name
+        # a stack whose rows or items are not the batch's is refused as
+        # the init; each side's rows are counted
+        sc = make_single_type()
+        params = PhcParams(reward_levels=3, size_levels=3)
+        one_row = Tables.cold(1, 16)
+        for init in (Tables.cold(2, 16), Tables.cold(0, 16),
+                     Tables.cold(1, 15),
+                     replace(one_row, uav_q=np.zeros((2, 16, 2)),
+                             uav_pi=np.full((2, 16, 2), 0.5),
+                             uav_visits=np.zeros((2, 16)))):
+            with pytest.raises(ValidationError) as err:
+                train(sc, params, 10, init, np.random.default_rng(0))
+            assert err.value.field == "init"
 
     @staticmethod
-    def table_bytes(inits):
-        return [(t.q.tobytes(), t.pi.tobytes(), t.visits.tobytes())
-                for pair in inits for tables in pair for t in tables]
+    def table_bytes(tables):
+        return [getattr(tables, f.name).tobytes() for f in fields(tables)]
 
     @pytest.mark.parametrize("side, name, at, value", [
         (0, "q", (0, 3), np.nan),
@@ -1345,34 +1368,36 @@ class TestValidation:
     def test_train_checks_the_stack_as_each_table(self, side, name, at,
                                                   value):
         # one check over the stacked tables of a 3-seed batch raises what
-        # the broken table's own check raises, before anything moves
+        # the broken row's own check raises, before anything moves
         sc = make_scenario_a()
         params = PhcParams(reward_levels=4, size_levels=3, r_max=12.0)
         warm = train(sc, params, 40, None,
                      [np.random.default_rng(s) for s in (1, 2, 3)])
-        inits = [(r.gcs_tables, r.uav_tables) for r in warm]
-        broken = inits[1][side][1]
-        getattr(broken, name)[at] = value
+        stack = Tables.join([r.tables for r in warm])
+        # two eligible types: the second seed's second type is row 3
+        array = getattr(stack, ("gcs_", "uav_")[side] + name)
+        array[(3,) + np.index_exp[at]] = value
         with pytest.raises(ValidationError) as own:
-            broken.check()
-        before = self.table_bytes(inits)
+            replace(stack.rows(3, 4))
+        before = self.table_bytes(stack)
         with pytest.raises(ValidationError) as err:
-            train(sc, params, 20, inits,
+            train(sc, params, 20, stack,
                   [np.random.default_rng(s) for s in (4, 5, 6)])
-        assert err.value.field == own.value.field
-        assert self.table_bytes(inits) == before
+        assert err.value.field == own.value.field == name
+        assert self.table_bytes(stack) == before
 
     def test_train_returns_checked_tables(self):
         sc = make_scenario_a()
         params = PhcParams(reward_levels=4, size_levels=3, r_max=12.0)
         rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
         warm = train(sc, params, 40, None, rngs)
-        inits = [(r.gcs_tables, r.uav_tables) for r in warm]
-        before = self.table_bytes(inits)
-        again = train(sc, params, 60, inits, rngs)
+        stack = Tables.join([r.tables for r in warm])
+        before = self.table_bytes(stack)
+        again = train(sc, params, 60, stack, rngs)
         for result in warm + again:
-            for t in result.gcs_tables + result.uav_tables:
-                t.check()
-                assert t.q.dtype == t.pi.dtype == np.float64
-                assert t.visits.dtype == np.int64
-        assert self.table_bytes(inits) == before
+            t = result.tables
+            t.check()
+            assert (t.gcs_q.dtype == t.gcs_pi.dtype == t.uav_q.dtype
+                    == t.uav_pi.dtype == np.float64)
+            assert t.gcs_visits.dtype == t.uav_visits.dtype == np.int64
+        assert self.table_bytes(stack) == before

@@ -1,13 +1,16 @@
 """The package's public surface: the README's quickstart runs as printed,
-and every function that `uavcontract.__all__` exports is used by a mode,
-the quickstart or the benchmark.
+and every function and class that `uavcontract.__all__` exports is used by
+a mode, the quickstart or the benchmark.
 
 The quickstart is the ```` ```python ```` blocks of ``README.md``, run in
 order in one namespace.  The surface guard traces function entries with
 ``sys.setprofile`` while every CLI verb runs on the ``tests/data``
 configs (``phc`` on one seed, so in this process) and the quickstart
 runs; a public function that none of them enters, and that the benchmark
-does not read (`test_bench_sites.program_reads`), fails it by name.
+does not read (`test_bench_sites.program_reads`), fails it by name.  A
+public class fails it the same way when none of the functions in its
+body, its dataclass ``__init__`` among them, is entered.  Exceptions are
+left out: they are raised, not used.
 """
 
 import importlib
@@ -16,6 +19,7 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 import uavcontract
@@ -27,9 +31,10 @@ HERE = Path(__file__).parent
 DATA = HERE / "data"
 README = HERE.parent / "README.md"
 
-# public functions that wait on an open ROADMAP item
+# public functions and classes that wait on an open ROADMAP item
 EXEMPT = {
     "step_mobility",    # item 6, contracts in a moving network
+    "UavKinematics",    # item 6
 }
 
 
@@ -77,8 +82,12 @@ def cli_runs(tmp_path):
             for k, run in enumerate(runs)]
 
 
-def test_every_public_function_is_used(tmp_path):
-    runs = cli_runs(tmp_path)
+@pytest.fixture(scope="module")
+def surface(tmp_path_factory):
+    """The code objects entered while every CLI run and the quickstart
+    run, the ids of the program names the benchmark reads, and the
+    exported objects by name."""
+    runs = cli_runs(tmp_path_factory.mktemp("cli"))
     entered = set()
 
     def profile(frame, event, arg):
@@ -92,16 +101,41 @@ def test_every_public_function_is_used(tmp_path):
     finally:
         sys.setprofile(None)
     assert codes == [0] * len(runs)
+    assert set(EXEMPT) <= set(uavcontract.__all__)
     prog = {name.lstrip("_"): importlib.import_module(f"uavcontract.{name}")
             for name in MODULES}
     read = {id(getattr(prog[module], name, None))
             for module, name in program_reads(RUN) | program_reads(WORKLOADS)}
     public = {name: getattr(uavcontract, name)
               for name in uavcontract.__all__}
+    return entered, read, public
+
+
+def test_every_public_function_is_used(surface):
+    entered, read, public = surface
     functions = {name: obj for name, obj in public.items()
                  if inspect.isfunction(obj)}
-    assert set(EXEMPT) <= set(functions)
     unused = sorted(name for name, obj in functions.items()
                     if obj.__code__ not in entered and id(obj) not in read
                     and name not in EXEMPT)
+    assert unused == [], f"exported, but nothing uses: {unused}"
+
+
+def class_codes(cls):
+    """The code of every function in ``cls``'s body, methods, class and
+    static methods and property getters alike."""
+    for member in vars(cls).values():
+        member = getattr(member, "__func__", getattr(member, "fget", member))
+        if inspect.isfunction(member):
+            yield member.__code__
+
+
+def test_every_public_class_is_used(surface):
+    entered, read, public = surface
+    classes = {name: obj for name, obj in public.items()
+               if inspect.isclass(obj) and not issubclass(obj, BaseException)}
+    assert {"Tables", "TrainResult", "UavKinematics"} <= set(classes)
+    unused = sorted(name for name, cls in classes.items()
+                    if entered.isdisjoint(class_codes(cls))
+                    and id(cls) not in read and name not in EXEMPT)
     assert unused == [], f"exported, but nothing uses: {unused}"
