@@ -25,8 +25,8 @@ with their exploration already decayed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -160,10 +160,11 @@ def _signed_payoffs(reward_grid: np.ndarray, size_grid: np.ndarray,
             weight[:, None] * logs - count[:, None] * rewards)
 
 
-def _check_tables(q: np.ndarray, pi: np.ndarray, visits: np.ndarray) -> None:
+def _check_tables(q: np.ndarray, pi: np.ndarray, visits: np.ndarray,
+                  sums: np.ndarray) -> None:
     """Raise ValidationError unless every Q value is finite, every pi entry
-    lies in [0, 1] (NaN does not), every pi row sums to 1 within 1e-9 and
-    no visit count is negative.
+    lies in [0, 1] (NaN does not), every pi row sum in ``sums`` is 1 within
+    1e-9 and no visit count is negative.
 
     The arrays are one side of a `Tables` stack; a pi row is the last axis.
     """
@@ -171,7 +172,7 @@ def _check_tables(q: np.ndarray, pi: np.ndarray, visits: np.ndarray) -> None:
         raise ValidationError("q", "values must be finite")
     if not ((pi >= 0.0) & (pi <= 1.0)).all():
         raise ValidationError("pi", "entries must lie in [0, 1]")
-    if (np.abs(pi.sum(axis=-1) - 1.0) > 1e-9).any():
+    if (np.abs(sums - 1.0) > 1e-9).any():
         raise ValidationError("pi", "rows must sum to 1")
     if (visits < 0).any():
         raise ValidationError("visits", "counts must be non-negative")
@@ -190,10 +191,9 @@ class Tables:
     axis.  ``visits`` counts how often each state has been acted in; it
     drives the exploration schedule.
 
-    Construction checks the shapes, then the values (`_check_tables`),
-    raising ValidationError naming ``q``, ``pi`` or ``visits``.  `rows`
-    and `join` build from rows already checked and check nothing again;
-    `train` checks the stack it is given.
+    Construction checks the shapes, then the values (`check`), raising
+    ValidationError naming ``q``, ``pi`` or ``visits``.  `train` takes one
+    stack for a whole batch and returns its own checked copy.
     """
 
     gcs_q: np.ndarray
@@ -228,28 +228,13 @@ class Tables:
                    np.zeros((rows, items, 2)), np.full((rows, items, 2), 0.5),
                    np.zeros((rows, items), dtype=np.int64))
 
-    @staticmethod
-    def join(parts: Sequence["Tables"]) -> "Tables":
-        """One stack of the parts' rows, in order."""
-        return _unchecked(np.concatenate([getattr(p, f.name) for p in parts])
-                          for f in fields(Tables))
-
     def check(self) -> None:
         """Check the values of both sides (`_check_tables`)."""
-        _check_tables(self.gcs_q, self.gcs_pi, self.gcs_visits)
-        _check_tables(self.uav_q, self.uav_pi, self.uav_visits)
-
-    def rows(self, lo: int, hi: int) -> "Tables":
-        """Rows ``lo`` to ``hi`` of both sides, as views of these arrays."""
-        return _unchecked(getattr(self, f.name)[lo:hi] for f in fields(self))
-
-
-def _unchecked(arrays) -> Tables:
-    """`Tables` over ``arrays``, in field order, whose rows were checked."""
-    tables = object.__new__(Tables)
-    for f, array in zip(fields(Tables), arrays):
-        object.__setattr__(tables, f.name, array)
-    return tables
+        _check_tables(self.gcs_q, self.gcs_pi, self.gcs_visits,
+                      self.gcs_pi.sum(axis=-1))
+        # a UAV row has two entries; their sum has the bits sum() gives
+        _check_tables(self.uav_q, self.uav_pi, self.uav_visits,
+                      self.uav_pi[..., 0] + self.uav_pi[..., 1])
 
 
 @dataclass(frozen=True)
@@ -335,29 +320,37 @@ class EpisodeLog:
 
 @dataclass(frozen=True)
 class TrainResult:
-    """One seed's trajectory log and its final tables, one row per learning
-    type: a view of the rows of the batch's stack."""
+    """What one `train` call gives: ``logs``, one `EpisodeLog` per seed in
+    order, and ``tables``, the batch's final stack, the call's own copy."""
 
-    log: EpisodeLog
+    logs: tuple[EpisodeLog, ...]
     tables: Tables
 
 
-def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
-          slots: int, init: Tables | None,
-          rng: np.random.Generator | Sequence[np.random.Generator]
-          ) -> TrainResult | list[TrainResult]:
-    """Run the learning game for ``slots`` slots over all eligible types.
+def _listed(name: str, values, kind: type = object) -> list:
+    """``values`` as a list; ValidationError naming ``name`` unless they
+    are a non-empty sequence of ``kind``."""
+    if (not isinstance(values, Sequence) or not values
+            or not all(isinstance(v, kind) for v in values)):
+        raise ValidationError(name, "must be a non-empty sequence" + (
+            "" if kind is object else f" of {kind.__name__}"))
+    return list(values)
 
-    ``rng`` is a sequence of generators, one per seed; ``scenario`` is one
-    Scenario for every seed or a sequence with one per seed.  ``init`` is
-    None (every row cold: Q zero, pi uniform, no visits) or one `Tables`
-    stack for the whole batch, visit counts included: one row per (seed,
-    eligible type), seeds in order, on the seeds' action grids.  Returns a
-    list with one TrainResult per seed, the one a call with that seed's
-    arguments alone gives: every (seed, type) pair is a row of one kernel
-    call, and rows share nothing.  The seeds' scenarios must give the same
-    action grids and deployment cost.  A one-run call, ``rng`` a
-    Generator, is a batch of one and returns its TrainResult.
+
+def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
+          init: Tables | None,
+          rngs: Sequence[np.random.Generator]) -> TrainResult:
+    """Run the learning game for ``slots`` slots over all eligible types of
+    a batch of seeds.
+
+    ``scenarios`` holds one Scenario per seed and ``rngs`` one generator
+    per seed; a single run is a batch of one.  ``init`` is None (every row
+    cold: Q zero, pi uniform, no visits) or one `Tables` stack for the
+    whole batch, visit counts included: one row per (seed, eligible type),
+    seeds in order, on the seeds' action grids.  Every (seed, type) pair is
+    a row of one kernel call, and rows share nothing, so each seed's log
+    and rows are the ones a batch of that seed alone gives.  The seeds'
+    scenarios must give the same action grids and deployment cost.
 
     The tables passed in are copied once and not modified.  All randomness
     comes from the generators: each seed draws four uniforms per type and
@@ -366,21 +359,19 @@ def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
     `SLOT_BLOCK` slots at a time.  Trajectories are therefore reproducible
     for a given seed regardless of the batch.
     """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
-    scenarios = (len(rngs) * [scenario] if isinstance(scenario, Scenario)
-                 else list(scenario))
+    scenarios = _listed("scenarios", scenarios, Scenario)
+    rngs = _listed("rngs", rngs)
     if slots < 1:
         raise ValidationError("slots", "must be at least 1")
-    if not rngs or len(scenarios) != len(rngs):
-        raise ValidationError("rng", "one scenario per generator")
+    if len(scenarios) != len(rngs):
+        raise ValidationError("rngs", "one generator per scenario")
     if init is not None and not isinstance(init, Tables):
         raise ValidationError("init", "must be Tables or None")
     orders = []
     for k, sc in enumerate(scenarios):
         order = eligible_types(sc)
         if not order:
-            raise ValidationError("scenario", "no eligible types to train")
+            raise ValidationError("scenarios", "no eligible types to train")
         grids = action_grids(with_default_r_max(params, sc), sc.s_max)
         if k == 0:
             reward_grid, size_grid = grids
@@ -388,8 +379,8 @@ def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
                   and np.array_equal(grids[1], size_grid)
                   and sc.deployment_cost == scenarios[0].deployment_cost):
             raise ValidationError(
-                "scenario", "a batch must share action grids and "
-                            "deployment cost")
+                "scenarios", "a batch must share action grids and "
+                             "deployment cost")
         orders.append(order)
     bounds = np.cumsum([0] + [len(order) for order in orders]).tolist()
     rows, items = bounds[-1], reward_grid.shape[0] * size_grid.shape[0]
@@ -425,15 +416,12 @@ def train(scenario: Scenario | Sequence[Scenario], params: PhcParams,
                             EXPLORE_VISITS, EXPLORE_FLOOR, item[block],
                             signed[block])
     tables.check()
-    results = [TrainResult(
-        log=EpisodeLog(type_indices=tuple(ty.index for ty in order),
-                       reward_grid=reward_grid, size_grid=size_grid,
-                       item=item[:, lo:hi], signed=signed[:, lo:hi],
-                       uav_payoff=uav_payoff[lo:hi],
-                       gcs_payoff=gcs_payoff[lo:hi]),
-        tables=tables.rows(lo, hi))
-        for order, lo, hi in zip(orders, bounds, bounds[1:])]
-    return results[0] if single else results
+    return TrainResult(logs=tuple(
+        EpisodeLog(type_indices=tuple(ty.index for ty in order),
+                   reward_grid=reward_grid, size_grid=size_grid,
+                   item=item[:, lo:hi], signed=signed[:, lo:hi],
+                   uav_payoff=uav_payoff[lo:hi], gcs_payoff=gcs_payoff[lo:hi])
+        for order, lo, hi in zip(orders, bounds, bounds[1:])), tables=tables)
 
 
 def perturb_scenario(scenario: Scenario, rng: np.random.Generator,
@@ -457,42 +445,36 @@ def perturb_scenario(scenario: Scenario, rng: np.random.Generator,
                    total_uavs=sum(ty.n for ty in types))
 
 
-def hotboot(family: Sequence[Scenario] | Sequence[Sequence[Scenario]],
-            episodes: int, params: PhcParams,
-            rng: np.random.Generator | Sequence[np.random.Generator],
+def hotboot(families: Sequence[Sequence[Scenario]], episodes: int,
+            params: PhcParams, rngs: Sequence[np.random.Generator],
             slots_per_episode: int = 2000) -> Tables:
-    """Pre-train tables offline on scenarios drawn from a family.
+    """Pre-train tables offline on scenarios drawn from a family per seed.
 
-    Each episode picks a family member at random and continues training the
-    same tables on it.  Zero episodes returns cold tables.  Grids are fixed
-    from the first family member so action indices keep one meaning across
-    the whole chain; every member must expose the same eligible type count.
+    ``families`` holds one family, a sequence of scenarios, per seed and
+    ``rngs`` one generator per seed.  Each episode every seed picks a
+    member of its family at random, and one `train` call continues the
+    batch's tables on the picks.  Zero episodes returns cold tables.  Grids
+    are fixed from each family's first member so action indices keep one
+    meaning across the whole chain; every member must expose the same
+    eligible type count, and the families must resolve to the same grids.
 
-    ``rng`` is a sequence of generators, one per seed, and ``family`` a
-    sequence with one family per seed; every episode trains all seeds in
-    one `train` call.  Returns the one `Tables` stack `train` takes for
-    that batch.  Each seed's rows are the ones a call with its family and
-    generator alone gives: each generator draws, per episode, its pick and
-    then that episode's uniforms.  The families must resolve to the same
-    grids.  A one-run call, ``rng`` a Generator and ``family`` one family,
-    is a batch of one.
+    Returns the one `Tables` stack `train` takes for that batch.  Each
+    seed's rows are the ones a batch of its family and generator alone
+    gives: each generator draws, per episode, its pick and then that
+    episode's uniforms.
     """
-    single = isinstance(rng, np.random.Generator)
-    families, rngs = ([family], [rng]) if single else (list(family),
-                                                       list(rng))
-    if not rngs or len(families) != len(rngs):
-        raise ValidationError("family", "one family per generator")
-    for fam in families:
-        if (isinstance(fam, Scenario) or not fam
-                or not all(isinstance(sc, Scenario) for sc in fam)):
-            raise ValidationError("family", "must be a non-empty sequence "
-                                            "of scenarios")
+    families = [_listed("families", fam, Scenario)
+                for fam in _listed("families", families, Sequence)]
+    rngs = _listed("rngs", rngs)
+    if len(families) != len(rngs):
+        raise ValidationError("families", "one family per generator")
     if episodes < 0:
         raise ValidationError("episodes", "must be non-negative")
     resolved = [with_default_r_max(params, fam[0]) for fam in families]
     params = resolved[0]
     if any(p.r_max != params.r_max for p in resolved):
-        raise ValidationError("family", "families must share the reward grid")
+        raise ValidationError("families",
+                              "families must share the reward grid")
     counts = [len(eligible_types(fam[0])) for fam in families]
     tables = Tables.cold(sum(counts), (params.reward_levels + 1)
                          * (params.size_levels + 1))
@@ -501,10 +483,10 @@ def hotboot(family: Sequence[Scenario] | Sequence[Sequence[Scenario]],
         for fam, g, j in zip(families, rngs, counts):
             scenario = fam[int(g.integers(0, len(fam)))]
             if len(eligible_types(scenario)) != j:
-                raise ValidationError("family", "eligible type counts differ")
+                raise ValidationError("families",
+                                      "eligible type counts differ")
             picked.append(scenario)
-        tables = Tables.join([result.tables for result in train(
-            picked, params, slots_per_episode, tables, rngs)])
+        tables = train(picked, params, slots_per_episode, tables, rngs).tables
     return tables
 
 

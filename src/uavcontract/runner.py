@@ -448,16 +448,17 @@ def _phc_seed_group(config: ExperimentConfig, params, reference_items,
             for _ in range(run.family_size - 1)] for rng in rngs]
         inits = hotboot(families, run.hotboot_episodes, params, rngs,
                         run.slots_per_episode)
-    results = train(scenario, params, run.slots, inits, rngs)
+    logs = train(len(seeds) * [scenario], params, run.slots, inits,
+                 rngs).logs
     summaries = []
     # the seeds share one table of formatted values
     strings: dict = {}
-    for seed, result in zip(seeds, results):
-        verdicts = convergence_check(result.log, run.window, run.tolerance)
-        slot = convergence_slot(result.log, run.window, run.tolerance)
+    for seed, log in zip(seeds, logs):
+        verdicts = convergence_check(log, run.window, run.tolerance)
+        slot = convergence_slot(log, run.window, run.tolerance)
         name = f"phc_seed{seed}.csv"
-        _write_chunks(out / name, trajectory_text(name, result.log, strings))
-        for type_index, verdict in zip(result.log.type_indices, verdicts):
+        _write_chunks(out / name, trajectory_text(name, log, strings))
+        for type_index, verdict in zip(log.type_indices, verdicts):
             ref_item = reference_items[type_index]
             summaries.append(PhcSeedSummary(
                 seed=seed, type_index=type_index,

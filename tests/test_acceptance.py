@@ -6,6 +6,7 @@ failing line carries enough detail to explain itself: criterion 6, for
 instance, lists every seed's modal learned item and window verdict.
 """
 
+import dataclasses
 import math
 import time
 from pathlib import Path
@@ -163,10 +164,10 @@ def test_criterion_06_learners_reach_reference_menu():
     tic = time.perf_counter()
     hits = 0
     outcomes = []
-    results = train(sc, params, 20_000, None,
-                    [np.random.default_rng(seed) for seed in range(10)])
-    for seed, result in enumerate(results):
-        verdict = convergence_check(result.log, 500, 0.95)[0]
+    logs = train(10 * [sc], params, 20_000, None,
+                 [np.random.default_rng(seed) for seed in range(10)]).logs
+    for seed, log in enumerate(logs):
+        verdict = convergence_check(log, 500, 0.95)[0]
         if (abs(verdict.size - 11.0) <= sstep + 1e-9
                 and abs(verdict.reward - 6.5) <= rstep + 1e-9):
             hits += 1
@@ -187,7 +188,7 @@ def test_criterion_07_update_rule_fixed_points():
     # once is worth -C0 + discount * 0, and the GCS never gains or pays
     sc = make_single_type()
     degenerate = PhcParams(reward_levels=0, size_levels=0, r_max=13.0)
-    result = train(sc, degenerate, 10_000, None, np.random.default_rng(0))
+    result = train([sc], degenerate, 10_000, None, [np.random.default_rng(0)])
     uav_q = float(result.tables.uav_q[0, 0, 0])
     decline_q = float(result.tables.uav_q[0, 0, 1])
     gcs_q = float(result.tables.gcs_q[0, 0, 0])
@@ -204,21 +205,20 @@ def test_criterion_07_update_rule_fixed_points():
     # training loop: 50 seeds of 20 000 slots on a 4 x 5 item grid
     m = 1_000_000
     seeds = 50
-    results = train(sc, PhcParams(reward_levels=3, size_levels=4),
+    results = train(seeds * [sc], PhcParams(reward_levels=3, size_levels=4),
                     m // seeds, None,
                     [np.random.default_rng(s) for s in range(seeds)])
-    assert sum(res.log.slots for res in results) == m
+    assert sum(log.slots for log in results.logs) == m
     try:
-        for res in results:
-            res.tables.check()
+        results.tables.check()
         simplex_ok = True
     except Exception:
         simplex_ok = False
     # bit-exact replay
     params = PhcParams(reward_levels=6, size_levels=6)
-    a = train(sc, params, 2000, None, np.random.default_rng(11))
-    b = train(sc, params, 2000, None, np.random.default_rng(11))
-    replay_ok = logs_equal(a.log, b.log)
+    a = train([sc], params, 2000, None, [np.random.default_rng(11)])
+    b = train([sc], params, 2000, None, [np.random.default_rng(11)])
+    replay_ok = logs_equal(a.logs[0], b.logs[0])
     ok = fixed_ok and synth_ok and simplex_ok and replay_ok
     record(7, ok, f"uav q sign {uav_q:.9g} decline {decline_q}, gcs q "
                   f"{gcs_q}, synthetic q "
@@ -241,12 +241,15 @@ def test_criterion_08_hotboot_speeds_convergence():
     # hot and cold runs of every seed share one batch; each seed's cold
     # run has a fresh generator of its own
     items = (params.reward_levels + 1) * (params.size_levels + 1)
-    results = train(sc, params, 20_000,
-                    Tables.join([inits, Tables.cold(len(seeds), items)]),
-                    rngs + [np.random.default_rng(seed) for seed in seeds])
-    for hot, cold in zip(results[:len(seeds)], results[len(seeds):]):
-        hot_slot = convergence_slot(hot.log, 500, 0.95)
-        cold_slot = convergence_slot(cold.log, 500, 0.95)
+    cold = Tables.cold(len(seeds), items)
+    stack = Tables(*(np.concatenate([getattr(inits, f.name),
+                                     getattr(cold, f.name)])
+                     for f in dataclasses.fields(Tables)))
+    logs = train(2 * len(seeds) * [sc], params, 20_000, stack,
+                 rngs + [np.random.default_rng(seed) for seed in seeds]).logs
+    for hot, cold in zip(logs[:len(seeds)], logs[len(seeds):]):
+        hot_slot = convergence_slot(hot, 500, 0.95)
+        cold_slot = convergence_slot(cold, 500, 0.95)
         if math.isfinite(hot_slot) and hot_slot <= cold_slot:
             wins += 1
     elapsed = time.perf_counter() - tic

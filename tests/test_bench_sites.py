@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from uavcontract import _kernels
+from conftest import make_scenario_a
+from uavcontract import _kernels, phc, runner
+from uavcontract.config import load_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -120,3 +122,37 @@ def test_train_loop_takes_uniforms_fifth():
     args = [None] * len(parameters)
     args[4] = np.zeros((3, 2, 4))
     assert tracing()["_train_loop_slots"](args) == 6
+
+
+def test_train_sites_count_every_batch(tmp_path, monkeypatch):
+    # the tracer's phc.train layer wraps `phc.train`, which `hotboot` calls
+    # once per episode through the module global, and `runner.train`,
+    # which each seed group calls once for its batch
+    calls = {"phc": [], "runner": []}
+
+    def counting(site, train):
+        def wrapped(scenarios, params, slots, init, rngs):
+            calls[site].append(list(rngs))
+            return train(scenarios, params, slots, init, rngs)
+        return wrapped
+
+    monkeypatch.setattr(phc, "train", counting("phc", phc.train))
+    monkeypatch.setattr(runner, "train", counting("runner", runner.train))
+    sc = make_scenario_a()
+    rngs = [np.random.default_rng(s) for s in (1, 2)]
+    phc.hotboot([[sc], [sc]], 3, phc.PhcParams(reward_levels=3,
+                                               size_levels=3), rngs, 20)
+    assert calls["phc"] == 3 * [rngs]
+    assert calls["runner"] == []
+
+    # two seed groups, both run in this process so their calls are seen
+    calls["phc"].clear()
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "_run_groups",
+                        lambda task, groups: [task(g) for g in groups])
+    cfg = load_config(Path(__file__).parent / "data" / "phc_wide.yaml")
+    run = cfg.phc_run
+    runner.run_phc(cfg, tmp_path)
+    assert [len(g) for g in calls["runner"]] == [2, 1]
+    assert [len(g) for g in calls["phc"]] == run.hotboot_episodes * [2] + (
+        run.hotboot_episodes * [1])

@@ -144,7 +144,7 @@ class TestPhcUpdate:
                          int(rng.integers(6)), float(rng.normal(scale=30.0)),
                          int(rng.integers(4)), 0.7, 0.8,
                          float(rng.uniform(0.001, 0.5)))
-        _check_tables(q, pi, visits)
+        _check_tables(q, pi, visits, pi.sum(axis=-1))
 
     def test_simplex_preserved_bulk(self):
         rng = np.random.default_rng(0)
@@ -154,7 +154,7 @@ class TestPhcUpdate:
                              rng.integers(0, 8, m), rng.integers(0, 12, m),
                              rng.normal(scale=50.0, size=m),
                              rng.integers(0, 8, m), 0.7, 0.8, 0.01)
-        _check_tables(q, pi, visits)
+        _check_tables(q, pi, visits, pi.sum(axis=-1))
 
     def test_wide_step_matches_scalar_rule(self):
         # the whole-row form the GCS's rows take must reproduce the scalar
@@ -268,15 +268,16 @@ class TestSampling:
         tables = Tables.cold(1, items)
         tables.gcs_pi[:] = np.eye(1, items)
         tables.uav_pi[:] = [0.0, 1.0]
-        fresh = train(sc, params, 400, tables, np.random.default_rng(0)).log
+        (fresh,) = train([sc], params, 400, tables,
+                         [np.random.default_rng(0)]).logs
         assert len(np.unique(fresh.item)) == items
         assert fresh.signed.any()
         # once the visits reach the horizon, the floor share is all that
         # strays from pi
         tables.gcs_visits[:] = EXPLORE_VISITS * items
         tables.uav_visits[:] = EXPLORE_VISITS
-        settled = train(sc, params, 2000, tables,
-                        np.random.default_rng(0)).log
+        (settled,) = train([sc], params, 2000, tables,
+                           [np.random.default_rng(0)]).logs
         assert 0.0 < np.mean(settled.item != 0) < 0.02
         assert np.mean(settled.signed) < 0.02
 
@@ -356,9 +357,9 @@ class TestTrain:
 
     def test_matches_hand_replica(self):
         sc = make_scenario_a()
-        result = train(sc, self.PARAMS, 40, None, np.random.default_rng(8))
+        result = train([sc], self.PARAMS, 40, None, [np.random.default_rng(8)])
         arrays, tables = replica_train(sc, self.PARAMS, 40, 8)
-        log = result.log
+        (log,) = result.logs
         assert np.array_equal(log.reward_index, arrays["a"])
         assert np.array_equal(log.size_index, arrays["b"])
         assert np.array_equal(log.signed, arrays["gs"] == 1)
@@ -372,16 +373,16 @@ class TestTrain:
     def test_deterministic_per_seed(self):
         sc = make_single_type()
         params = PhcParams(reward_levels=6, size_levels=6)
-        a = train(sc, params, 300, None, np.random.default_rng(4))
-        b = train(sc, params, 300, None, np.random.default_rng(4))
-        c = train(sc, params, 300, None, np.random.default_rng(5))
-        assert logs_equal(a.log, b.log)
-        assert not logs_equal(a.log, c.log)
+        (a,) = train([sc], params, 300, None, [np.random.default_rng(4)]).logs
+        (b,) = train([sc], params, 300, None, [np.random.default_rng(4)]).logs
+        (c,) = train([sc], params, 300, None, [np.random.default_rng(5)]).logs
+        assert logs_equal(a, b)
+        assert not logs_equal(a, c)
 
     def test_payoff_identities(self):
         sc = make_scenario_a()
-        result = train(sc, self.PARAMS, 200, None, np.random.default_rng(2))
-        log = result.log
+        (log,) = train([sc], self.PARAMS, 200, None,
+                       [np.random.default_rng(2)]).logs
         order = eligible_types(sc)
         rewards, sizes = log.rewards, log.sizes
         uav, gcs = log.uav_utility, log.gcs_term
@@ -404,8 +405,8 @@ class TestTrain:
 
     def test_observations_lag_actions(self):
         sc = make_single_type()
-        result = train(sc, self.PARAMS, 100, None, np.random.default_rng(6))
-        log = result.log
+        (log,) = train([sc], self.PARAMS, 100, None,
+                       [np.random.default_rng(6)]).logs
         # the GCS commits first: the UAV sees this slot's posted item (no
         # carried observation, not even in slot 1), and the GCS sees this
         # slot's answer to it
@@ -420,7 +421,7 @@ class TestTrain:
     def test_degenerate_grids_reach_fixed_point(self):
         sc = make_single_type()
         params = PhcParams(reward_levels=0, size_levels=0, r_max=13.0)
-        result = train(sc, params, 10_000, None, np.random.default_rng(0))
+        result = train([sc], params, 10_000, None, [np.random.default_rng(0)])
         # forced null offer: signing (0, 0) costs the UAV the deployment
         # cost and declining costs nothing, so the UAV learns to decline;
         # declining forever is worth 0 / (1 - discount), signing once and
@@ -430,7 +431,7 @@ class TestTrain:
         assert tables.uav_q[0, 0, 0] == pytest.approx(-1.0, abs=1e-6)
         assert tables.gcs_q[0, 0, 0] == 0.0
         assert tables.uav_pi[0, 0, 1] == 1.0
-        log = result.log
+        (log,) = result.logs
         signed = log.signed[:, 0]
         assert np.all(log.uav_utility[signed, 0] == -1.0)
         assert np.all(log.uav_utility[~signed, 0] == 0.0)
@@ -442,11 +443,11 @@ class TestTrain:
         sc = make_single_type()
         params = PhcParams(reward_levels=0, size_levels=0, r_max=13.0)
         for slots in (1, 2, 7, 30):
-            result = train(sc, params, slots, None,
-                           np.random.default_rng(0))
+            result = train([sc], params, slots, None,
+                           [np.random.default_rng(0)])
             # the offer is the same every slot; walk the logged answers
             q_sign = q_decline = 0.0
-            for signed in result.log.signed[:, 0]:
+            for signed in result.logs[0].signed[:, 0]:
                 best = max(q_sign, q_decline)
                 if signed:
                     q_sign = (1.0 - 0.7) * q_sign + 0.7 * (-1.0 + 0.8 * best)
@@ -460,26 +461,26 @@ class TestTrain:
     def test_warm_start_continues(self):
         sc = make_single_type()
         params = PhcParams(reward_levels=3, size_levels=3)
-        first = train(sc, params, 120, None, np.random.default_rng(3))
-        resumed = train(sc, params, 80, first.tables,
-                        np.random.default_rng(9))
-        cold = train(sc, params, 80, None, np.random.default_rng(9))
+        first = train([sc], params, 120, None, [np.random.default_rng(3)])
+        resumed = train([sc], params, 80, first.tables,
+                        [np.random.default_rng(9)])
+        cold = train([sc], params, 80, None, [np.random.default_rng(9)])
         assert not np.array_equal(resumed.tables.uav_q, cold.tables.uav_q)
         # the source tables are not mutated by the resumed run
         assert tables_equal(first.tables,
-                            train(sc, params, 120, None,
-                                  np.random.default_rng(3)).tables)
+                            train([sc], params, 120, None,
+                                  [np.random.default_rng(3)]).tables)
 
     def test_warm_start_carries_visits(self):
         # exploration decays with the visits the tables carry, so a resumed
         # run does not start exploring afresh
         sc = make_single_type()
         params = PhcParams(reward_levels=3, size_levels=3)
-        first = train(sc, params, 500, None, np.random.default_rng(3))
+        first = train([sc], params, 500, None, [np.random.default_rng(3)])
         assert first.tables.gcs_visits.tolist() == [[500]]
         assert first.tables.uav_visits.sum() == 500
-        resumed = train(sc, params, 300, first.tables,
-                        np.random.default_rng(9))
+        resumed = train([sc], params, 300, first.tables,
+                        [np.random.default_rng(9)])
         assert resumed.tables.gcs_visits.tolist() == [[800]]
         assert np.all(resumed.tables.uav_visits >= first.tables.uav_visits)
         assert resumed.tables.uav_visits.sum() == 800
@@ -487,16 +488,16 @@ class TestTrain:
     def test_validation(self):
         sc = make_single_type()
         with pytest.raises(ValidationError):
-            train(sc, self.PARAMS, 0, None, np.random.default_rng(0))
+            train([sc], self.PARAMS, 0, None, [np.random.default_rng(0)])
         for init in (((), ()), Tables.cold(0, 20)):
             with pytest.raises(ValidationError) as err:
-                train(sc, self.PARAMS, 10, init, np.random.default_rng(0))
+                train([sc], self.PARAMS, 10, init, [np.random.default_rng(0)])
             assert err.value.field == "init"
         bad = Scenario(types=(UavType(index=1, c1=0.5, c2=0.0, t=9.0, n=1),),
                        satisfaction_factor=6.0, deployment_cost=1.0,
                        s_max=10.0, t_max=2.0, vdd_demand=800.0, total_uavs=1)
         with pytest.raises(ValidationError):
-            train(bad, self.PARAMS, 10, None, np.random.default_rng(0))
+            train([bad], self.PARAMS, 10, None, [np.random.default_rng(0)])
 
 
 def kernel_args(rows, slots, reward_levels, size_levels, seed, hot):
@@ -966,8 +967,9 @@ class TestRowKernel:
 class TestEpisodeLog:
     @staticmethod
     def log():
-        return train(make_scenario_a(), TestTrain.PARAMS, 30, None,
-                     np.random.default_rng(1)).log
+        (log,) = train([make_scenario_a()], TestTrain.PARAMS, 30, None,
+                       [np.random.default_rng(1)]).logs
+        return log
 
     def test_derived_columns(self):
         # 2 reward points and 3 sizes: item k is size k // 2, reward k % 2
@@ -1011,28 +1013,38 @@ class TestEpisodeLog:
         assert err.value.field == field
 
 
+def sliced(tables, lo, hi):
+    """Rows ``lo`` to ``hi`` of both sides of ``tables``."""
+    return Tables(*(getattr(tables, f.name)[lo:hi] for f in fields(tables)))
+
+
 class TestBatchTrain:
     def test_batch_equals_one_run_calls(self):
         # a batch of seeds with their own scenarios and inits gives what
-        # each seed's one-run call gives, tables and visits included
+        # each seed's batch of one gives, tables and visits included
         sc = make_scenario_a()
         params = PhcParams(reward_levels=4, size_levels=3, r_max=12.0)
-        warm = train(sc, params, 50, None, np.random.default_rng(9))
+        warm = train([sc], params, 50, None, [np.random.default_rng(9)])
         family = [sc, perturb_scenario(sc, np.random.default_rng(4))]
         scenarios = [family[0], family[1], family[1]]
         inits = [None, warm.tables, None]
-        stack = Tables.join([Tables.cold(2, 20) if init is None else init
-                             for init in inits])
+        parts = [Tables.cold(2, 20) if init is None else init
+                 for init in inits]
+        stack = Tables(*(np.concatenate([getattr(t, f.name) for t in parts])
+                         for f in fields(Tables)))
         batch = train(scenarios, params, 120, stack,
                       [np.random.default_rng(s) for s in (1, 2, 3)])
-        assert len(batch) == 3
-        for got, seed, sc_k, init in zip(batch, (1, 2, 3), scenarios, inits):
-            want = train(sc_k, params, 120, init,
-                         np.random.default_rng(seed))
-            assert logs_equal(got.log, want.log)
-            assert tables_equal(got.tables, want.tables)
+        assert len(batch.logs) == 3
+        # two eligible types: seed k owns rows 2k and 2k + 1
+        for k, (got, seed, sc_k, init) in enumerate(zip(
+                batch.logs, (1, 2, 3), scenarios, inits)):
+            want = train([sc_k], params, 120, init,
+                         [np.random.default_rng(seed)])
+            assert logs_equal(got, want.logs[0])
+            assert tables_equal(sliced(batch.tables, 2 * k, 2 * k + 2),
+                                want.tables)
         # the warm tables passed in are left as they were
-        again = train(sc, params, 50, None, np.random.default_rng(9))
+        again = train([sc], params, 50, None, [np.random.default_rng(9)])
         assert tables_equal(warm.tables, again.tables)
 
     def test_hotboot_batch_equals_one_run_chains(self):
@@ -1045,34 +1057,42 @@ class TestBatchTrain:
                         slots_per_episode=80)
         # two eligible types: seed k owns rows 2k and 2k + 1
         for k, (fam, seed) in enumerate(zip(families, (5, 6))):
-            want = hotboot(fam, 3, params, np.random.default_rng(seed),
+            want = hotboot([fam], 3, params, [np.random.default_rng(seed)],
                            slots_per_episode=80)
-            assert tables_equal(batch.rows(2 * k, 2 * k + 2), want)
+            assert tables_equal(sliced(batch, 2 * k, 2 * k + 2), want)
 
     def test_batch_validation(self):
         sc = make_single_type()
         params = PhcParams(reward_levels=3, size_levels=3)
         rngs = [np.random.default_rng(0), np.random.default_rng(1)]
         with pytest.raises(ValidationError):
-            train(sc, params, 10, None, [])
+            train([sc], params, 10, None, [])
         with pytest.raises(ValidationError):
             train([sc], params, 10, None, rngs)
         with pytest.raises(ValidationError):
-            train(sc, params, 10, [None], rngs)
+            train(2 * [sc], params, 10, [None], rngs)
         # seeds whose grids differ cannot share one kernel call
         with pytest.raises(ValidationError):
             train([sc, make_single_type(s_max=20.0)], params, 10, None, rngs)
         with pytest.raises(ValidationError):
             hotboot([[sc]], 1, params, rngs)
-        # a one-run call given a sequence of one scenario is a batch of one
-        one = train([sc], params, 10, None, np.random.default_rng(0))
-        want = train(sc, params, 10, None, np.random.default_rng(0))
-        assert logs_equal(one.log, want.log)
-        assert tables_equal(one.tables, want.tables)
-        # one generator takes one family of scenarios, not a family of them
-        with pytest.raises(ValidationError) as err:
-            hotboot([[sc]], 1, params, np.random.default_rng(0), 10)
-        assert err.value.field == "family"
+        # a bare Scenario or generator, or a nested sequence, is named
+        # rather than failing inside the loop
+        for scenarios, gens, field in (
+                (sc, [np.random.default_rng(0)], "scenarios"),
+                ([sc], np.random.default_rng(0), "rngs"),
+                ([[sc]], np.random.default_rng(0), "scenarios"),
+                ([[sc]], [np.random.default_rng(0)], "scenarios")):
+            with pytest.raises(ValidationError) as err:
+                train(scenarios, params, 10, None, gens)
+            assert err.value.field == field
+        for families, gens, field in (
+                ([[sc]], np.random.default_rng(0), "rngs"),
+                ([sc], [np.random.default_rng(0)], "families"),
+                (sc, [np.random.default_rng(0)], "families")):
+            with pytest.raises(ValidationError) as err:
+                hotboot(families, 1, params, gens, 10)
+            assert err.value.field == field
 
 
 class TestTrajectoryShape:
@@ -1081,9 +1101,9 @@ class TestTrajectoryShape:
         sc = make_single_type(c=0.15, s_max=25.0)
         params = PhcParams(reward_levels=10, size_levels=10, r_max=38.0)
         for seed in (0, 6, 7):
-            result = train(sc, params, 20_000, None,
-                           np.random.default_rng(seed))
-            sizes = result.log.sizes[:, 0]
+            (log,) = train([sc], params, 20_000, None,
+                           [np.random.default_rng(seed)]).logs
+            sizes = log.sizes[:, 0]
             assert sizes[-500:].mean() > sizes[:500].mean()
 
 
@@ -1185,7 +1205,7 @@ class TestHotboot:
 
     def test_zero_episodes_cold(self):
         sc = make_single_type()
-        tables = hotboot([sc], 0, self.PARAMS, np.random.default_rng(0))
+        tables = hotboot([[sc]], 0, self.PARAMS, [np.random.default_rng(0)])
         # one row on each side: one GCS state over the 25 items; one UAV
         # state per item, 2 answers
         assert tables.gcs_q.shape == (1, 1, 25)
@@ -1200,9 +1220,9 @@ class TestHotboot:
     def test_episodes_move_tables_deterministically(self):
         sc = make_single_type()
         fam = [sc, perturb_scenario(sc, np.random.default_rng(99))]
-        a = hotboot(fam, 3, self.PARAMS, np.random.default_rng(1),
+        a = hotboot([fam], 3, self.PARAMS, [np.random.default_rng(1)],
                     slots_per_episode=200)
-        b = hotboot(fam, 3, self.PARAMS, np.random.default_rng(1),
+        b = hotboot([fam], 3, self.PARAMS, [np.random.default_rng(1)],
                     slots_per_episode=200)
         assert tables_equal(a, b)
         assert not np.all(a.uav_q == 0.0)
@@ -1212,15 +1232,15 @@ class TestHotboot:
         sc = make_single_type()
         bad = make_scenario_a()
         with pytest.raises(ValidationError):
-            hotboot([sc, bad], 20, self.PARAMS, np.random.default_rng(1),
+            hotboot([[sc, bad]], 20, self.PARAMS, [np.random.default_rng(1)],
                     slots_per_episode=50)
 
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
-            hotboot([], 1, self.PARAMS, np.random.default_rng(0))
+            hotboot([[]], 1, self.PARAMS, [np.random.default_rng(0)])
         with pytest.raises(ValidationError):
-            hotboot([make_single_type()], -1, self.PARAMS,
-                    np.random.default_rng(0))
+            hotboot([[make_single_type()]], -1, self.PARAMS,
+                    [np.random.default_rng(0)])
 
 
 class TestPerturb:
@@ -1350,8 +1370,24 @@ class TestValidation:
                              uav_pi=np.full((2, 16, 2), 0.5),
                              uav_visits=np.zeros((2, 16)))):
             with pytest.raises(ValidationError) as err:
-                train(sc, params, 10, init, np.random.default_rng(0))
+                train([sc], params, 10, init, [np.random.default_rng(0)])
             assert err.value.field == "init"
+
+    def test_uav_row_sum_at_the_tolerance_edge(self):
+        # a UAV row's two entries are summed as pi[..., 0] + pi[..., 1]; a
+        # row 2e-9 past 1 is refused, one 5e-10 past it is accepted
+        tables = Tables.cold(2, 3)
+        for excess, refused in ((2e-9, True), (5e-10, False)):
+            pi = tables.uav_pi.copy()
+            pi[1, 2] = [0.5, 0.5 + excess]
+            assert abs(pi[1, 2].sum() - (1.0 + excess)) < 1e-15
+            if refused:
+                with pytest.raises(ValidationError) as err:
+                    replace(tables, uav_pi=pi)
+                assert err.value.field == "pi"
+            else:
+                accepted = replace(tables, uav_pi=pi)
+                assert accepted.uav_pi[1, 2, 1] == pi[1, 2, 1]
 
     @staticmethod
     def table_bytes(tables):
@@ -1371,17 +1407,16 @@ class TestValidation:
         # the broken row's own check raises, before anything moves
         sc = make_scenario_a()
         params = PhcParams(reward_levels=4, size_levels=3, r_max=12.0)
-        warm = train(sc, params, 40, None,
-                     [np.random.default_rng(s) for s in (1, 2, 3)])
-        stack = Tables.join([r.tables for r in warm])
+        stack = train(3 * [sc], params, 40, None,
+                      [np.random.default_rng(s) for s in (1, 2, 3)]).tables
         # two eligible types: the second seed's second type is row 3
         array = getattr(stack, ("gcs_", "uav_")[side] + name)
         array[(3,) + np.index_exp[at]] = value
         with pytest.raises(ValidationError) as own:
-            replace(stack.rows(3, 4))
+            sliced(stack, 3, 4)
         before = self.table_bytes(stack)
         with pytest.raises(ValidationError) as err:
-            train(sc, params, 20, stack,
+            train(3 * [sc], params, 20, stack,
                   [np.random.default_rng(s) for s in (4, 5, 6)])
         assert err.value.field == own.value.field == name
         assert self.table_bytes(stack) == before
@@ -1390,14 +1425,14 @@ class TestValidation:
         sc = make_scenario_a()
         params = PhcParams(reward_levels=4, size_levels=3, r_max=12.0)
         rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
-        warm = train(sc, params, 40, None, rngs)
-        stack = Tables.join([r.tables for r in warm])
+        stack = train(3 * [sc], params, 40, None, rngs).tables
         before = self.table_bytes(stack)
-        again = train(sc, params, 60, stack, rngs)
-        for result in warm + again:
-            t = result.tables
+        again = train(3 * [sc], params, 60, stack, rngs).tables
+        for t in (stack, again):
             t.check()
             assert (t.gcs_q.dtype == t.gcs_pi.dtype == t.uav_q.dtype
                     == t.uav_pi.dtype == np.float64)
             assert t.gcs_visits.dtype == t.uav_visits.dtype == np.int64
         assert self.table_bytes(stack) == before
+        # train returns its own copy, not the stack it was given
+        assert not np.shares_memory(again.uav_q, stack.uav_q)

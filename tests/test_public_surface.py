@@ -56,8 +56,8 @@ def test_readme_quickstart_runs(capsys):
     utility = ns["uc"].gcs_utility(ns["scenario"], ns["menu"])
     assert str(utility).startswith("56.1360")
     assert str(utility) in capsys.readouterr().out.splitlines()
-    # "same bits as above": seed 0 of the batch is the one-run call
-    assert logs_equal(ns["results"][0].log, ns["result"].log)
+    # "same bits as above": seed 0 of the batch is the batch of one
+    assert logs_equal(ns["results"].logs[0], ns["result"].logs[0])
 
 
 def cli_runs(tmp_path):

@@ -435,10 +435,11 @@ class TestRunPhc:
             family = [cfg.scenario] + [
                 perturb_scenario(cfg.scenario, rng, run.perturbation)
                 for _ in range(run.family_size - 1)]
-            init = hotboot(family, run.hotboot_episodes, params, rng,
+            init = hotboot([family], run.hotboot_episodes, params, [rng],
                            run.slots_per_episode)
-            result = train(cfg.scenario, params, run.slots, init, rng)
-            want = reference_trajectory_text(result.log)
+            (log,) = train([cfg.scenario], params, run.slots, init,
+                           [rng]).logs
+            want = reference_trajectory_text(log)
             assert ((tmp_path / f"phc_seed{seed}.csv").read_bytes()
                     == want.encode("utf-8"))
 
@@ -589,8 +590,9 @@ class TestPicklableErrors:
 def two_type_log(slots=400):
     scenario = make_scenario_a()
     params = with_default_r_max(phc_config().phc, scenario)
-    return train(scenario, params, slots, None,
-                 np.random.default_rng(5)).log
+    (log,) = train([scenario], params, slots, None,
+                   [np.random.default_rng(5)]).logs
+    return log
 
 
 def edited(log, **entries):
@@ -625,10 +627,10 @@ class TestTrajectoryText:
         scenario = make_scenario_a()
         params = with_default_r_max(phc_config().phc, scenario)
         strings = {}
-        for result in train(scenario, params, 300, None,
-                            [np.random.default_rng(s) for s in (1, 2)]):
-            assert (joined("t.csv", result.log, strings)
-                    == reference_trajectory_text(result.log))
+        for log in train(2 * [scenario], params, 300, None,
+                         [np.random.default_rng(s) for s in (1, 2)]).logs:
+            assert (joined("t.csv", log, strings)
+                    == reference_trajectory_text(log))
 
     def test_hand_edited_cells_match_cell_by_cell_loop(self):
         # payoffs of signed codes set to 123.456, to -0.0 and one ulp above
