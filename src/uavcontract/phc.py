@@ -352,7 +352,8 @@ def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
     and rows are the ones a batch of that seed alone gives.  The seeds'
     scenarios must give the same action grids and deployment cost.
 
-    The tables passed in are copied once and not modified.  All randomness
+    The tables passed in are copied once and not modified; the copy is
+    trained in place (`_play`), checked and returned.  All randomness
     comes from the generators: each seed draws four uniforms per type and
     slot, 0-1 for the GCS's item and 2-3 for the UAV's answer, in the order
     of one (slots, types, 4) draw, though they are drawn and used
@@ -360,7 +361,7 @@ def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
     for a given seed regardless of the batch.
     """
     scenarios = _listed("scenarios", scenarios, Scenario)
-    rngs = _listed("rngs", rngs)
+    rngs = _listed("rngs", rngs, np.random.Generator)
     if slots < 1:
         raise ValidationError("slots", "must be at least 1")
     if len(scenarios) != len(rngs):
@@ -391,7 +392,32 @@ def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
             tables.gcs_q.shape[2]) != (rows, rows, items):
         raise ValidationError("init", f"needs {rows} rows, one per (seed, "
                                       f"eligible type), of {items} items")
-    types = [ty for order in orders for ty in order]
+    uav_payoff, gcs_payoff, item, signed = _play(
+        tables, scenarios, reward_grid, size_grid, params, slots, rngs)
+    tables.check()
+    return TrainResult(logs=tuple(
+        EpisodeLog(type_indices=tuple(ty.index for ty in order),
+                   reward_grid=reward_grid, size_grid=size_grid,
+                   item=item[:, lo:hi], signed=signed[:, lo:hi],
+                   uav_payoff=uav_payoff[lo:hi], gcs_payoff=gcs_payoff[lo:hi])
+        for order, lo, hi in zip(orders, bounds, bounds[1:])), tables=tables)
+
+
+def _play(tables: Tables, scenarios: list[Scenario], reward_grid: np.ndarray,
+          size_grid: np.ndarray, params: PhcParams, slots: int,
+          rngs: list[np.random.Generator]) -> tuple[np.ndarray, ...]:
+    """Play ``slots`` slots of the learning game on ``tables``, in place:
+    one row per (seed, eligible type) of ``scenarios``, seeds in order, on
+    the given grids, seed k drawing from ``rngs[k]``.
+
+    The caller has checked the arguments: the scenarios share the grids
+    and the deployment cost, and ``tables`` holds their rows.  Returns what
+    a signed item pays the UAV and the GCS, shape (rows, items) each, and
+    the posted ``item`` and the answer ``signed``, shape (slots, rows).
+    """
+    bounds = np.cumsum([0] + [len(sc.eligible) for sc in scenarios]).tolist()
+    rows = bounds[-1]
+    types = [ty for sc in scenarios for ty in sc.eligible]
     uav_payoff, gcs_payoff = _signed_payoffs(
         reward_grid, size_grid, np.array([ty.c for ty in types]),
         np.array([w for sc in scenarios for w in sc.weights]),
@@ -415,13 +441,7 @@ def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
                             tables.gcs_visits, tables.uav_visits,
                             EXPLORE_VISITS, EXPLORE_FLOOR, item[block],
                             signed[block])
-    tables.check()
-    return TrainResult(logs=tuple(
-        EpisodeLog(type_indices=tuple(ty.index for ty in order),
-                   reward_grid=reward_grid, size_grid=size_grid,
-                   item=item[:, lo:hi], signed=signed[:, lo:hi],
-                   uav_payoff=uav_payoff[lo:hi], gcs_payoff=gcs_payoff[lo:hi])
-        for order, lo, hi in zip(orders, bounds, bounds[1:])), tables=tables)
+    return uav_payoff, gcs_payoff, item, signed
 
 
 def perturb_scenario(scenario: Scenario, rng: np.random.Generator,
@@ -452,41 +472,59 @@ def hotboot(families: Sequence[Sequence[Scenario]], episodes: int,
 
     ``families`` holds one family, a sequence of scenarios, per seed and
     ``rngs`` one generator per seed.  Each episode every seed picks a
-    member of its family at random, and one `train` call continues the
-    batch's tables on the picks.  Zero episodes returns cold tables.  Grids
+    member of its family at random, and the batch's one stack, cold at
+    first, is trained on the picks in place (`_play`), neither copied nor
+    checked between episodes.  Zero episodes returns cold tables.  Grids
     are fixed from each family's first member so action indices keep one
-    meaning across the whole chain; every member must expose the same
-    eligible type count, and the families must resolve to the same grids.
+    meaning across the whole chain.  Every member is checked before any
+    training: it must have its family's first member's eligible type
+    count, and the first family's first member's size grid and deployment
+    cost; the families must resolve to the same reward grid.  A failure
+    raises ValidationError naming ``families``.
 
-    Returns the one `Tables` stack `train` takes for that batch.  Each
-    seed's rows are the ones a batch of its family and generator alone
+    Returns the one `Tables` stack `train` takes for that batch, checked
+    once.  Each seed's rows are the ones a batch of its family and
+    generator alone gives, the stack a chain of ``episodes`` `train` calls
     gives: each generator draws, per episode, its pick and then that
     episode's uniforms.
     """
     families = [_listed("families", fam, Scenario)
                 for fam in _listed("families", families, Sequence)]
-    rngs = _listed("rngs", rngs)
+    rngs = _listed("rngs", rngs, np.random.Generator)
     if len(families) != len(rngs):
         raise ValidationError("families", "one family per generator")
     if episodes < 0:
         raise ValidationError("episodes", "must be non-negative")
+    if slots_per_episode < 1:
+        raise ValidationError("slots_per_episode", "must be at least 1")
     resolved = [with_default_r_max(params, fam[0]) for fam in families]
     params = resolved[0]
     if any(p.r_max != params.r_max for p in resolved):
         raise ValidationError("families",
                               "families must share the reward grid")
-    counts = [len(eligible_types(fam[0])) for fam in families]
-    tables = Tables.cold(sum(counts), (params.reward_levels + 1)
-                         * (params.size_levels + 1))
-    for _ in range(episodes):
-        picked = []
-        for fam, g, j in zip(families, rngs, counts):
-            scenario = fam[int(g.integers(0, len(fam)))]
-            if len(eligible_types(scenario)) != j:
+    first = families[0][0]
+    reward_grid, size_grid = action_grids(params, first.s_max)
+    counts = [len(fam[0].eligible) for fam in families]
+    for fam, count in zip(families, counts):
+        if not count:
+            raise ValidationError("families", "no eligible types to train")
+        for sc in fam:
+            if len(sc.eligible) != count:
                 raise ValidationError("families",
                                       "eligible type counts differ")
-            picked.append(scenario)
-        tables = train(picked, params, slots_per_episode, tables, rngs).tables
+            if not (sc.deployment_cost == first.deployment_cost
+                    and (sc.s_max == first.s_max or np.array_equal(
+                        action_grids(params, sc.s_max)[1], size_grid))):
+                raise ValidationError("families",
+                                      "members must share the size grid "
+                                      "and deployment cost")
+    tables = Tables.cold(sum(counts), reward_grid.size * size_grid.size)
+    for _ in range(episodes):
+        picked = [fam[int(g.integers(0, len(fam)))]
+                  for fam, g in zip(families, rngs)]
+        _play(tables, picked, reward_grid, size_grid, params,
+              slots_per_episode, rngs)
+    tables.check()
     return tables
 
 

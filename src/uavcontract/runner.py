@@ -374,52 +374,89 @@ def _codes(log: EpisodeLog):
                        + np.arange(width)).ravel()
 
 
-def trajectory_text(file: str, log: EpisodeLog, strings: dict):
+class CodeTable:
+    """The text of trajectory lines after their slot numbers, their tails,
+    by the lines' (column, posted item, answer) codes, for the logs of one
+    seed group.
+
+    A table is built from one log: each code's labels and values
+    (`_code_table`), a mask per value column of its non-finite values, and
+    room for each code's tail, which ends in a newline and is built the
+    first time a log the table serves meets the code.  ``strings`` maps
+    values to their `fmt` strings and gains each value a tail meets for
+    the first time.
+    """
+
+    def __init__(self, log: EpisodeLog, strings: dict):
+        self.key = (log.type_indices, log.reward_grid, log.size_grid,
+                    log.uav_payoff, log.gcs_payoff)
+        self.strings = strings
+        self.labels, self.values = _code_table(log)
+        self.bad = {name: ~np.isfinite(value)
+                    for name, value in self.values.items()}
+        self.tails = np.empty(self.labels[0].size, dtype=object)
+        self.built = np.zeros(self.labels[0].size, dtype=bool)
+
+    def serving(self, log: EpisodeLog) -> "CodeTable":
+        """This table when ``log`` has the type indices, grids and payoff
+        tables it was built from, else a table of ``log``'s own on the
+        same ``strings``."""
+        indices, *arrays = self.key
+        if log.type_indices == indices and all(map(
+                np.array_equal, arrays, (log.reward_grid, log.size_grid,
+                                         log.uav_payoff, log.gcs_payoff))):
+            return self
+        return CodeTable(log, self.strings)
+
+    def tails_of(self, code: np.ndarray) -> np.ndarray:
+        """The tails of ``code``, an object array, built where not yet."""
+        fresh = ~self.built.take(code)
+        if fresh.any():
+            new = np.flatnonzero(np.bincount(code[fresh],
+                                             minlength=self.built.size))
+            self.tails[new] = list(map(
+                "{},{},{},{},{},{},{}\n".format,
+                *(label.take(new).tolist() for label in self.labels),
+                *(_formatted(value.take(new), self.strings)
+                  for value in self.values.values())))
+            self.built[new] = True
+        return self.tails.take(code)
+
+
+def trajectory_text(file: str, log: EpisodeLog, table: CodeTable | dict):
     """The trajectory CSV of one log, a line per slot and column in order,
     as an iterator of strings of `TRAJECTORY_CHUNK_SLOTS` slots each.
 
     Every cell but the slot number is a function of the line's (column,
-    posted item, answer) code, so each code's text is built once, into a
-    table filled as the chunks meet new codes.  Every value is checked
-    finite before this returns, so a refused log leaves nothing written:
-    NonFiniteOutput names the first column, in CSV order, holding a
-    non-finite value, and the first such value in slot order.  ``strings``
-    maps values to their `fmt` strings and gains each value met for the
-    first time: the logs of one run share it, since they share the grids
-    and, where the seeds train one scenario, the payoffs.
+    posted item, answer) code, so each code's text, its tail, is built once
+    into a `CodeTable`, and a chunk joins each line's ``"slot,"`` and tail.
+    ``table`` is the table the logs of one seed group share, or a dict of
+    `fmt` strings by value for a table of this log's own; a log the shared
+    table does not serve (`CodeTable.serving`) gets its own too.  Every
+    value is checked finite before this returns, so a refused log leaves
+    nothing written: NonFiniteOutput names the first column, in CSV order,
+    holding a non-finite value, and the first such value in slot order.
     """
-    labels, values = _code_table(log)
-    for key, value in values.items():
-        bad = ~np.isfinite(value)
+    table = (table.serving(log) if isinstance(table, CodeTable)
+             else CodeTable(log, table))
+    for key, bad in table.bad.items():
         if bad.any():
             for _, _, code in _codes(log):
                 hit = code[bad.take(code)]
                 if hit.size:
-                    raise NonFiniteOutput(file, key, value[hit[0]])
-    return _trajectory_chunks(log, labels, values, strings)
+                    raise NonFiniteOutput(file, key, table.values[key][hit[0]])
+    return _trajectory_chunks(log, table)
 
 
-def _trajectory_chunks(log: EpisodeLog, labels, values, strings: dict):
+def _trajectory_chunks(log: EpisodeLog, table: CodeTable):
     width = len(log.type_indices)
-    # per code, the place of its text in tails, -1 until the code is met
-    tail_of = np.full(labels[0].size, -1, dtype=np.int64)
-    tails: list[str] = []
     yield TRAJECTORY_HEADER + "\n"
     for lo, hi, code in _codes(log):
-        index = tail_of.take(code)
-        if (index < 0).any():
-            fresh = np.flatnonzero(np.bincount(code[index < 0],
-                                               minlength=tail_of.size))
-            tail_of[fresh] = len(tails) + np.arange(fresh.size)
-            tails.extend(map(
-                "{},{},{},{},{},{},{}".format,
-                *(label.take(fresh).tolist() for label in labels),
-                *(_formatted(value.take(fresh), strings)
-                  for value in values.values())))
-            index = tail_of.take(code)
-        yield "".join(map("{},{}\n".format,
-                          np.repeat(np.arange(lo + 1, hi + 1), width).tolist(),
-                          map(tails.__getitem__, index.tolist())))
+        slots = [f"{slot}," for slot in range(lo + 1, hi + 1)]
+        lines = np.empty((hi - lo, width, 2), dtype=object)
+        lines[:, :, 0] = np.array(slots, dtype=object)[:, None]
+        lines[:, :, 1] = table.tails_of(code).reshape(hi - lo, width)
+        yield "".join(lines.ravel().tolist())
 
 
 def _usable_cpus() -> int:
@@ -451,13 +488,13 @@ def _phc_seed_group(config: ExperimentConfig, params, reference_items,
     logs = train(len(seeds) * [scenario], params, run.slots, inits,
                  rngs).logs
     summaries = []
-    # the seeds share one table of formatted values
-    strings: dict = {}
+    # the seeds share one table of line tails
+    table = CodeTable(logs[0], {})
     for seed, log in zip(seeds, logs):
         verdicts = convergence_check(log, run.window, run.tolerance)
         slot = convergence_slot(log, run.window, run.tolerance)
         name = f"phc_seed{seed}.csv"
-        _write_chunks(out / name, trajectory_text(name, log, strings))
+        _write_chunks(out / name, trajectory_text(name, log, table))
         for type_index, verdict in zip(log.type_indices, verdicts):
             ref_item = reference_items[type_index]
             summaries.append(PhcSeedSummary(

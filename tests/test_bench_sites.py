@@ -125,9 +125,18 @@ def test_train_loop_takes_uniforms_fifth():
 
 
 def test_train_sites_count_every_batch(tmp_path, monkeypatch):
-    # the tracer's phc.train layer wraps `phc.train`, which `hotboot` calls
-    # once per episode through the module global, and `runner.train`,
-    # which each seed group calls once for its batch
+    # `hotboot` trains its own stack in place, so the tracer's kernel
+    # layer, which wraps `_kernels.train_loop` where `phc` looks it up,
+    # sees every slot of every episode, and its phc.train layer sees
+    # `runner.train`, which each seed group calls once for its batch
+    slots_of = tracing()["_train_loop_slots"]
+    kernel = []
+    train_loop = _kernels.train_loop
+
+    def counting_loop(*args):
+        kernel.append(slots_of(args))
+        return train_loop(*args)
+
     calls = {"phc": [], "runner": []}
 
     def counting(site, train):
@@ -136,23 +145,36 @@ def test_train_sites_count_every_batch(tmp_path, monkeypatch):
             return train(scenarios, params, slots, init, rngs)
         return wrapped
 
+    monkeypatch.setattr(_kernels, "train_loop", counting_loop)
     monkeypatch.setattr(phc, "train", counting("phc", phc.train))
     monkeypatch.setattr(runner, "train", counting("runner", runner.train))
     sc = make_scenario_a()
     rngs = [np.random.default_rng(s) for s in (1, 2)]
+    # an episode of a whole slot block and 20 slots more, on two seeds of
+    # two eligible types each
     phc.hotboot([[sc], [sc]], 3, phc.PhcParams(reward_levels=3,
-                                               size_levels=3), rngs, 20)
-    assert calls["phc"] == 3 * [rngs]
-    assert calls["runner"] == []
+                                               size_levels=3), rngs,
+                phc.SLOT_BLOCK + 20)
+    rows = 2 * 2
+    assert kernel == 3 * [phc.SLOT_BLOCK * rows, 20 * rows]
+    assert sum(kernel) == 3 * (phc.SLOT_BLOCK + 20) * rows
+    assert calls == {"phc": [], "runner": []}
 
     # two seed groups, both run in this process so their calls are seen
-    calls["phc"].clear()
+    kernel.clear()
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(runner, "_run_groups",
                         lambda task, groups: [task(g) for g in groups])
     cfg = load_config(Path(__file__).parent / "data" / "phc_wide.yaml")
     run = cfg.phc_run
+    block = phc.SLOT_BLOCK
+    assert run.slots_per_episode <= block < run.slots <= 2 * block
     runner.run_phc(cfg, tmp_path)
     assert [len(g) for g in calls["runner"]] == [2, 1]
-    assert [len(g) for g in calls["phc"]] == run.hotboot_episodes * [2] + (
-        run.hotboot_episodes * [1])
+    assert calls["phc"] == []
+    # per group, one kernel call per episode, then the run's blocks
+    eligible = len(cfg.scenario.eligible)
+    blocks = [block, run.slots - block]
+    assert kernel == [slots * seeds * eligible for seeds in (2, 1)
+                      for slots in run.hotboot_episodes
+                      * [run.slots_per_episode] + blocks]

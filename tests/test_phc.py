@@ -1061,6 +1061,29 @@ class TestBatchTrain:
                            slots_per_episode=80)
             assert tables_equal(sliced(batch, 2 * k, 2 * k + 2), want)
 
+    @pytest.mark.parametrize("seeds", [(7,), (7, 8, 9)])
+    def test_hotboot_equals_a_chain_of_train_calls(self, seeds):
+        # hotboot trains one stack in place; a chain of train calls, each
+        # copying and checking the stack, must give the same bits, visits
+        # included, the picks drawn from the same generators
+        sc = make_scenario_a()
+        params = PhcParams(reward_levels=4, size_levels=3)
+        families = [[sc] + [perturb_scenario(sc, np.random.default_rng(s))
+                            for s in (seed, seed + 20, seed + 40)]
+                    for seed in seeds]
+        got = hotboot(families, 4, params,
+                      [np.random.default_rng(s) for s in seeds], 300)
+        # the grids come from the first family's first member
+        resolved = with_default_r_max(params, sc)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        want = None
+        for _ in range(4):
+            picked = [fam[int(g.integers(0, len(fam)))]
+                      for fam, g in zip(families, rngs)]
+            want = train(picked, resolved, 300, want, rngs).tables
+        assert tables_equal(got, want)
+        assert (want.gcs_visits == 4 * 300).all()
+
     def test_batch_validation(self):
         sc = make_single_type()
         params = PhcParams(reward_levels=3, size_levels=3)
@@ -1079,6 +1102,8 @@ class TestBatchTrain:
         # a bare Scenario or generator, or a nested sequence, is named
         # rather than failing inside the loop
         for scenarios, gens, field in (
+                ([sc], [0], "rngs"),
+                (2 * [sc], [np.random.default_rng(0), 1.5], "rngs"),
                 (sc, [np.random.default_rng(0)], "scenarios"),
                 ([sc], np.random.default_rng(0), "rngs"),
                 ([[sc]], np.random.default_rng(0), "scenarios"),
@@ -1087,6 +1112,8 @@ class TestBatchTrain:
                 train(scenarios, params, 10, None, gens)
             assert err.value.field == field
         for families, gens, field in (
+                ([[sc]], [0], "rngs"),
+                ([[sc], [sc]], [np.random.default_rng(0), None], "rngs"),
                 ([[sc]], np.random.default_rng(0), "rngs"),
                 ([sc], [np.random.default_rng(0)], "families"),
                 (sc, [np.random.default_rng(0)], "families")):
@@ -1235,12 +1262,65 @@ class TestHotboot:
             hotboot([[sc, bad]], 20, self.PARAMS, [np.random.default_rng(1)],
                     slots_per_episode=50)
 
+    @pytest.mark.parametrize("member", [
+        {"s_max": 27.5}, {"deployment_cost": 2.0}])
+    def test_every_member_must_share_grids_and_deployment_cost(
+            self, member):
+        # a member that differs from the first family's first member is
+        # refused before any training, whichever members the seeds pick
+        sc = make_scenario_a()
+        other = replace(sc, **member)
+        for families in ([[sc, other]], [[sc], [sc, other]],
+                         [[sc], [other]], [[other], [sc]]):
+            for seed in range(10):
+                rngs = [np.random.default_rng(seed + k)
+                        for k in range(len(families))]
+                for episodes in (0, 1):
+                    with pytest.raises(ValidationError) as err:
+                        hotboot(families, episodes, self.PARAMS, rngs, 10)
+                    assert err.value.field == "families"
+
+    def test_members_are_checked_whatever_the_picks(self, monkeypatch):
+        # a member with another eligible type count is refused even where
+        # no episode would pick it, and before a single slot is trained
+        sc = make_single_type()
+        bad = make_scenario_a()
+        calls = []
+        monkeypatch.setattr(_kernels, "train_loop",
+                            lambda *args: calls.append(args))
+        for seed in range(10):
+            with pytest.raises(ValidationError) as err:
+                hotboot([[sc, bad]], 1, self.PARAMS,
+                        [np.random.default_rng(seed)], 10)
+            assert err.value.field == "families"
+        with pytest.raises(ValidationError):
+            hotboot([[sc] * 5 + [bad]], 0, self.PARAMS,
+                    [np.random.default_rng(0)], 10)
+        assert calls == []
+
+    def test_a_size_grid_of_one_point_ignores_s_max(self):
+        # with no size levels every s_max gives the grid {0}, so a member
+        # of another s_max keeps the meaning of every action index
+        sc = make_single_type()
+        params = PhcParams(reward_levels=4, size_levels=0, r_max=10.0)
+        got = hotboot([[sc, replace(sc, s_max=20.0)]], 2, params,
+                      [np.random.default_rng(3)], 50)
+        assert got.gcs_q.shape == (1, 1, 5)
+
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
             hotboot([[]], 1, self.PARAMS, [np.random.default_rng(0)])
         with pytest.raises(ValidationError):
             hotboot([[make_single_type()]], -1, self.PARAMS,
                     [np.random.default_rng(0)])
+        # no eligible type to train, and an episode of no slots
+        for family, slots, field in (
+                ([make_scenario_a(t_max=0.5)], 10, "families"),
+                ([make_single_type()], 0, "slots_per_episode")):
+            with pytest.raises(ValidationError) as err:
+                hotboot([family], 0, self.PARAMS,
+                        [np.random.default_rng(0)], slots)
+            assert err.value.field == field
 
 
 class TestPerturb:

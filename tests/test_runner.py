@@ -784,6 +784,92 @@ class TestStreamedTrajectory:
         assert not out.exists()
 
 
+def retyped(log, **changes):
+    """``log`` with the fields a shared code table is keyed on changed:
+    ``columns`` keeps those columns, the others replace as given."""
+    columns = changes.pop("columns", None)
+    if columns is not None:
+        changes.update(
+            type_indices=tuple(log.type_indices[j] for j in columns),
+            item=log.item[:, columns], signed=log.signed[:, columns],
+            uav_payoff=log.uav_payoff[columns],
+            gcs_payoff=log.gcs_payoff[columns])
+    return dataclasses.replace(log, **changes)
+
+
+class TestSharedCodeTable:
+    def test_a_seed_group_shares_one_table(self):
+        # the logs of one batch, as a seed group writes them: one table
+        # serves every log, and each CSV has the first form's bytes
+        scenario = make_scenario_a()
+        params = with_default_r_max(phc_config().phc, scenario)
+        logs = train(3 * [scenario], params, 300, None,
+                     [np.random.default_rng(s) for s in (1, 2, 3)]).logs
+        table = runner.CodeTable(logs[0], {})
+        for log in logs:
+            got = "".join(trajectory_text("t.csv", log, table))
+            assert got == first_trajectory_text("t.csv", log, {})
+            assert table.serving(log) is table
+        # and at chunks of 1 and 7 slots, the table filled already
+        for log in logs:
+            assert joined("t.csv", log, table) == reference_trajectory_text(
+                log)
+
+    def test_a_log_the_table_does_not_serve_gets_its_own(self):
+        log = two_type_log(slots=200)
+        others = [
+            retyped(log, uav_payoff=log.uav_payoff * 2.0 + 1.0),
+            retyped(log, gcs_payoff=log.gcs_payoff - 0.5),
+            retyped(log, columns=[1]),
+            retyped(log, type_indices=(2, 1)),
+            retyped(log, reward_grid=log.reward_grid * 0.5),
+            retyped(log, size_grid=log.size_grid + 1.0)]
+        for first in [log] + others:
+            table = runner.CodeTable(first, {})
+            for hand in [first, log] + others:
+                assert (joined("t.csv", hand, table)
+                        == reference_trajectory_text(hand))
+                assert (table.serving(hand) is table) == (hand is first)
+        # a log equal to the one the table was built from is served
+        table = runner.CodeTable(log, {})
+        copy = retyped(log, uav_payoff=log.uav_payoff.copy(),
+                       item=log.item[::-1].copy())
+        assert table.serving(copy) is table
+        assert joined("t.csv", copy, table) == reference_trajectory_text(copy)
+
+    @pytest.mark.parametrize("first", ["clean", "refused"])
+    def test_non_finite_payoff_is_refused_through_a_shared_table(
+            self, first, tmp_path):
+        # the table is built from the clean log or from the refused one
+        log, late, _ = long_log()
+        hand = edited(log, uav_payoff=[(0, late, math.nan)])
+        table = runner.CodeTable({"clean": log, "refused": hand}[first], {})
+        out = tmp_path / "out"
+        with pytest.raises(NonFiniteOutput) as got:
+            runner._write_chunks(out / "phc_seed7.csv", trajectory_text(
+                "phc_seed7.csv", hand, table))
+        assert str(got.value) == reference_refusal("phc_seed7.csv", hand)
+        assert not out.exists()
+        # the table still gives the clean log its bytes
+        assert joined("t.csv", log, table) == reference_trajectory_text(log)
+
+    def test_refusal_reads_each_log_not_the_table(self):
+        # two logs on one table's payoffs, a non-finite one at an item that
+        # column 0 of the first never signs: the second signs it once
+        log, _, never = long_log()
+        quiet = edited(log, uav_payoff=[(0, never, math.inf)])
+        t = 100
+        loud = edited(quiet, item=[(t, 0, never)], signed=[(t, 0, True)])
+        table = runner.CodeTable(quiet, {})
+        assert joined("t.csv", quiet, table) == reference_trajectory_text(
+            quiet)
+        assert table.serving(loud) is table
+        with pytest.raises(NonFiniteOutput) as got:
+            trajectory_text("t.csv", loud, table)
+        assert str(got.value) == reference_refusal("t.csv", loud)
+        assert str(got.value) == "t.csv: uav_utility is inf, not finite"
+
+
 class TestWriteChunks:
     def test_rerun_into_one_directory(self, tmp_path):
         # the second run removes each old file before its rename
