@@ -38,8 +38,8 @@ def train_loop(q_g, pi_g, q_u, pi_u, uniforms, uav_payoff, gcs_payoff,
     the UAV observes the item, which is its state, and signs (action 0) or
     declines (action 1).  A signed item pays the UAV ``uav_payoff[row, k]``
     and the GCS ``gcs_payoff[row, k]``, the (rows, items) tables
-    `phc.train` builds; a declined one pays both sides 0.  Both updates
-    close in the slot, each learner bootstrapping from the state it is in,
+    `phc._signed_payoffs` builds; a declined one pays both sides 0.  Both
+    updates close in the slot, each learner bootstrapping from its state,
     so a trade repeated every slot is valued at payoff / (1 - discount).
 
     Each side explores: with a share falling linearly from 1 to

@@ -39,6 +39,15 @@ EXPLORE_FLOOR = 0.01
 SLOT_BLOCK = 256
 
 
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Raise ValidationError naming ``name`` unless ``value`` is an integer,
+    not a bool, of at least ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValidationError(name,
+                              f"must be an integer of at least {minimum}")
+
+
 @dataclass(frozen=True)
 class PhcParams:
     """Learning constants for both tiers plus the action-grid geometry.
@@ -73,9 +82,7 @@ class PhcParams:
             if not 0.0 < v < 1.0:
                 raise ValidationError(name, "must lie in (0, 1)")
         for name in ("reward_levels", "size_levels"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
-                raise ValidationError(name, "must be a non-negative integer")
+            _check_integer(name, getattr(self, name), 0)
         if self.r_max is not None:
             check_positive(self, ("r_max",))
 
@@ -337,6 +344,44 @@ def _listed(name: str, values, kind: type = object) -> list:
     return list(values)
 
 
+def _batch(families: list[list[Scenario]], params: PhcParams,
+           name: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The reward and size grids a batch of seeds plays on, and the bounds
+    of each seed's rows: seed k owns rows ``bounds[k]`` to
+    ``bounds[k + 1]``, one per eligible type of its scenarios.
+
+    ``families`` holds the scenarios each seed may play, one list per
+    seed.  ``r_max`` resolves against each seed's first member.  Every
+    member must have eligible types, as many as its seed's first member,
+    and the action grids and deployment cost of the batch's first
+    scenario.  Grids are compared as grids, so a one-point grid ignores
+    ``s_max`` and ``r_max`` alike.  A failure raises ValidationError
+    naming ``name``.
+    """
+    first = families[0][0]
+    top = with_default_r_max(params, first)
+    reward_grid, size_grid = action_grids(top, first.s_max)
+    bounds = [0]
+    for family in families:
+        resolved = with_default_r_max(params, family[0])
+        count = len(family[0].eligible)
+        if not count:
+            raise ValidationError(name, "no eligible types to train")
+        for sc in family:
+            if len(sc.eligible) != count:
+                raise ValidationError(name, "eligible type counts differ")
+            # the grids are built only where their bounds differ
+            if sc.deployment_cost != first.deployment_cost or (
+                    (resolved.r_max, sc.s_max) != (top.r_max, first.s_max)
+                    and not all(map(np.array_equal,
+                                    action_grids(resolved, sc.s_max),
+                                    (reward_grid, size_grid)))):
+                raise ValidationError(name, "a batch must share action "
+                                            "grids and deployment cost")
+        bounds.append(bounds[-1] + count)
+    return reward_grid, size_grid, bounds
+
+
 def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
           init: Tables | None,
           rngs: Sequence[np.random.Generator]) -> TrainResult:
@@ -349,8 +394,9 @@ def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
     whole batch, visit counts included: one row per (seed, eligible type),
     seeds in order, on the seeds' action grids.  Every (seed, type) pair is
     a row of one kernel call, and rows share nothing, so each seed's log
-    and rows are the ones a batch of that seed alone gives.  The seeds'
-    scenarios must give the same action grids and deployment cost.
+    and rows are the ones a batch of that seed alone gives.  The scenarios
+    must form a batch, each a family of one (`_batch`, `hotboot`'s rule),
+    else ValidationError names ``scenarios``.
 
     The tables passed in are copied once and not modified; the copy is
     trained in place (`_play`), checked and returned.  All randomness
@@ -362,28 +408,13 @@ def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
     """
     scenarios = _listed("scenarios", scenarios, Scenario)
     rngs = _listed("rngs", rngs, np.random.Generator)
-    if slots < 1:
-        raise ValidationError("slots", "must be at least 1")
+    _check_integer("slots", slots, 1)
     if len(scenarios) != len(rngs):
         raise ValidationError("rngs", "one generator per scenario")
     if init is not None and not isinstance(init, Tables):
         raise ValidationError("init", "must be Tables or None")
-    orders = []
-    for k, sc in enumerate(scenarios):
-        order = eligible_types(sc)
-        if not order:
-            raise ValidationError("scenarios", "no eligible types to train")
-        grids = action_grids(with_default_r_max(params, sc), sc.s_max)
-        if k == 0:
-            reward_grid, size_grid = grids
-        elif not (np.array_equal(grids[0], reward_grid)
-                  and np.array_equal(grids[1], size_grid)
-                  and sc.deployment_cost == scenarios[0].deployment_cost):
-            raise ValidationError(
-                "scenarios", "a batch must share action grids and "
-                             "deployment cost")
-        orders.append(order)
-    bounds = np.cumsum([0] + [len(order) for order in orders]).tolist()
+    reward_grid, size_grid, bounds = _batch([[sc] for sc in scenarios],
+                                            params, "scenarios")
     rows, items = bounds[-1], reward_grid.shape[0] * size_grid.shape[0]
     # the copy's construction checks it
     tables = (Tables.cold(rows, items) if init is None else
@@ -393,29 +424,31 @@ def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
         raise ValidationError("init", f"needs {rows} rows, one per (seed, "
                                       f"eligible type), of {items} items")
     uav_payoff, gcs_payoff, item, signed = _play(
-        tables, scenarios, reward_grid, size_grid, params, slots, rngs)
+        tables, scenarios, reward_grid, size_grid, bounds, params, slots,
+        rngs)
     tables.check()
     return TrainResult(logs=tuple(
-        EpisodeLog(type_indices=tuple(ty.index for ty in order),
+        EpisodeLog(type_indices=tuple(ty.index for ty in sc.eligible),
                    reward_grid=reward_grid, size_grid=size_grid,
                    item=item[:, lo:hi], signed=signed[:, lo:hi],
                    uav_payoff=uav_payoff[lo:hi], gcs_payoff=gcs_payoff[lo:hi])
-        for order, lo, hi in zip(orders, bounds, bounds[1:])), tables=tables)
+        for sc, lo, hi in zip(scenarios, bounds, bounds[1:])), tables=tables)
 
 
 def _play(tables: Tables, scenarios: list[Scenario], reward_grid: np.ndarray,
-          size_grid: np.ndarray, params: PhcParams, slots: int,
+          size_grid: np.ndarray, bounds: list[int], params: PhcParams,
+          slots: int,
           rngs: list[np.random.Generator]) -> tuple[np.ndarray, ...]:
-    """Play ``slots`` slots of the learning game on ``tables``, in place:
-    one row per (seed, eligible type) of ``scenarios``, seeds in order, on
-    the given grids, seed k drawing from ``rngs[k]``.
+    """Play ``slots`` slots of the learning game on ``tables``, in place,
+    on the given grids: seed k plays ``scenarios[k]`` on rows ``bounds[k]``
+    to ``bounds[k + 1]``, one per eligible type, drawing from ``rngs[k]``.
 
-    The caller has checked the arguments: the scenarios share the grids
-    and the deployment cost, and ``tables`` holds their rows.  Returns what
-    a signed item pays the UAV and the GCS, shape (rows, items) each, and
-    the posted ``item`` and the answer ``signed``, shape (slots, rows).
+    The caller has checked the arguments (`_batch`): the scenarios share
+    the grids and the deployment cost, and ``tables`` holds their rows.
+    Returns what a signed item pays the UAV and the GCS, shape (rows,
+    items) each (`_signed_payoffs`), and the posted ``item`` and the
+    answer ``signed``, shape (slots, rows).
     """
-    bounds = np.cumsum([0] + [len(sc.eligible) for sc in scenarios]).tolist()
     rows = bounds[-1]
     types = [ty for sc in scenarios for ty in sc.eligible]
     uav_payoff, gcs_payoff = _signed_payoffs(
@@ -474,13 +507,10 @@ def hotboot(families: Sequence[Sequence[Scenario]], episodes: int,
     ``rngs`` one generator per seed.  Each episode every seed picks a
     member of its family at random, and the batch's one stack, cold at
     first, is trained on the picks in place (`_play`), neither copied nor
-    checked between episodes.  Zero episodes returns cold tables.  Grids
-    are fixed from each family's first member so action indices keep one
-    meaning across the whole chain.  Every member is checked before any
-    training: it must have its family's first member's eligible type
-    count, and the first family's first member's size grid and deployment
-    cost; the families must resolve to the same reward grid.  A failure
-    raises ValidationError naming ``families``.
+    checked between episodes.  Zero episodes returns cold tables.  Every
+    member is checked before any training, by the batch rule `train`
+    shares (`_batch`), so action indices keep one meaning across the
+    whole chain; a failure raises ValidationError naming ``families``.
 
     Returns the one `Tables` stack `train` takes for that batch, checked
     once.  Each seed's rows are the ones a batch of its family and
@@ -493,36 +523,14 @@ def hotboot(families: Sequence[Sequence[Scenario]], episodes: int,
     rngs = _listed("rngs", rngs, np.random.Generator)
     if len(families) != len(rngs):
         raise ValidationError("families", "one family per generator")
-    if episodes < 0:
-        raise ValidationError("episodes", "must be non-negative")
-    if slots_per_episode < 1:
-        raise ValidationError("slots_per_episode", "must be at least 1")
-    resolved = [with_default_r_max(params, fam[0]) for fam in families]
-    params = resolved[0]
-    if any(p.r_max != params.r_max for p in resolved):
-        raise ValidationError("families",
-                              "families must share the reward grid")
-    first = families[0][0]
-    reward_grid, size_grid = action_grids(params, first.s_max)
-    counts = [len(fam[0].eligible) for fam in families]
-    for fam, count in zip(families, counts):
-        if not count:
-            raise ValidationError("families", "no eligible types to train")
-        for sc in fam:
-            if len(sc.eligible) != count:
-                raise ValidationError("families",
-                                      "eligible type counts differ")
-            if not (sc.deployment_cost == first.deployment_cost
-                    and (sc.s_max == first.s_max or np.array_equal(
-                        action_grids(params, sc.s_max)[1], size_grid))):
-                raise ValidationError("families",
-                                      "members must share the size grid "
-                                      "and deployment cost")
-    tables = Tables.cold(sum(counts), reward_grid.size * size_grid.size)
+    _check_integer("episodes", episodes, 0)
+    _check_integer("slots_per_episode", slots_per_episode, 1)
+    reward_grid, size_grid, bounds = _batch(families, params, "families")
+    tables = Tables.cold(bounds[-1], reward_grid.size * size_grid.size)
     for _ in range(episodes):
         picked = [fam[int(g.integers(0, len(fam)))]
                   for fam, g in zip(families, rngs)]
-        _play(tables, picked, reward_grid, size_grid, params,
+        _play(tables, picked, reward_grid, size_grid, bounds, params,
               slots_per_episode, rngs)
     tables.check()
     return tables

@@ -377,36 +377,22 @@ def _codes(log: EpisodeLog):
 class CodeTable:
     """The text of trajectory lines after their slot numbers, their tails,
     by the lines' (column, posted item, answer) codes, for the logs of one
-    seed group.
+    set of type indices, grids and payoff tables.
 
     A table is built from one log: each code's labels and values
     (`_code_table`), a mask per value column of its non-finite values, and
     room for each code's tail, which ends in a newline and is built the
-    first time a log the table serves meets the code.  ``strings`` maps
-    values to their `fmt` strings and gains each value a tail meets for
-    the first time.
+    first time a log meets the code.  ``strings`` maps values to their
+    `fmt` strings and gains each value a tail meets for the first time.
     """
 
-    def __init__(self, log: EpisodeLog, strings: dict):
-        self.key = (log.type_indices, log.reward_grid, log.size_grid,
-                    log.uav_payoff, log.gcs_payoff)
-        self.strings = strings
+    def __init__(self, log: EpisodeLog):
+        self.strings = {}
         self.labels, self.values = _code_table(log)
         self.bad = {name: ~np.isfinite(value)
                     for name, value in self.values.items()}
         self.tails = np.empty(self.labels[0].size, dtype=object)
         self.built = np.zeros(self.labels[0].size, dtype=bool)
-
-    def serving(self, log: EpisodeLog) -> "CodeTable":
-        """This table when ``log`` has the type indices, grids and payoff
-        tables it was built from, else a table of ``log``'s own on the
-        same ``strings``."""
-        indices, *arrays = self.key
-        if log.type_indices == indices and all(map(
-                np.array_equal, arrays, (log.reward_grid, log.size_grid,
-                                         log.uav_payoff, log.gcs_payoff))):
-            return self
-        return CodeTable(log, self.strings)
 
     def tails_of(self, code: np.ndarray) -> np.ndarray:
         """The tails of ``code``, an object array, built where not yet."""
@@ -423,22 +409,27 @@ class CodeTable:
         return self.tails.take(code)
 
 
-def trajectory_text(file: str, log: EpisodeLog, table: CodeTable | dict):
+def trajectory_text(file: str, log: EpisodeLog, tables: dict):
     """The trajectory CSV of one log, a line per slot and column in order,
     as an iterator of strings of `TRAJECTORY_CHUNK_SLOTS` slots each.
 
     Every cell but the slot number is a function of the line's (column,
-    posted item, answer) code, so each code's text, its tail, is built once
-    into a `CodeTable`, and a chunk joins each line's ``"slot,"`` and tail.
-    ``table`` is the table the logs of one seed group share, or a dict of
-    `fmt` strings by value for a table of this log's own; a log the shared
-    table does not serve (`CodeTable.serving`) gets its own too.  Every
-    value is checked finite before this returns, so a refused log leaves
-    nothing written: NonFiniteOutput names the first column, in CSV order,
-    holding a non-finite value, and the first such value in slot order.
+    posted item, answer) code and of what the log was played on, so each
+    code's text, its tail, is built once into a `CodeTable`, and a chunk
+    joins each line's ``"slot,"`` and tail.  ``tables`` holds the tables
+    built so far, keyed by the type indices and the dtype, shape and bytes
+    of the two grids and two payoff tables they are built on; a log reuses
+    its key's table or adds one.  Every value is checked finite before
+    this returns, so a refused log leaves nothing written: NonFiniteOutput
+    names the first column, in CSV order, holding a non-finite value, and
+    the first such value in slot order.
     """
-    table = (table.serving(log) if isinstance(table, CodeTable)
-             else CodeTable(log, table))
+    built_on = (log.type_indices, *(
+        (a.dtype, a.shape, a.tobytes()) for a in (
+            log.reward_grid, log.size_grid, log.uav_payoff, log.gcs_payoff)))
+    table = tables.get(built_on)
+    if table is None:
+        table = tables[built_on] = CodeTable(log)
     for key, bad in table.bad.items():
         if bad.any():
             for _, _, code in _codes(log):
@@ -488,13 +479,13 @@ def _phc_seed_group(config: ExperimentConfig, params, reference_items,
     logs = train(len(seeds) * [scenario], params, run.slots, inits,
                  rngs).logs
     summaries = []
-    # the seeds share one table of line tails
-    table = CodeTable(logs[0], {})
+    # the seeds' logs, of one scenario, share their code tables
+    tables = {}
     for seed, log in zip(seeds, logs):
         verdicts = convergence_check(log, run.window, run.tolerance)
         slot = convergence_slot(log, run.window, run.tolerance)
         name = f"phc_seed{seed}.csv"
-        _write_chunks(out / name, trajectory_text(name, log, table))
+        _write_chunks(out / name, trajectory_text(name, log, tables))
         for type_index, verdict in zip(log.type_indices, verdicts):
             ref_item = reference_items[type_index]
             summaries.append(PhcSeedSummary(

@@ -353,10 +353,10 @@ class TestExitCodes:
                             lambda pid: set(range(cpus)), raising=False)
         real = runner.trajectory_text
 
-        def refuse(name, log, strings):
+        def refuse(name, log, tables):
             if name == "phc_seed2.csv":
                 raise NonFiniteOutput(name, "gcs_term", math.nan)
-            return real(name, log, strings)
+            return real(name, log, tables)
 
         monkeypatch.setattr(runner, "trajectory_text", refuse)
         code = main(["phc", "--config", str(DATA / "phc_single_type.yaml"),

@@ -487,8 +487,13 @@ class TestTrain:
 
     def test_validation(self):
         sc = make_single_type()
-        with pytest.raises(ValidationError):
-            train([sc], self.PARAMS, 0, None, [np.random.default_rng(0)])
+        # a count of slots that is no integer, or is a bool, is named
+        # rather than failing inside the loop
+        for slots in (0, 10.0, True):
+            with pytest.raises(ValidationError) as err:
+                train([sc], self.PARAMS, slots, None,
+                      [np.random.default_rng(0)])
+            assert err.value.field == "slots"
         for init in (((), ()), Tables.cold(0, 20)):
             with pytest.raises(ValidationError) as err:
                 train([sc], self.PARAMS, 10, init, [np.random.default_rng(0)])
@@ -552,9 +557,9 @@ SCALAR_ONLY = ("rgrid", "sgrid", "cost", "weight", "count", "c0",
 
 def kernel_form(args):
     """``args``, the scalar body's arguments, in `_kernels.train_loop`'s
-    form: the payoff tables `train` builds in place of the grids and the
-    per-row constants, and zeroed posted items and answers in place of the
-    six trajectory arrays."""
+    form: the payoff tables `_signed_payoffs` builds in place of the grids
+    and the per-row constants, and zeroed posted items and answers in
+    place of the six trajectory arrays."""
     kernel = {k: v for k, v in args.items() if k not in SCALAR_ONLY}
     kernel["uav_payoff"], kernel["gcs_payoff"] = _signed_payoffs(
         args["rgrid"], args["sgrid"], args["cost"], args["weight"],
@@ -1122,6 +1127,37 @@ class TestBatchTrain:
             assert err.value.field == field
 
 
+@pytest.mark.parametrize("levels, other, accepted", [
+    # a pinned r_max, so that only the size grid can differ
+    ((20, 20, 10.0), make_single_type(s_max=27.5), False),
+    ((20, 0, 10.0), make_single_type(s_max=27.5), True),
+    # c1 0.5 and 0.7 resolve to other default reward ceilings
+    ((20, 20, None), make_single_type(c=0.7), False),
+    ((0, 20, None), make_single_type(c=0.7), True),
+    ((20, 20, None), replace(make_single_type(), deployment_cost=2.0), False),
+    ((20, 20, None), replace(make_single_type(), t_max=0.5), False)],
+    ids=["s_max", "s_max_one_size", "r_max", "r_max_one_reward",
+         "deployment_cost", "no_eligible_type"])
+def test_train_and_hotboot_share_one_batch_rule(levels, other, accepted):
+    # each seed's scenario, or family of one, in either order: train and
+    # hotboot give one verdict, and a refusal names their own argument
+    sc = make_single_type()
+    params = PhcParams(reward_levels=levels[0], size_levels=levels[1],
+                       r_max=levels[2])
+    for pair in ([sc, other], [other, sc]):
+        rngs = [np.random.default_rng(s) for s in (1, 2)]
+        for name, run in (
+                ("scenarios", lambda: train(pair, params, 10, None, rngs)),
+                ("families", lambda: hotboot([[s] for s in pair], 1, params,
+                                             rngs, 10))):
+            if accepted:
+                run()
+            else:
+                with pytest.raises(ValidationError) as err:
+                    run()
+                assert err.value.field == name
+
+
 class TestTrajectoryShape:
     def test_learning_raises_delivery(self):
         # a cheap type starts mid-grid and climbs toward a large contract
@@ -1313,12 +1349,17 @@ class TestHotboot:
         with pytest.raises(ValidationError):
             hotboot([[make_single_type()]], -1, self.PARAMS,
                     [np.random.default_rng(0)])
-        # no eligible type to train, and an episode of no slots
-        for family, slots, field in (
-                ([make_scenario_a(t_max=0.5)], 10, "families"),
-                ([make_single_type()], 0, "slots_per_episode")):
+        # no eligible type to train, an episode of no slots, and counts
+        # that are no integers or are bools
+        for family, episodes, slots, field in (
+                ([make_scenario_a(t_max=0.5)], 0, 10, "families"),
+                ([make_single_type()], 0, 0, "slots_per_episode"),
+                ([make_single_type()], 1.5, 10, "episodes"),
+                ([make_single_type()], True, 10, "episodes"),
+                ([make_single_type()], 1, 10.5, "slots_per_episode"),
+                ([make_single_type()], 1, True, "slots_per_episode")):
             with pytest.raises(ValidationError) as err:
-                hotboot([family], 0, self.PARAMS,
+                hotboot([family], episodes, self.PARAMS,
                         [np.random.default_rng(0)], slots)
             assert err.value.field == field
 
@@ -1357,6 +1398,7 @@ class TestValidation:
                        {"discount_gcs": 1.0}, {"discount_uav": -0.1},
                        {"step_gcs": 0.0}, {"step_uav": 1.0},
                        {"reward_levels": -1}, {"size_levels": 2.5},
+                       {"size_levels": True},
                        {"r_max": 0.0}, {"r_max": math.inf},
                        {"r_max": math.nan}, {"step_uav": math.nan}):
             with pytest.raises(ValidationError) as err:

@@ -136,7 +136,7 @@ def reference_refusal(file, log):
     return None
 
 
-def joined(file, log, strings):
+def joined(file, log, tables):
     """`trajectory_text`'s chunks joined into the whole CSV, the same text
     at the default chunk length and at chunks of 1 and 7 slots, which cut
     the short logs of these tests."""
@@ -145,7 +145,7 @@ def joined(file, log, strings):
     try:
         for chunk_slots in (default, 1, 7):
             runner.TRAJECTORY_CHUNK_SLOTS = chunk_slots
-            texts.add("".join(trajectory_text(file, log, strings)))
+            texts.add("".join(trajectory_text(file, log, tables)))
     finally:
         runner.TRAJECTORY_CHUNK_SLOTS = default
     assert len(texts) == 1
@@ -549,10 +549,10 @@ class TestSeedGroups:
         force_cpus(monkeypatch, 2)
         real = runner.trajectory_text
 
-        def refuse(name, log, strings):
+        def refuse(name, log, tables):
             if name == f"phc_seed{failing}.csv":
                 raise NonFiniteOutput(name, "gcs_term", math.inf)
-            return real(name, log, strings)
+            return real(name, log, tables)
 
         monkeypatch.setattr(runner, "trajectory_text", refuse)
         with pytest.raises(NonFiniteOutput,
@@ -626,10 +626,10 @@ class TestTrajectoryText:
         # seeds share one table of formatted values, as in run_phc
         scenario = make_scenario_a()
         params = with_default_r_max(phc_config().phc, scenario)
-        strings = {}
+        tables = {}
         for log in train(2 * [scenario], params, 300, None,
                          [np.random.default_rng(s) for s in (1, 2)]).logs:
-            assert (joined("t.csv", log, strings)
+            assert (joined("t.csv", log, tables)
                     == reference_trajectory_text(log))
 
     def test_hand_edited_cells_match_cell_by_cell_loop(self):
@@ -651,11 +651,13 @@ class TestTrajectoryText:
         want = reference_trajectory_text(hand)
         assert want != reference_trajectory_text(log)
         assert joined("t.csv", hand, {}) == want
-        # a table filled by the unedited log, +0.0 included, serves too
-        strings = {}
-        joined("t.csv", log, strings)
-        assert 0.0 in strings
-        assert joined("t.csv", hand, strings) == want
+        # beside a table the unedited log filled, the edited log gets its
+        # own, whose strings give -0.0 and the declined cells' +0.0 as one
+        tables = {}
+        joined("t.csv", log, tables)
+        assert joined("t.csv", hand, tables) == want
+        assert len(tables) == 2
+        assert all(0.0 in table.strings for table in tables.values())
 
     def test_all_cells_distinct_or_all_equal(self):
         log = two_type_log(slots=50)
@@ -756,12 +758,12 @@ def long_log():
 class TestStreamedTrajectory:
     def test_matches_first_form_across_chunks(self):
         log, _, _ = long_log()
-        strings = {}
-        got = "".join(trajectory_text("t.csv", log, strings))
+        tables = {}
+        got = "".join(trajectory_text("t.csv", log, tables))
         assert got == first_trajectory_text("t.csv", log, {})
         assert got == reference_trajectory_text(log)
         # a table filled by another log's text serves too
-        assert joined("t.csv", log, strings) == got
+        assert joined("t.csv", log, tables) == got
 
     @pytest.mark.parametrize("cells", [
         {"uav_payoff": [("late", math.nan)]},
@@ -805,15 +807,17 @@ class TestSharedCodeTable:
         params = with_default_r_max(phc_config().phc, scenario)
         logs = train(3 * [scenario], params, 300, None,
                      [np.random.default_rng(s) for s in (1, 2, 3)]).logs
-        table = runner.CodeTable(logs[0], {})
+        tables = {}
         for log in logs:
-            got = "".join(trajectory_text("t.csv", log, table))
+            got = "".join(trajectory_text("t.csv", log, tables))
             assert got == first_trajectory_text("t.csv", log, {})
-            assert table.serving(log) is table
+            assert len(tables) == 1
         # and at chunks of 1 and 7 slots, the table filled already
+        table, = tables.values()
         for log in logs:
-            assert joined("t.csv", log, table) == reference_trajectory_text(
+            assert joined("t.csv", log, tables) == reference_trajectory_text(
                 log)
+        assert list(tables.values()) == [table]
 
     def test_a_log_the_table_does_not_serve_gets_its_own(self):
         log = two_type_log(slots=200)
@@ -825,33 +829,63 @@ class TestSharedCodeTable:
             retyped(log, reward_grid=log.reward_grid * 0.5),
             retyped(log, size_grid=log.size_grid + 1.0)]
         for first in [log] + others:
-            table = runner.CodeTable(first, {})
-            for hand in [first, log] + others:
-                assert (joined("t.csv", hand, table)
+            # each log adds a table the first time it is met
+            hands = [first, log] + others
+            tables = {}
+            for k, hand in enumerate(hands):
+                assert (joined("t.csv", hand, tables)
                         == reference_trajectory_text(hand))
-                assert (table.serving(hand) is table) == (hand is first)
+                assert len(tables) == len({id(h) for h in hands[:k + 1]})
         # a log equal to the one the table was built from is served
-        table = runner.CodeTable(log, {})
+        tables = {}
+        joined("t.csv", log, tables)
         copy = retyped(log, uav_payoff=log.uav_payoff.copy(),
                        item=log.item[::-1].copy())
-        assert table.serving(copy) is table
-        assert joined("t.csv", copy, table) == reference_trajectory_text(copy)
+        assert joined("t.csv", copy, tables) == reference_trajectory_text(copy)
+        assert len(tables) == 1
+
+    def test_the_same_values_in_another_dtype_get_their_own_table(self):
+        # grids and payoffs that int64 and float32 hold exactly, and a
+        # grid of the same bytes read as int64, which holds other values
+        log = two_type_log(slots=200)
+        base = retyped(log, reward_grid=np.arange(log.reward_grid.size,
+                                                  dtype=np.float64),
+                       uav_payoff=np.round(log.uav_payoff * 4.0) / 4.0)
+        same = [retyped(base, reward_grid=base.reward_grid.astype(np.int64)),
+                retyped(base, uav_payoff=base.uav_payoff.astype(np.float32))]
+        bits = retyped(base, reward_grid=base.reward_grid.view(np.int64))
+        want = reference_trajectory_text(base)
+        assert reference_trajectory_text(bits) != want
+        tables = {}
+        for k, hand in enumerate([base] + same + [bits]):
+            assert (joined("t.csv", hand, tables)
+                    == reference_trajectory_text(hand))
+            assert hand is bits or reference_trajectory_text(hand) == want
+            assert len(tables) == k + 1
 
     @pytest.mark.parametrize("first", ["clean", "refused"])
     def test_non_finite_payoff_is_refused_through_a_shared_table(
             self, first, tmp_path):
-        # the table is built from the clean log or from the refused one
+        # the dict holds the clean log's table or the refused log's, built
+        # by an earlier refusal
         log, late, _ = long_log()
         hand = edited(log, uav_payoff=[(0, late, math.nan)])
-        table = runner.CodeTable({"clean": log, "refused": hand}[first], {})
+        tables = {}
+        if first == "clean":
+            joined("t.csv", log, tables)
+        else:
+            with pytest.raises(NonFiniteOutput):
+                trajectory_text("t.csv", hand, tables)
+        assert len(tables) == 1
         out = tmp_path / "out"
         with pytest.raises(NonFiniteOutput) as got:
             runner._write_chunks(out / "phc_seed7.csv", trajectory_text(
-                "phc_seed7.csv", hand, table))
+                "phc_seed7.csv", hand, tables))
         assert str(got.value) == reference_refusal("phc_seed7.csv", hand)
         assert not out.exists()
-        # the table still gives the clean log its bytes
-        assert joined("t.csv", log, table) == reference_trajectory_text(log)
+        # the dict still gives the clean log its bytes
+        assert joined("t.csv", log, tables) == reference_trajectory_text(log)
+        assert len(tables) == 2
 
     def test_refusal_reads_each_log_not_the_table(self):
         # two logs on one table's payoffs, a non-finite one at an item that
@@ -860,12 +894,12 @@ class TestSharedCodeTable:
         quiet = edited(log, uav_payoff=[(0, never, math.inf)])
         t = 100
         loud = edited(quiet, item=[(t, 0, never)], signed=[(t, 0, True)])
-        table = runner.CodeTable(quiet, {})
-        assert joined("t.csv", quiet, table) == reference_trajectory_text(
+        tables = {}
+        assert joined("t.csv", quiet, tables) == reference_trajectory_text(
             quiet)
-        assert table.serving(loud) is table
         with pytest.raises(NonFiniteOutput) as got:
-            trajectory_text("t.csv", loud, table)
+            trajectory_text("t.csv", loud, tables)
+        assert len(tables) == 1
         assert str(got.value) == reference_refusal("t.csv", loud)
         assert str(got.value) == "t.csv: uav_utility is inf, not finite"
 
