@@ -39,17 +39,13 @@ class PhcRun:
     tolerance: float = 0.95
 
     def __post_init__(self) -> None:
-        if self.slots < 1:
-            raise ValidationError("slots", "must be at least 1")
-        if self.hotboot_episodes < 0:
-            raise ValidationError("hotboot_episodes", "must be non-negative")
-        if self.family_size < 1:
-            raise ValidationError("family_size", "must be at least 1")
-        if self.slots_per_episode < 1:
-            raise ValidationError("slots_per_episode", "must be at least 1")
+        for name, minimum in (("slots", 1), ("hotboot_episodes", 0),
+                              ("family_size", 1), ("slots_per_episode", 1),
+                              ("window", 1)):
+            check_count(name, getattr(self, name), minimum)
         if not 0.0 <= self.perturbation < 1.0:
             raise ValidationError("perturbation", "must lie in [0, 1)")
-        if self.window < 1 or self.window > self.slots:
+        if self.window > self.slots:
             raise ValidationError("window", "must lie in [1, slots]")
         if not 0.0 < self.tolerance <= 1.0:
             raise ValidationError("tolerance", "must lie in (0, 1]")
@@ -84,7 +80,8 @@ class ExperimentConfig:
                 raise ValidationError("seeds",
                                       "phc mode requires at least one seed")
         for i, seed in enumerate(self.seeds):
-            if not 0 <= seed < _MAX_SEED:
+            check_count(f"seeds[{i}]", seed, 0)
+            if seed >= _MAX_SEED:
                 raise ValidationError(f"seeds[{i}]",
                                       f"must lie in [0, 2**64), got {seed}")
             # a seed's files are named by it, so a repeat would write them
@@ -98,8 +95,7 @@ class ExperimentConfig:
             raise ValidationError("sweep.populations", "must be non-empty")
         for i, population in enumerate(self.populations):
             check_count(f"sweep.populations[{i}]", population, 1)
-        if self.cost_points < 2:
-            raise ValidationError("sweep.cost_points", "must be at least 2")
+        check_count("sweep.cost_points", self.cost_points, 2)
 
 
 def _require_mapping(obj, field: str) -> dict:

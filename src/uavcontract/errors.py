@@ -3,6 +3,8 @@
 import math
 import sys
 
+import numpy as np
+
 
 class UavContractError(Exception):
     """Base class for all package-specific errors."""
@@ -58,8 +60,11 @@ def check_positive(obj, names, zero_ok: bool = False) -> None:
 
 
 def check_count(field: str, value: int, minimum: int) -> None:
-    """Raise ValidationError unless ``value`` is at least ``minimum`` and,
-    since counts enter the utilities as floats, at most the largest float."""
+    """Raise ValidationError unless ``value`` is an integer, not a bool, of
+    at least ``minimum`` and, since counts enter the utilities as floats,
+    at most the largest float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(field, f"must be an integer, got {value!r}")
     if value < minimum:
         raise ValidationError(field, f"must be at least {minimum}, "
                                      f"got {value}")

@@ -31,21 +31,13 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import _kernels
-from .errors import InsufficientData, ValidationError, check_positive
+from .errors import (InsufficientData, ValidationError, check_count,
+                     check_positive)
 from .game import Scenario, eligible_types
 
 EXPLORE_VISITS = 30
 EXPLORE_FLOOR = 0.01
 SLOT_BLOCK = 256
-
-
-def _check_integer(name: str, value, minimum: int) -> None:
-    """Raise ValidationError naming ``name`` unless ``value`` is an integer,
-    not a bool, of at least ``minimum``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < minimum):
-        raise ValidationError(name,
-                              f"must be an integer of at least {minimum}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +74,7 @@ class PhcParams:
             if not 0.0 < v < 1.0:
                 raise ValidationError(name, "must lie in (0, 1)")
         for name in ("reward_levels", "size_levels"):
-            _check_integer(name, getattr(self, name), 0)
+            check_count(name, getattr(self, name), 0)
         if self.r_max is not None:
             check_positive(self, ("r_max",))
 
@@ -408,7 +400,7 @@ def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
     """
     scenarios = _listed("scenarios", scenarios, Scenario)
     rngs = _listed("rngs", rngs, np.random.Generator)
-    _check_integer("slots", slots, 1)
+    check_count("slots", slots, 1)
     if len(scenarios) != len(rngs):
         raise ValidationError("rngs", "one generator per scenario")
     if init is not None and not isinstance(init, Tables):
@@ -523,8 +515,8 @@ def hotboot(families: Sequence[Sequence[Scenario]], episodes: int,
     rngs = _listed("rngs", rngs, np.random.Generator)
     if len(families) != len(rngs):
         raise ValidationError("families", "one family per generator")
-    _check_integer("episodes", episodes, 0)
-    _check_integer("slots_per_episode", slots_per_episode, 1)
+    check_count("episodes", episodes, 0)
+    check_count("slots_per_episode", slots_per_episode, 1)
     reward_grid, size_grid, bounds = _batch(families, params, "families")
     tables = Tables.cold(bounds[-1], reward_grid.size * size_grid.size)
     for _ in range(episodes):

@@ -13,14 +13,13 @@ convergence slot of a pair that did not converge, which
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -158,21 +157,13 @@ def metrics_rows(config: ExperimentConfig,
                  scenario: Scenario) -> list[MetricsRow]:
     price = (config.linear_price if config.linear_price is not None
              else default_linear_price(scenario))
-    solvers = {
-        "partial": lambda: solve_partial_info(scenario)[0],
-        "complete": lambda: solve_complete_info(scenario),
-        "linear": lambda: linear_contract(scenario, price),
-        "uniform": lambda: uniform_contract(scenario),
-    }
-    rows = []
-    for scheme in SCHEME_ORDER:
-        menu = solvers[scheme]()
-        rows.append(MetricsRow(
-            scheme=scheme,
-            type_utilities=tuple(menu_utilities(scenario, menu)),
-            gcs_utility=gcs_utility(scenario, menu),
-            zeta=defensive_effectiveness(scenario, menu)))
-    return rows
+    menus = (solve_partial_info(scenario)[0], solve_complete_info(scenario),
+             linear_contract(scenario, price), uniform_contract(scenario))
+    return [MetricsRow(scheme=scheme,
+                       type_utilities=tuple(menu_utilities(scenario, menu)),
+                       gcs_utility=gcs_utility(scenario, menu),
+                       zeta=defensive_effectiveness(scenario, menu))
+            for scheme, menu in zip(SCHEME_ORDER, menus)]
 
 
 def run_compare(config: ExperimentConfig, out_dir=None,
@@ -235,30 +226,42 @@ def run_solve(config: ExperimentConfig, out_dir=None, oracle: bool = False,
     return summary
 
 
+def _sweep(config: ExperimentConfig, out_dir, config_digest: str | None,
+           file: str, header, path, cells) -> list[tuple]:
+    """Score the four schemes at each point of ``path``, an iterable of
+    (label, Scenario) pairs, and write ``file`` with one line per point and
+    scheme: the label, then ``cells(row)`` of the scheme's `MetricsRow`.
+    An integer label is written with `str`, any other one through `fmt`.
+    The manifest is written last.  Returns the lines as ``(label,
+    *cells(row))`` records, the labels as ``path`` gave them."""
+    out = _out_dir(config, out_dir)
+    records = [(label, *cells(row)) for label, scenario in path
+               for row in metrics_rows(config, scenario)]
+    write_text_atomic(out / file, csv_text(file, header, (
+        (str(label) if isinstance(label, (int, np.integer)) else label,
+         *rest)
+        for label, *rest in records)))
+    write_manifest(out, config, config_digest)
+    return records
+
+
 def run_sweep_cost(config: ExperimentConfig, out_dir=None,
                    config_digest: str | None = None) -> list[tuple]:
     """Vary the first listed type's marginal cost over [0.01, 1].
 
-    The swept type's cost is set entirely as transmission-energy cost
-    (c2 = 0); everything else stays fixed.  One CSV row per (cost, scheme)
-    with the swept type's utility.
+    The path's points are (cost, Scenario) pairs, ``cost_points`` costs
+    evenly spaced: the swept type's cost is set entirely as
+    transmission-energy cost (c2 = 0); everything else stays fixed.  One
+    record per (cost, scheme) with the swept type's utility.
     """
-    out = _out_dir(config, out_dir)
     base = config.scenario
-    points = np.linspace(0.01, 1.0, config.cost_points)
-    records = []
-    for cost in points:
-        swept = dataclasses.replace(base.types[0], c1=float(cost), c2=0.0)
-        scenario = dataclasses.replace(base,
-                                       types=(swept,) + base.types[1:])
-        for row in metrics_rows(config, scenario):
-            records.append((float(cost), row.scheme, row.type_utilities[0],
-                            row.gcs_utility, row.zeta))
-    write_text_atomic(out / "sweep_cost.csv", csv_text(
-        "sweep_cost.csv",
-        ("cost", "scheme", "uav_utility", "gcs_utility", "zeta"), records))
-    write_manifest(out, config, config_digest)
-    return records
+    path = ((cost, replace(base, types=(
+        replace(base.types[0], c1=cost, c2=0.0),) + base.types[1:]))
+        for cost in np.linspace(0.01, 1.0, config.cost_points).tolist())
+    return _sweep(config, out_dir, config_digest, "sweep_cost.csv",
+                  ("cost", "scheme", "uav_utility", "gcs_utility", "zeta"),
+                  path, lambda row: (row.scheme, row.type_utilities[0],
+                                     row.gcs_utility, row.zeta))
 
 
 def scale_counts(counts, new_total: int) -> list[int]:
@@ -291,26 +294,20 @@ def scale_counts(counts, new_total: int) -> list[int]:
 
 def run_sweep_population(config: ExperimentConfig, out_dir=None,
                          config_digest: str | None = None) -> list[tuple]:
-    """Scale the population over the sweep points; one row per scheme."""
-    out = _out_dir(config, out_dir)
+    """Scale the population over the sweep points at a fixed type mixture.
+
+    The path's points are (population, Scenario) pairs, the counts scaled
+    by `scale_counts`.  One record per (population, scheme).
+    """
     base = config.scenario
-    records = []
-    for population in config.populations:
-        counts = scale_counts([ty.n for ty in base.types], population)
-        types = tuple(dataclasses.replace(ty, n=c)
-                      for ty, c in zip(base.types, counts))
-        scenario = dataclasses.replace(base, types=types,
-                                       total_uavs=population)
-        for row in metrics_rows(config, scenario):
-            records.append((population, row.scheme, row.zeta,
-                            row.gcs_utility))
-    write_text_atomic(out / "sweep_population.csv", csv_text(
-        "sweep_population.csv",
-        ("population", "scheme", "zeta", "gcs_utility"),
-        ([str(p), scheme, zeta, utility]
-         for p, scheme, zeta, utility in records)))
-    write_manifest(out, config, config_digest)
-    return records
+    counts = [ty.n for ty in base.types]
+    path = ((population, replace(base, total_uavs=population, types=tuple(
+        replace(ty, n=n) for ty, n in zip(
+            base.types, scale_counts(counts, population)))))
+        for population in config.populations)
+    return _sweep(config, out_dir, config_digest, "sweep_population.csv",
+                  ("population", "scheme", "zeta", "gcs_utility"), path,
+                  lambda row: (row.scheme, row.zeta, row.gcs_utility))
 
 
 @dataclass(frozen=True)
@@ -355,7 +352,7 @@ def _code_table(log: EpisodeLog) -> tuple:
     line = np.arange(2 * log.uav_payoff.shape[1])
     item = np.repeat(line // 2, width).reshape(-1, width)
     answer = np.repeat(line % 2, width).reshape(-1, width)
-    every = dataclasses.replace(log, item=item, signed=answer == 1)
+    every = replace(log, item=item, signed=answer == 1)
     return ((np.tile(log.type_indices, line.size), answer.ravel(),
              item.ravel()),
             {key: value.ravel() for key, value in (

@@ -292,6 +292,30 @@ class TestModeRequirements:
         with pytest.raises(ValidationError):
             dataclasses.replace(cfg, cost_points=1)
 
+    # the Python API refuses the counts that the parser refuses: no float,
+    # however whole, and no bool
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True],
+                             ids=["fraction", "whole-float", "bool"])
+    @pytest.mark.parametrize("field", [
+        "slots", "hotboot_episodes", "family_size", "slots_per_episode",
+        "window"])
+    def test_phc_run_counts_are_integers(self, field, bad):
+        with pytest.raises(ValidationError, match="must be an integer") as err:
+            PhcRun(**{"slots": 50, "window": 10, field: bad})
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True],
+                             ids=["fraction", "whole-float", "bool"])
+    @pytest.mark.parametrize("key, field", [
+        ("seeds", "seeds[0]"), ("populations", "sweep.populations[0]"),
+        ("cost_points", "sweep.cost_points")])
+    def test_experiment_config_counts_are_integers(self, key, field, bad):
+        cfg = parse_config(base_raw())
+        value = bad if key == "cost_points" else (bad,)
+        with pytest.raises(ValidationError, match="must be an integer") as err:
+            dataclasses.replace(cfg, **{key: value})
+        assert err.value.field == field
+
 
 class TestOneBoundary:
     """Domain types own the value checks; the parser adds the YAML path."""

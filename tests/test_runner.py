@@ -273,6 +273,19 @@ class TestRunSolve:
 
 
 class TestSweeps:
+    @pytest.mark.parametrize("scenario", ["scenario_a", "scenario_b"])
+    @pytest.mark.parametrize("mode, run", [
+        ("sweep-cost", run_sweep_cost),
+        ("sweep-population", run_sweep_population)])
+    def test_matches_golden_bytes(self, mode, run, scenario, tmp_path):
+        cfg = dataclasses.replace(load_config(DATA / f"{scenario}.yaml"),
+                                  mode=mode)
+        run(cfg, tmp_path, config_digest="x")
+        file = mode.replace("-", "_")
+        got = (tmp_path / f"{file}.csv").read_bytes()
+        assert got == (GOLDEN / f"{file}_{scenario}.csv").read_bytes()
+        assert no_leftover_tmp(tmp_path)
+
     def test_cost_sweep_endpoints(self, tmp_path):
         cfg = load_config(DATA / "scenario_a.yaml")
         cfg = dataclasses.replace(cfg, mode="sweep-cost", cost_points=5)
