@@ -58,12 +58,11 @@ class ChannelParams:
     bandwidth: float = 1e6
     tx_power: float = 0.1
     noise_power: float = 1e-13
-    slot_length: float = 1.0
 
     def __post_init__(self):
         check_positive(self, ("carrier_freq", "light_speed", "iota1", "iota2",
                               "gcs_height", "bandwidth", "tx_power",
-                              "noise_power", "slot_length"))
+                              "noise_power"))
         for name in ("kappa_los", "kappa_nlos"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(name, "must be finite")

@@ -46,15 +46,18 @@ class UavType:
         c1, c2 = self.c1, self.c2
         c = c1 + c2
         object.__setattr__(self, "c", c)
-        if not (self.index >= 1 and 0.0 <= c1 < math.inf
+        index, n = self.index, self.n
+        if not (type(index) is int and index >= 1 and 0.0 <= c1 < math.inf
                 and 0.0 <= c2 < math.inf and 0.0 < c < math.inf
-                and 0.0 < self.t < math.inf and 0 <= self.n <= _FLOAT_MAX):
+                and 0.0 < self.t < math.inf
+                and type(n) is int and 0 <= n <= _FLOAT_MAX):
             self._name_bad_field()
 
     def _name_bad_field(self):
-        if self.index < 1:
-            raise ValidationError("index",
-                                  f"must be at least 1, got {self.index}")
+        # an index of any size orders types, so only one the fast path
+        # refused is checked as a count
+        if not (type(self.index) is int and self.index >= 1):
+            check_count("index", self.index, 1)
         check_positive(self, ("c1", "c2"), zero_ok=True)
         if not 0.0 < self.c < math.inf:
             # c is no key of its own: a zero sum is named by c1, which
@@ -146,7 +149,7 @@ class Scenario:
                 and 0.0 <= self.deployment_cost < math.inf
                 and len({ty.index for ty in types}) == len(types)
                 and sum(ty.n for ty in types) == total
-                and 1 <= total <= _FLOAT_MAX):
+                and type(total) is int and 1 <= total <= _FLOAT_MAX):
             self._name_bad_field()
         factor = self.satisfaction_factor
         terms = tuple((k, ty.n, factor * ty.n / ty.t)

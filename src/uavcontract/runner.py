@@ -332,33 +332,31 @@ TRAJECTORY_HEADER = ("slot,type,gcs_state,uav_state,reward,size,"
 TRAJECTORY_CHUNK_SLOTS = 2048
 
 
-def _formatted(values: np.ndarray, strings: dict) -> list[str]:
-    """`fmt` of each value, each distinct value formatted once and kept in
-    ``strings``.  (Equal values format alike: `fmt` writes -0.0 as 0.)"""
-    values = values.tolist()
-    for value in set(values).difference(strings):
-        strings[value] = fmt(value)
-    return list(map(strings.__getitem__, values))
-
-
 def _code_table(log: EpisodeLog) -> tuple:
-    """The cells of a trajectory line after its slot number, as arrays
-    indexed by the line's code ``(item * 2 + signed) * width + column``:
-    the type, the answer (1 signed), the item, and a dict of the four
-    values by column name.  The codes, in order, are the cells of a log
-    that posts every item, declined and then signed, on ``log``'s grids
-    and payoffs."""
+    """Every trajectory line's text after its slot number, its tail, as an
+    object array indexed by the line's code ``(item * 2 + signed) * width
+    + column``, and a dict of the four values by column name, indexed
+    alike.  The codes, in order, are the cells of a log that posts every
+    item, declined and then signed, on ``log``'s grids and payoffs.  Each
+    distinct value is formatted once.  (Equal values format alike: `fmt`
+    writes -0.0 as 0.)"""
     width = len(log.type_indices)
     line = np.arange(2 * log.uav_payoff.shape[1])
     item = np.repeat(line // 2, width).reshape(-1, width)
     answer = np.repeat(line % 2, width).reshape(-1, width)
     every = replace(log, item=item, signed=answer == 1)
-    return ((np.tile(log.type_indices, line.size), answer.ravel(),
-             item.ravel()),
-            {key: value.ravel() for key, value in (
-                ("reward", every.rewards), ("size", every.sizes),
-                ("uav_utility", every.uav_utility),
-                ("gcs_term", every.gcs_term))})
+    values = {key: value.ravel() for key, value in (
+        ("reward", every.rewards), ("size", every.sizes),
+        ("uav_utility", every.uav_utility), ("gcs_term", every.gcs_term))}
+    cells = [value.tolist() for value in values.values()]
+    # a NaN equals no key, but each is looked up as the object the set took
+    strings ={value: fmt(value) for value in set().union(*cells)}
+    tails = np.array(list(map(
+        "{},{},{},{},{},{},{}\n".format,
+        np.tile(log.type_indices, line.size).tolist(),
+        answer.ravel().tolist(), item.ravel().tolist(),
+        *(map(strings.__getitem__, cell) for cell in cells))), dtype=object)
+    return tails, values
 
 
 def _codes(log: EpisodeLog):
@@ -371,79 +369,46 @@ def _codes(log: EpisodeLog):
                        + np.arange(width)).ravel()
 
 
-class CodeTable:
-    """The text of trajectory lines after their slot numbers, their tails,
-    by the lines' (column, posted item, answer) codes, for the logs of one
-    set of type indices, grids and payoff tables.
-
-    A table is built from one log: each code's labels and values
-    (`_code_table`), a mask per value column of its non-finite values, and
-    room for each code's tail, which ends in a newline and is built the
-    first time a log meets the code.  ``strings`` maps values to their
-    `fmt` strings and gains each value a tail meets for the first time.
-    """
-
-    def __init__(self, log: EpisodeLog):
-        self.strings = {}
-        self.labels, self.values = _code_table(log)
-        self.bad = {name: ~np.isfinite(value)
-                    for name, value in self.values.items()}
-        self.tails = np.empty(self.labels[0].size, dtype=object)
-        self.built = np.zeros(self.labels[0].size, dtype=bool)
-
-    def tails_of(self, code: np.ndarray) -> np.ndarray:
-        """The tails of ``code``, an object array, built where not yet."""
-        fresh = ~self.built.take(code)
-        if fresh.any():
-            new = np.flatnonzero(np.bincount(code[fresh],
-                                             minlength=self.built.size))
-            self.tails[new] = list(map(
-                "{},{},{},{},{},{},{}\n".format,
-                *(label.take(new).tolist() for label in self.labels),
-                *(_formatted(value.take(new), self.strings)
-                  for value in self.values.values())))
-            self.built[new] = True
-        return self.tails.take(code)
-
-
 def trajectory_text(file: str, log: EpisodeLog, tables: dict):
     """The trajectory CSV of one log, a line per slot and column in order,
     as an iterator of strings of `TRAJECTORY_CHUNK_SLOTS` slots each.
 
     Every cell but the slot number is a function of the line's (column,
-    posted item, answer) code and of what the log was played on, so each
-    code's text, its tail, is built once into a `CodeTable`, and a chunk
-    joins each line's ``"slot,"`` and tail.  ``tables`` holds the tables
-    built so far, keyed by the type indices and the dtype, shape and bytes
-    of the two grids and two payoff tables they are built on; a log reuses
-    its key's table or adds one.  Every value is checked finite before
-    this returns, so a refused log leaves nothing written: NonFiniteOutput
-    names the first column, in CSV order, holding a non-finite value, and
-    the first such value in slot order.
+    posted item, answer) code and of what the log was played on, so every
+    code's text, its tail, is built once into a code table
+    (`_code_table`), and a chunk joins each line's ``"slot,"`` and tail.
+    ``tables`` holds the tables built so far, keyed by the type indices and
+    the dtype, shape and bytes of the two grids and two payoff tables they
+    are built on; a log reuses its key's table or adds one.  Every value
+    is checked finite before this returns, so a refused log leaves nothing
+    written: NonFiniteOutput names the first column, in CSV order, holding
+    a non-finite value, and the first such value in slot order.
     """
     built_on = (log.type_indices, *(
         (a.dtype, a.shape, a.tobytes()) for a in (
             log.reward_grid, log.size_grid, log.uav_payoff, log.gcs_payoff)))
     table = tables.get(built_on)
     if table is None:
-        table = tables[built_on] = CodeTable(log)
-    for key, bad in table.bad.items():
+        table = tables[built_on] = _code_table(log)
+    tails, values = table
+    for key, value in values.items():
+        bad = ~np.isfinite(value)
         if bad.any():
             for _, _, code in _codes(log):
                 hit = code[bad.take(code)]
                 if hit.size:
-                    raise NonFiniteOutput(file, key, table.values[key][hit[0]])
-    return _trajectory_chunks(log, table)
+                    raise NonFiniteOutput(file, key, value[hit[0]])
+    return _trajectory_chunks(log, tails)
 
 
-def _trajectory_chunks(log: EpisodeLog, table: CodeTable):
+def _trajectory_chunks(log: EpisodeLog, tails: np.ndarray):
     width = len(log.type_indices)
     yield TRAJECTORY_HEADER + "\n"
     for lo, hi, code in _codes(log):
         slots = [f"{slot}," for slot in range(lo + 1, hi + 1)]
         lines = np.empty((hi - lo, width, 2), dtype=object)
         lines[:, :, 0] = np.array(slots, dtype=object)[:, None]
-        lines[:, :, 1] = table.tails_of(code).reshape(hi - lo, width)
+        lines[:, :, 1] = tails.take(code).reshape(hi - lo, width)
         yield "".join(lines.ravel().tolist())
 
 

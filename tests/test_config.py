@@ -6,6 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from uavcontract import (ChannelParams, ExperimentConfig, ParseError, PhcRun,
                          ValidationError, derived_delay, load_config,
                          parse_config, run_compare, run_solve,
                          solve_partial_info, verify_feasibility)
+from uavcontract.cli import main
 
 DATA = "tests/data"
 
@@ -201,6 +203,21 @@ class TestStrictness:
             with pytest.raises(ValidationError) as err:
                 parse_config(bad)
             assert err.value.field == field
+
+    def test_channel_has_no_slot_length(self, tmp_path, capsys):
+        # nothing read it, so the field is gone and the parser refuses it
+        raw = base_raw()
+        raw["channel"] = {"slot_length": 1.0}
+        with pytest.raises(ValidationError,
+                           match="^channel.slot_length: unknown field$"):
+            parse_config(raw)
+        cfg = tmp_path / "slot.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config error: channel.slot_length: unknown field"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(ValidationError):

@@ -442,6 +442,37 @@ class TestInvariants:
             UavType(**kwargs)
         assert err.value.field == field
 
+    # a count is an int or a numpy integer, never a float or a bool, on the
+    # fast path as on the slow one
+    @pytest.mark.parametrize("field,value", [
+        ("n", 1.5), ("n", True), ("index", 1.5), ("index", True)])
+    def test_type_count_is_an_integer(self, field, value):
+        kwargs = dict(index=1, c1=1.0, c2=0.0, t=1.0, n=1)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match="must be an integer") as err:
+            UavType(**kwargs)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("n,total", [(5, 5.0), (1, True)])
+    def test_scenario_total_is_an_integer(self, n, total):
+        types = (UavType(index=1, c1=1.0, c2=0.0, t=1.0, n=n),)
+        with pytest.raises(ValidationError, match="must be an integer") as err:
+            Scenario(**dict(SCENARIO_A, types=types, total_uavs=total))
+        assert err.value.field == "total_uavs"
+
+    def test_numpy_integer_counts_are_accepted(self):
+        ty = UavType(index=np.int64(2), c1=1.0, c2=0.0, t=1.0,
+                     n=np.int32(5))
+        assert ty == UavType(index=2, c1=1.0, c2=0.0, t=1.0, n=5)
+        scenario = Scenario(**dict(SCENARIO_A, types=(ty,),
+                                   total_uavs=np.int64(5)))
+        assert scenario.total_uavs == 5
+
+    def test_index_below_one_keeps_its_message(self):
+        with pytest.raises(ValidationError,
+                           match="^index: must be at least 1, got 0$"):
+            UavType(index=0, c1=1.0, c2=0.0, t=1.0, n=5)
+
     def test_cost_set_once_outside_the_fields(self):
         ty = UavType(index=1, c1=0.25, c2=0.5, t=1.0, n=3)
         assert ty.c == 0.75

@@ -665,12 +665,13 @@ class TestTrajectoryText:
         assert want != reference_trajectory_text(log)
         assert joined("t.csv", hand, {}) == want
         # beside a table the unedited log filled, the edited log gets its
-        # own, whose strings give -0.0 and the declined cells' +0.0 as one
+        # own, which writes -0.0 as the declined cells' +0.0 is written
         tables = {}
         joined("t.csv", log, tables)
         assert joined("t.csv", hand, tables) == want
         assert len(tables) == 2
-        assert all(0.0 in table.strings for table in tables.values())
+        at = np.flatnonzero(hand.signed[:, j1] & (hand.item[:, j1] == k1))[0]
+        assert want.splitlines()[1 + 2 * at + j1].split(",")[6] == "0"
 
     def test_all_cells_distinct_or_all_equal(self):
         log = two_type_log(slots=50)
@@ -831,6 +832,18 @@ class TestSharedCodeTable:
             assert joined("t.csv", log, tables) == reference_trajectory_text(
                 log)
         assert list(tables.values()) == [table]
+
+    def test_a_later_log_meets_codes_the_first_never_met(self):
+        # the table is built whole from a log that posts one item, so it
+        # serves a log of the same payoffs that posts every other one too
+        log = two_type_log(slots=200)
+        single = retyped(log, item=np.full_like(log.item, log.item[0, 0]))
+        assert np.unique(log.item).size > 1
+        tables = {}
+        assert (joined("t.csv", single, tables)
+                == reference_trajectory_text(single))
+        assert joined("t.csv", log, tables) == reference_trajectory_text(log)
+        assert len(tables) == 1
 
     def test_a_log_the_table_does_not_serve_gets_its_own(self):
         log = two_type_log(slots=200)
