@@ -16,8 +16,11 @@ from .errors import (InsufficientData, NonFiniteOutput, NotConverged,
                      ParseError, SpeedViolation, UavContractError,
                      ValidationError, ZeroCapacity)
 from .game import (ContractItem, ContractMenu, FeasibilityReport, Scenario,
-                   UavType, defensive_effectiveness, eligible_types,
-                   gcs_utility, uav_utility, verify_feasibility)
+                   UavType, defensive_effectiveness, gcs_utility,
+                   uav_utility, verify_feasibility)
+# importable but not exported: no mode calls it; `Scenario.eligible` is
+# the eligible order it copies
+from .game import eligible_types  # noqa: F401
 from .phc import (EpisodeLog, PhcParams, Tables, TrainResult,
                   action_grids, convergence_check, convergence_slot,
                   hotboot, perturb_scenario, train, with_default_r_max)
@@ -37,8 +40,8 @@ __all__ = [
     "InsufficientData", "NonFiniteOutput", "NotConverged", "ParseError",
     "SpeedViolation", "UavContractError", "ValidationError", "ZeroCapacity",
     "ContractItem", "ContractMenu", "FeasibilityReport", "Scenario",
-    "UavType", "defensive_effectiveness", "eligible_types", "gcs_utility",
-    "uav_utility", "verify_feasibility",
+    "UavType", "defensive_effectiveness", "gcs_utility", "uav_utility",
+    "verify_feasibility",
     "EpisodeLog", "PhcParams", "Tables", "TrainResult",
     "action_grids", "convergence_check", "convergence_slot", "hotboot",
     "perturb_scenario", "train", "with_default_r_max",

@@ -95,6 +95,10 @@ class ExperimentConfig:
             raise ValidationError("sweep.populations", "must be non-empty")
         for i, population in enumerate(self.populations):
             check_count(f"sweep.populations[{i}]", population, 1)
+            # a repeat would write its population's rows twice
+            if population in self.populations[:i]:
+                raise ValidationError(f"sweep.populations[{i}]",
+                                      f"repeats population {population}")
         check_count("sweep.cost_points", self.cost_points, 2)
 
 

@@ -33,7 +33,9 @@ import numpy as np
 from . import _kernels
 from .errors import (InsufficientData, ValidationError, check_count,
                      check_positive)
-from .game import Scenario, eligible_types
+from .game import Scenario
+# unused here; kept as a module attribute for perfbench/tracing.py to wrap
+from .game import eligible_types  # noqa: F401
 
 EXPLORE_VISITS = 30
 EXPLORE_FLOOR = 0.01
@@ -102,47 +104,37 @@ def action_grids(params: PhcParams,
     return reward_grid, size_grid
 
 
-def check_payoffs(scenario: Scenario, params: PhcParams,
-                  spread: float | None = None) -> None:
-    """Raise ValueError naming the first eligible type and payoff term that
-    overflows on the action grids, so that a run whose tables would go
-    non-finite is refused before it trains.
+def check_payoffs(scenarios: Sequence[Scenario], params: PhcParams) -> None:
+    """Raise ValueError naming the first eligible type and side whose
+    payoffs on the action grids are not finite, or whose Q values could
+    overflow, so that a run whose tables would go non-finite is refused
+    before it trains.
 
-    A signed item (s, r) pays the UAV r - c*s - C0 and the GCS
-    w*log(1+s) - n*r, with w = factor*n/t as in `Scenario.weights`, and a Q
-    value stays within a side's largest payoff over 1 - discount.  With a
-    ``spread`` the terms also cover every scenario `perturb_scenario` draws
-    with that range: costs at most 1 + spread times these, and each count
-    at most max(1, round(n*(1 + spread))), as it rounds them.
+    The payoffs are each scenario's own tables (`_signed_payoffs`), built
+    on the grids of the first scenario with ``r_max`` resolved against it,
+    as `_batch` resolves them.  A Q value stays within its side's largest
+    |payoff| over 1 - discount.
     """
-    reward_grid, size_grid = action_grids(
-        with_default_r_max(params, scenario), scenario.s_max)
-    r_top, s_top = float(reward_grid[-1]), float(size_grid[-1])
-    grow = 1.0 if spread is None else 1.0 + spread
-    c0 = scenario.deployment_cost
-    for ty in eligible_types(scenario):
-        n = float(ty.n)
-        if spread is not None:
-            n *= grow
-            if math.isfinite(n):
-                n = max(1.0, float(round(n)))
-        weight = scenario.satisfaction_factor * n / ty.t
-        cost = (ty.c1 * grow + ty.c2 * grow) * s_top + c0
-        value = weight * math.log1p(s_top)
-        payment = n * r_top
-        terms = (
-            ("the UAV cost c*s_max + C0", cost),
-            ("the GCS weight factor*n/t", weight),
-            ("the GCS value factor*n/t*log(1+s_max)", value),
-            ("the GCS payment n*r_max", payment),
-            ("the UAV's Q bound",
-             max(r_top, cost) / (1.0 - params.discount_uav)),
-            ("the GCS's Q bound",
-             max(value, payment) / (1.0 - params.discount_gcs)))
-        for name, term in terms:
-            if not math.isfinite(term):
-                raise ValueError(f"phc: type {ty.index}: {name} overflows "
-                                 f"to {term}")
+    params = with_default_r_max(params, scenarios[0])
+    reward_grid, size_grid = action_grids(params, scenarios[0].s_max)
+    for sc in scenarios:
+        types = sc.eligible
+        with np.errstate(over="ignore", invalid="ignore"):
+            sides = _signed_payoffs(
+                reward_grid, size_grid, np.array([ty.c for ty in types]),
+                np.array(sc.weights), np.array([float(ty.n) for ty in types]),
+                sc.deployment_cost)
+            bounds = [np.abs(payoff).max(axis=1)
+                      / (1.0 - discount) for payoff, discount in zip(
+                          sides, (params.discount_uav, params.discount_gcs))]
+        for j, ty in enumerate(types):
+            for side, payoff, bound in zip(("UAV", "GCS"), sides, bounds):
+                if not np.isfinite(payoff[j]).all():
+                    raise ValueError(f"phc: type {ty.index}: a {side} payoff "
+                                     f"is not finite")
+                if not math.isfinite(bound[j]):
+                    raise ValueError(f"phc: type {ty.index}: the {side}'s Q "
+                                     f"bound overflows to {bound[j]}")
 
 
 def _signed_payoffs(reward_grid: np.ndarray, size_grid: np.ndarray,
@@ -475,7 +467,9 @@ def perturb_scenario(scenario: Scenario, rng: np.random.Generator,
 
     Counts round to the nearest integer and never drop below 1; eligibility
     structure (delays, t_max) is untouched so the learning problem keeps
-    its shape.
+    its shape.  A drawn value that `UavType` or `Scenario` refuses, such
+    as a cost or a count jittered past the float range, raises ValueError
+    naming the type and the field.
     """
     if not 0.0 <= rel_range < 1.0:
         raise ValidationError("rel_range", "must lie in [0, 1)")
@@ -483,11 +477,22 @@ def perturb_scenario(scenario: Scenario, rng: np.random.Generator,
     for ty in scenario.types:
         fc1 = 1.0 + rng.uniform(-rel_range, rel_range)
         fc2 = 1.0 + rng.uniform(-rel_range, rel_range)
-        fn = 1.0 + rng.uniform(-rel_range, rel_range)
-        types.append(replace(ty, c1=ty.c1 * fc1, c2=ty.c2 * fc2,
-                             n=max(1, int(round(ty.n * fn)))))
-    return replace(scenario, types=tuple(types),
-                   total_uavs=sum(ty.n for ty in types))
+        n = ty.n * (1.0 + rng.uniform(-rel_range, rel_range))
+        # an infinite count cannot be rounded to an int for UavType to check
+        if n == math.inf:
+            raise ValueError(f"perturb_scenario: type {ty.index}: n: is inf "
+                             f"once perturbed")
+        try:
+            types.append(replace(ty, c1=ty.c1 * fc1, c2=ty.c2 * fc2,
+                                 n=max(1, int(round(n)))))
+        except ValidationError as exc:
+            raise ValueError(f"perturb_scenario: type {ty.index}: "
+                             f"{exc}") from None
+    try:
+        return replace(scenario, types=tuple(types),
+                       total_uavs=sum(ty.n for ty in types))
+    except ValidationError as exc:
+        raise ValueError(f"perturb_scenario: {exc}") from None
 
 
 def hotboot(families: Sequence[Sequence[Scenario]], episodes: int,

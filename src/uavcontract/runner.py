@@ -421,21 +421,19 @@ def _usable_cpus() -> int:
 
 
 def _phc_seed_group(config: ExperimentConfig, params, reference_items,
-                    out: Path, seeds) -> list[PhcSeedSummary]:
+                    out: Path, group) -> list[PhcSeedSummary]:
     """Train one group of seeds in one batch, write each seed's trajectory
     and return their summaries in seed order.
 
-    Each seed draws from its own generator, so its bytes do not depend on
-    the group it is in.
+    ``group`` holds a (seed, generator, family) triple per seed, the
+    family drawn from the generator.  Each seed draws from its own
+    generator, so its bytes do not depend on the group it is in.
     """
     run = config.phc_run
     scenario = config.scenario
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    seeds, rngs, families = zip(*group)
     inits = None
     if run.hotboot_episodes > 0:
-        families = [[scenario] + [
-            perturb_scenario(scenario, rng, run.perturbation)
-            for _ in range(run.family_size - 1)] for rng in rngs]
         inits = hotboot(families, run.hotboot_episodes, params, rngs,
                         run.slots_per_episode)
     logs = train(len(seeds) * [scenario], params, run.slots, inits,
@@ -530,9 +528,14 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
     Each seed owns an isolated RNG stream, so every file's bytes are the
     same for any CPU count.  The closed-form menu for the same scenario
     rides along as the reference columns.  The summary and the manifest
-    are written once every group has finished.  A scenario whose payoffs
-    overflow on the action grids is refused (ValueError) before anything
-    is trained or written.  With ``strict`` a NotConverged is raised after
+    are written once every group has finished.
+
+    Before any group starts, each seed's generator draws its hot-boot
+    family, and the scenario and every member drawn are checked on their
+    own payoff tables (`check_payoffs`).  A run whose scenario or drawn
+    member overflows on the action grids, or that `perturb_scenario`
+    cannot perturb, is refused (ValueError) before anything is trained or
+    written.  With ``strict`` a NotConverged is raised after
     all outputs are written whenever any (seed, type) pair fails the
     trailing-window test.
     """
@@ -540,13 +543,20 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
     scenario = config.scenario
     params = with_default_r_max(config.phc, scenario)
     run = config.phc_run
-    perturbed = run.hotboot_episodes > 0 and run.family_size > 1
-    check_payoffs(scenario, params,
-                  run.perturbation if perturbed else None)
+    check_payoffs([scenario], params)
+    # a seed's hot-boot family takes the first draws of its generator, so
+    # every member is drawn and checked before any group trains
+    draws = run.family_size - 1 if run.hotboot_episodes > 0 else 0
+    rngs = [np.random.default_rng(seed) for seed in config.seeds]
+    families = [[scenario] + [perturb_scenario(scenario, rng, run.perturbation)
+                              for _ in range(draws)] for rng in rngs]
+    if draws:
+        check_payoffs([sc for family in families for sc in family[1:]],
+                      params)
+    seeds = list(zip(config.seeds, rngs, families))
     reference, _ = solve_partial_info(scenario)
     reference_items = {ty.index: item
                        for ty, item in zip(scenario.types, reference.items)}
-    seeds = list(config.seeds)
     # k contiguous groups, the larger ones first.  A fork copies only the
     # calling thread, so a lock another thread holds would stay held in
     # the worker: a process with other threads runs every group itself.

@@ -13,7 +13,9 @@ validates the closed form for any number of types.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -78,6 +80,12 @@ def _relaxed_sizes(scenario: Scenario, w, a) -> list[float]:
     return [_maximizer(scenario, wj, aj) for wj, aj in zip(w, a)]
 
 
+def _left_sum(values) -> float:
+    """The float sum of ``values`` added left to right from 0.0: the bits
+    the builtin `sum` gives before Python 3.12, which compensates it."""
+    return reduce(operator.add, values, 0.0)
+
+
 def _iron_trace(scenario: Scenario, w, a, sizes: list[float]):
     """Closest non-decreasing repair of the relaxed sizes, and the pools
     (start, end) it merged; monotone sizes come back unchanged."""
@@ -90,8 +98,8 @@ def _iron_trace(scenario: Scenario, w, a, sizes: list[float]):
         start = end
         while pools and pools[-1][2] > value + 0.0:
             start = pools.pop()[0]
-            value = _maximizer(scenario, sum(w[start:end + 1]),
-                               sum(a[start:end + 1]))
+            value = _maximizer(scenario, _left_sum(w[start:end + 1]),
+                               _left_sum(a[start:end + 1]))
         pools.append((start, end, value))
     ironed = [value for start, end, value in pools
               for _ in range(start, end + 1)]
@@ -317,7 +325,7 @@ def oracle_resolution_bound(scenario: Scenario, grid_step: float) -> float:
     step: w_j bounds the log term's slope and a_j the payment side's.
     """
     w, a = scenario.coefficients
-    return grid_step * (sum(w) + sum(abs(x) for x in a))
+    return grid_step * (_left_sum(w) + _left_sum(map(abs, a)))
 
 
 def menu_utilities(scenario: Scenario, menu: ContractMenu) -> list[float]:

@@ -194,6 +194,19 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_repeated_population(self, tmp_path, capsys):
+        raw = _solve_raw()
+        raw["sweep"] = {"populations": [4, 4]}
+        cfg = tmp_path / "repeated.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "run"
+        code = main(["sweep-population", "--config", str(cfg), "--out",
+                     str(out)])
+        assert code == 2
+        assert ("config error: sweep.populations[1]: repeats population 4"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_success(self, tmp_path, capsys):
         code = main(["compare", "--config", str(DATA / "scenario_a.yaml"),
                      "--out", str(tmp_path)])
@@ -322,8 +335,8 @@ class TestExitCodes:
         out = tmp_path / "out"
         code = main(["phc", "--config", str(cfg), "--out", str(out)])
         assert code == 3
-        assert ("solver error: phc: type 1: the GCS weight factor*n/t "
-                "overflows to inf" in capsys.readouterr().err)
+        assert ("solver error: phc: type 1: a GCS payoff is not finite"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_phc_perturbed_count_overflow_is_refused(self, tmp_path, capsys):
@@ -339,8 +352,48 @@ class TestExitCodes:
         out = tmp_path / "out"
         code = main(["phc", "--config", str(cfg), "--out", str(out)])
         assert code == 3
-        assert ("solver error: phc: type 2: the GCS weight factor*n/t "
-                "overflows to inf" in capsys.readouterr().err)
+        assert ("solver error: phc: type 2: a GCS payoff is not finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_phc_refuses_exactly_the_members_that_overflow(self, tmp_path,
+                                                           capsys):
+        # a count of 3 at this delay has a finite weight and 4 does not;
+        # seeds 0-3 draw members of 2 and 3 and run, seed 4 draws a 4 and
+        # the run is refused: exit 3 naming the type, no output directory
+        raw = yaml.safe_load((DATA / "phc_single_type.yaml").read_text())
+        raw["scenario"].update(s_max=0.1, types=[
+            {"c1": 0.5, "t": 1.3e-307, "n": 3}])
+        raw["phc"].update(hotboot_episodes=2, family_size=3,
+                          slots_per_episode=50, slots=200, window=100)
+        for seeds, code in (([0, 1, 2, 3], 0), ([0, 1, 2, 3, 4], 3)):
+            raw["seeds"] = seeds
+            cfg = tmp_path / "three.yaml"
+            cfg.write_text(yaml.safe_dump(raw))
+            out = tmp_path / f"out{len(seeds)}"
+            assert main(["phc", "--config", str(cfg), "--out",
+                         str(out)]) == code
+            assert out.exists() is (code == 0)
+        assert ("solver error: phc: type 1: a GCS payoff is not finite"
+                in capsys.readouterr().err)
+
+    def test_phc_member_that_cannot_be_drawn_is_refused(self, tmp_path,
+                                                        capsys):
+        # the scenario's payoffs are finite at this factor and r_max, but
+        # hot-boot jitters the count past the float range: exit 3 naming
+        # the type and the field, no traceback and no output directory
+        raw = yaml.safe_load((DATA / "phc_single_type.yaml").read_text())
+        raw["scenario"]["satisfaction_factor"] = 1e-300
+        raw["scenario"]["types"][0]["n"] = 17 * 10 ** 307
+        raw["phc"].update(r_max=1e-300, hotboot_episodes=2, family_size=8,
+                          slots_per_episode=50, slots=200, window=100)
+        cfg = tmp_path / "huge_count.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        code = main(["phc", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert ("solver error: perturb_scenario: type 1: n: is inf once "
+                "perturbed" in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("cpus", [1, 2])

@@ -391,6 +391,20 @@ class TestOneBoundary:
             parse_config(raw)
         assert err.value.field == "sweep.populations[1]"
 
+    def test_repeated_population_refused(self):
+        # a repeat would write its population's scheme rows twice
+        raw = base_raw()
+        for populations, field in (([4, 4], "sweep.populations[1]"),
+                                   ([2, 4, 6, 2], "sweep.populations[3]")):
+            raw["sweep"] = {"populations": populations}
+            with pytest.raises(ValidationError,
+                               match="repeats population") as err:
+                parse_config(raw)
+            assert err.value.field == field
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(parse_config(base_raw()), populations=(3, 3))
+        assert err.value.field == "sweep.populations[1]"
+
     def test_reference_bytes_named(self):
         raw = base_raw()
         raw["scenario"]["reference_bytes"] = math.inf

@@ -1390,6 +1390,37 @@ class TestPerturb:
             perturb_scenario(make_scenario_a(), np.random.default_rng(0),
                              rel_range=1.0)
 
+    @pytest.mark.parametrize("scenario, named", [
+        (make_single_type(n=17 * 10 ** 307), "n: is inf once perturbed"),
+        (make_single_type(c=1.6e308, s_max=0.1),
+         "c1: must be non-negative and finite, got inf")])
+    def test_a_value_past_the_float_range_is_named(self, scenario, named):
+        # a count or cost jittered past the float range in some draws:
+        # ValueError naming the type and the field, not an OverflowError
+        # or an unnamed ValidationError
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError) as err:
+            for _ in range(50):
+                perturb_scenario(scenario, rng)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"perturb_scenario: type 1: {named}"
+
+    def test_a_total_past_the_float_range_is_named(self):
+        half = 8 * 10 ** 307
+        sc = Scenario(types=(UavType(index=1, c1=0.5, c2=0.0, t=1.0, n=half),
+                             UavType(index=2, c1=0.4, c2=0.0, t=1.0,
+                                     n=half)),
+                      satisfaction_factor=6.0, deployment_cost=1.0,
+                      s_max=13.75, t_max=1.0, vdd_demand=800.0,
+                      total_uavs=2 * half)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError) as err:
+            for _ in range(50):
+                perturb_scenario(sc, rng)
+        assert type(err.value) is ValueError
+        assert str(err.value) == ("perturb_scenario: total_uavs: is too "
+                                  "large for a float")
+
 
 class TestValidation:
     def test_phc_params_fields(self):
@@ -1406,27 +1437,35 @@ class TestValidation:
             assert err.value.field == next(iter(kwargs))
 
     def test_overflowing_payoff_terms_are_named(self):
+        # a payoff that is not finite, and a Q bound, largest |payoff|
+        # over 1 - discount, that overflows, each named by type and side
         params = PhcParams(r_max=13.0)
         for scenario, term in (
-                (make_single_type(n=10 ** 308),
-                 r"the GCS weight factor\*n/t"),
-                (make_single_type(c=1e308), r"the UAV cost c\*s_max \+ C0"),
-                (make_single_type(n=10 ** 307), "the GCS's Q bound")):
+                (make_single_type(n=10 ** 308), "a GCS payoff is not finite"),
+                (make_single_type(c=1e308), "a UAV payoff is not finite"),
+                (make_single_type(n=10 ** 307),
+                 "the GCS's Q bound overflows to inf"),
+                (make_single_type(c=1e307),
+                 "the UAV's Q bound overflows to inf")):
             with pytest.raises(ValueError,
-                               match=rf"^phc: type 1: {term} overflows to "
-                                     rf"inf$") as err:
-                check_payoffs(scenario, params)
+                               match=rf"^phc: type 1: {term}$") as err:
+                check_payoffs([scenario], params)
             assert type(err.value) is ValueError
-        # within range as given, beyond it once perturbed by up to 20%
+        # the GCS bound is today's max(value, payment) term: 2e306 * 13
+        # over 0.2 stays finite, and every scenario given is read
         near = make_single_type(n=2 * 10 ** 306)
-        check_payoffs(near, params)
+        check_payoffs([near], params)
         with pytest.raises(ValueError, match="the GCS's Q bound"):
-            check_payoffs(near, params, spread=0.2)
+            check_payoffs([near, make_single_type(n=10 ** 307)], params)
+        # r_max resolves against the first scenario, as a batch does
+        with pytest.raises(ValueError, match="the GCS's Q bound"):
+            check_payoffs([make_single_type(n=10 ** 307), near],
+                          PhcParams())
 
     def test_perturbed_counts_are_bounded_as_drawn(self):
-        # perturb_scenario draws max(1, round(n*f)) with f below 1 + spread:
-        # a count of 0 becomes 1 under any range, and 3 rounds up to 4
-        # under a 20% one, past 3 * 1.2
+        # perturb_scenario draws max(1, round(n*f)): a count of 0 becomes
+        # 1 under any range, and 3 becomes 4 in only some draws, so a
+        # member is refused exactly when the count it drew overflows
         params = PhcParams(r_max=13.0)
         zero = Scenario(types=(UavType(index=1, c1=0.5, c2=0.0, t=1.0, n=5),
                                UavType(index=2, c1=0.3, c2=0.0, t=1e-310,
@@ -1434,27 +1473,32 @@ class TestValidation:
                         satisfaction_factor=6.0, deployment_cost=1.0,
                         s_max=13.75, t_max=1.0, vdd_demand=800.0,
                         total_uavs=5)
-        check_payoffs(zero, params)
+        check_payoffs([zero], params)
         for spread in (0.0, 0.2):
-            with pytest.raises(ValueError, match=r"^phc: type 2: the GCS "
-                               r"weight factor\*n/t overflows to inf$"):
-                check_payoffs(zero, params, spread=spread)
+            member = perturb_scenario(zero, np.random.default_rng(0), spread)
+            with pytest.raises(ValueError, match=r"^phc: type 2: a GCS "
+                               r"payoff is not finite$"):
+                check_payoffs([member], params)
         three = Scenario(types=(UavType(index=1, c1=0.5, c2=0.0, t=1.3e-307,
                                         n=3),),
                          satisfaction_factor=6.0, deployment_cost=1.0,
                          s_max=0.1, t_max=1.0, vdd_demand=800.0,
                          total_uavs=3)
         assert math.isfinite(6.0 * 3 * 1.2 / 1.3e-307)
-        check_payoffs(three, params)
-        with pytest.raises(ValueError, match=r"type 1: the GCS weight"):
-            check_payoffs(three, params, spread=0.2)
+        assert 6.0 * 4 / 1.3e-307 == math.inf
+        check_payoffs([three], params)
         rng = np.random.default_rng(0)
-        assert 4 in {perturb_scenario(three, rng).types[0].n
-                     for _ in range(200)}
-        # a count past the float range once grown is named, not an
-        # OverflowError
-        with pytest.raises(ValueError, match=r"the GCS weight"):
-            check_payoffs(make_single_type(n=10 ** 308), params, spread=0.2)
+        counts = set()
+        for _ in range(50):
+            member = perturb_scenario(three, rng)
+            counts.add(member.types[0].n)
+            if member.types[0].n == 4:
+                with pytest.raises(ValueError, match=r"^phc: type 1: a GCS "
+                                   r"payoff is not finite$"):
+                    check_payoffs([member], params)
+            else:
+                check_payoffs([member], params)
+        assert counts == {2, 3, 4}
 
     def test_policy_tables_checks(self):
         # each malformed array of either side is named by what it holds

@@ -485,6 +485,12 @@ def sha256s(out_dir, names):
             .hexdigest() for name in names}
 
 
+def group_seeds(groups):
+    """The seeds of each group, whose entries are (seed, generator,
+    family) triples."""
+    return [[seed for seed, _, _ in group] for group in groups]
+
+
 class TestSeedGroups:
     # 1 group, 2 groups of 2 + 1 seeds, one seed per group, and more CPUs
     # than seeds
@@ -510,7 +516,7 @@ class TestSeedGroups:
         seen = []
 
         def record(task, groups):
-            seen.append(groups)
+            seen.append(group_seeds(groups))
             return [task(group) for group in groups]
 
         monkeypatch.setattr(runner, "_run_groups", record)
@@ -525,8 +531,8 @@ class TestSeedGroups:
                                                monkeypatch):
         force_cpus(monkeypatch, 2)
         seen = []
-        monkeypatch.setattr(runner, "_run_groups",
-                            lambda task, groups: seen.append(groups) or [])
+        monkeypatch.setattr(runner, "_run_groups", lambda task, groups:
+                            seen.append(group_seeds(groups)) or [])
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()

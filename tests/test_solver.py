@@ -213,6 +213,17 @@ class TestIroning:
             assert all(a <= b + 1e-12 for a, b in zip(once, once[1:]))
             assert iron(sc, once) == pytest.approx(once, abs=1e-12)
 
+    def test_pooled_sums_add_left_to_right(self):
+        # 1 + 2**-53 + 2**-53 is 1 added left to right but 1 + 2**-52
+        # compensated, as `sum` adds floats from Python 3.12: the pool
+        # of all three has the size of the left-to-right sums
+        w = [1.0, 2.0 ** -53, 2.0 ** -53]
+        a = [0.5, 0.0, 0.0]
+        assert math.fsum(w) == 1.0 + 2.0 ** -52 != (w[0] + w[1]) + w[2]
+        sc = make_scenario_a()
+        assert solver._iron_trace(sc, w, a, [3.0, 2.0, 0.5]) == (
+            [1.0, 1.0, 1.0], ((0, 2),))
+
     def test_pool_bookkeeping(self):
         _, trace = solve_partial_info(make_scenario_b())
         assert trace.pools == ((0, 1),)
@@ -647,6 +658,12 @@ class TestOracle:
         nan = ("grid oracle: eligible position {0} (type {0}) has an "
                "objective term that overflows to nan")
         assert outcomes == [nan.format(1), nan.format(3), "menu", "menu"]
+
+    def test_resolution_bound_adds_left_to_right(self, monkeypatch):
+        # a compensated sum of w would give 1.5 + 2**-52
+        monkeypatch.setattr(solver, "_coefficients", lambda sc: (
+            (1.0, 2.0 ** -53, 2.0 ** -53), (-0.5, 0.0, 0.0)))
+        assert oracle_resolution_bound(make_scenario_a(), 1.0) == 1.5
 
     def test_coefficients_derived_once(self, monkeypatch):
         # the solve, the oracle and the bound read one copy of (w, a)
