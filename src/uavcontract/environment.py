@@ -74,10 +74,14 @@ def step_mobility(kinematics: UavKinematics, direction: tuple[float, float, floa
                   speed: float, dt: float) -> UavKinematics:
     """Advance one slot along a unit direction vector.
 
-    Raises SpeedViolation when the requested displacement exceeds what the
-    speed limit allows within ``dt``.
+    Raises ValueError unless ``direction`` has three components, and
+    SpeedViolation when the requested displacement exceeds what the speed
+    limit allows within ``dt``.
     """
-    norm = math.sqrt(sum(d * d for d in direction))
+    if len(direction) != 3:
+        raise ValueError(f"direction must have 3 components, got "
+                         f"{len(direction)}")
+    norm = math.hypot(*direction)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, |d| = {norm}")
     if speed < 0 or dt <= 0:

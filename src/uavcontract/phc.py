@@ -104,39 +104,6 @@ def action_grids(params: PhcParams,
     return reward_grid, size_grid
 
 
-def check_payoffs(scenarios: Sequence[Scenario], params: PhcParams) -> None:
-    """Raise ValueError naming the first eligible type and side whose
-    payoffs on the action grids are not finite, or whose Q values could
-    overflow, so that a run whose tables would go non-finite is refused
-    before it trains.
-
-    The payoffs are each scenario's own tables (`_signed_payoffs`), built
-    on the grids of the first scenario with ``r_max`` resolved against it,
-    as `_batch` resolves them.  A Q value stays within its side's largest
-    |payoff| over 1 - discount.
-    """
-    params = with_default_r_max(params, scenarios[0])
-    reward_grid, size_grid = action_grids(params, scenarios[0].s_max)
-    for sc in scenarios:
-        types = sc.eligible
-        with np.errstate(over="ignore", invalid="ignore"):
-            sides = _signed_payoffs(
-                reward_grid, size_grid, np.array([ty.c for ty in types]),
-                np.array(sc.weights), np.array([float(ty.n) for ty in types]),
-                sc.deployment_cost)
-            bounds = [np.abs(payoff).max(axis=1)
-                      / (1.0 - discount) for payoff, discount in zip(
-                          sides, (params.discount_uav, params.discount_gcs))]
-        for j, ty in enumerate(types):
-            for side, payoff, bound in zip(("UAV", "GCS"), sides, bounds):
-                if not np.isfinite(payoff[j]).all():
-                    raise ValueError(f"phc: type {ty.index}: a {side} payoff "
-                                     f"is not finite")
-                if not math.isfinite(bound[j]):
-                    raise ValueError(f"phc: type {ty.index}: the {side}'s Q "
-                                     f"bound overflows to {bound[j]}")
-
-
 def _signed_payoffs(reward_grid: np.ndarray, size_grid: np.ndarray,
                     cost: np.ndarray, weight: np.ndarray, count: np.ndarray,
                     c0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -328,11 +295,13 @@ def _listed(name: str, values, kind: type = object) -> list:
     return list(values)
 
 
-def _batch(families: list[list[Scenario]], params: PhcParams,
-           name: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The reward and size grids a batch of seeds plays on, and the bounds
-    of each seed's rows: seed k owns rows ``bounds[k]`` to
-    ``bounds[k + 1]``, one per eligible type of its scenarios.
+def batch_payoffs(families: Sequence[Sequence[Scenario]], params: PhcParams,
+                  name: str) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """What a batch of seeds trains on: the reward and size grids, the
+    bounds of each seed's rows, seed k owning rows ``bounds[k]`` to
+    ``bounds[k + 1]``, one per eligible type of its scenarios, and
+    ``payoffs[k][m]``, the (UAV, GCS) payoff tables of seed k's member m,
+    shape (types, items) each (`_signed_payoffs`).
 
     ``families`` holds the scenarios each seed may play, one list per
     seed.  ``r_max`` resolves against each seed's first member.  Every
@@ -340,7 +309,11 @@ def _batch(families: list[list[Scenario]], params: PhcParams,
     and the action grids and deployment cost of the batch's first
     scenario.  Grids are compared as grids, so a one-point grid ignores
     ``s_max`` and ``r_max`` alike.  A failure raises ValidationError
-    naming ``name``.
+    naming ``name``.  Then every member's tables are built, once, and
+    checked, members and then types in order: ValueError names the first
+    eligible type and side whose payoffs are not finite, or whose Q bound,
+    the largest |payoff| over 1 - discount that a Q value stays within,
+    overflows.
     """
     first = families[0][0]
     top = with_default_r_max(params, first)
@@ -363,7 +336,31 @@ def _batch(families: list[list[Scenario]], params: PhcParams,
                 raise ValidationError(name, "a batch must share action "
                                             "grids and deployment cost")
         bounds.append(bounds[-1] + count)
-    return reward_grid, size_grid, bounds
+    payoffs = []
+    for family, count in zip(families, np.diff(bounds).tolist()):
+        # one row per (member, eligible type), members in order
+        types = [ty for sc in family for ty in sc.eligible]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sides = _signed_payoffs(
+                reward_grid, size_grid, np.array([ty.c for ty in types]),
+                np.array([w for sc in family for w in sc.weights]),
+                np.array([float(ty.n) for ty in types]),
+                first.deployment_cost)
+            limits = [(np.abs(payoff).max(axis=1) / (1.0 - discount)).tolist()
+                      for payoff, discount in zip(
+                          sides, (params.discount_uav, params.discount_gcs))]
+        finite = [np.isfinite(payoff).all(axis=1).tolist() for payoff in sides]
+        for j, ty in enumerate(types):
+            for side, ok, limit in zip(("UAV", "GCS"), finite, limits):
+                if not ok[j]:
+                    raise ValueError(f"phc: type {ty.index}: a {side} "
+                                     f"payoff is not finite")
+                if not math.isfinite(limit[j]):
+                    raise ValueError(f"phc: type {ty.index}: the {side}'s "
+                                     f"Q bound overflows to {limit[j]}")
+        payoffs.append(list(zip(*(side.reshape(len(family), count, -1)
+                                  for side in sides))))
+    return reward_grid, size_grid, bounds, payoffs
 
 
 def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
@@ -379,16 +376,17 @@ def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
     seeds in order, on the seeds' action grids.  Every (seed, type) pair is
     a row of one kernel call, and rows share nothing, so each seed's log
     and rows are the ones a batch of that seed alone gives.  The scenarios
-    must form a batch, each a family of one (`_batch`, `hotboot`'s rule),
-    else ValidationError names ``scenarios``.
+    must form a batch with finite payoffs, each a family of one
+    (`batch_payoffs`, `hotboot`'s rule), else ValidationError names
+    ``scenarios`` or ValueError the type and side, before any slot.
 
     The tables passed in are copied once and not modified; the copy is
-    trained in place (`_play`), checked and returned.  All randomness
-    comes from the generators: each seed draws four uniforms per type and
-    slot, 0-1 for the GCS's item and 2-3 for the UAV's answer, in the order
-    of one (slots, types, 4) draw, though they are drawn and used
-    `SLOT_BLOCK` slots at a time.  Trajectories are therefore reproducible
-    for a given seed regardless of the batch.
+    trained in place on the seeds' payoff tables (`_play`), checked and
+    returned.  All randomness comes from the generators: each seed draws
+    four uniforms per type and slot, 0-1 for the GCS's item and 2-3 for
+    the UAV's answer, in the order of one (slots, types, 4) draw, though
+    they are drawn and used `SLOT_BLOCK` slots at a time.  Trajectories
+    are therefore reproducible for a given seed regardless of the batch.
     """
     scenarios = _listed("scenarios", scenarios, Scenario)
     rngs = _listed("rngs", rngs, np.random.Generator)
@@ -397,8 +395,8 @@ def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
         raise ValidationError("rngs", "one generator per scenario")
     if init is not None and not isinstance(init, Tables):
         raise ValidationError("init", "must be Tables or None")
-    reward_grid, size_grid, bounds = _batch([[sc] for sc in scenarios],
-                                            params, "scenarios")
+    reward_grid, size_grid, bounds, payoffs = batch_payoffs(
+        [[sc] for sc in scenarios], params, "scenarios")
     rows, items = bounds[-1], reward_grid.shape[0] * size_grid.shape[0]
     # the copy's construction checks it
     tables = (Tables.cold(rows, items) if init is None else
@@ -407,39 +405,29 @@ def train(scenarios: Sequence[Scenario], params: PhcParams, slots: int,
             tables.gcs_q.shape[2]) != (rows, rows, items):
         raise ValidationError("init", f"needs {rows} rows, one per (seed, "
                                       f"eligible type), of {items} items")
-    uav_payoff, gcs_payoff, item, signed = _play(
-        tables, scenarios, reward_grid, size_grid, bounds, params, slots,
-        rngs)
+    seeds = [family[0] for family in payoffs]
+    item, signed = _play(tables, *map(np.concatenate, zip(*seeds)), bounds,
+                         params, slots, rngs)
     tables.check()
     return TrainResult(logs=tuple(
         EpisodeLog(type_indices=tuple(ty.index for ty in sc.eligible),
                    reward_grid=reward_grid, size_grid=size_grid,
                    item=item[:, lo:hi], signed=signed[:, lo:hi],
-                   uav_payoff=uav_payoff[lo:hi], gcs_payoff=gcs_payoff[lo:hi])
-        for sc, lo, hi in zip(scenarios, bounds, bounds[1:])), tables=tables)
+                   uav_payoff=uav_payoff, gcs_payoff=gcs_payoff)
+        for sc, (uav_payoff, gcs_payoff), lo, hi in zip(
+            scenarios, seeds, bounds, bounds[1:])), tables=tables)
 
 
-def _play(tables: Tables, scenarios: list[Scenario], reward_grid: np.ndarray,
-          size_grid: np.ndarray, bounds: list[int], params: PhcParams,
-          slots: int,
-          rngs: list[np.random.Generator]) -> tuple[np.ndarray, ...]:
+def _play(tables: Tables, uav_payoff: np.ndarray, gcs_payoff: np.ndarray,
+          bounds: list[int], params: PhcParams, slots: int,
+          rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """Play ``slots`` slots of the learning game on ``tables``, in place,
-    on the given grids: seed k plays ``scenarios[k]`` on rows ``bounds[k]``
-    to ``bounds[k + 1]``, one per eligible type, drawing from ``rngs[k]``.
-
-    The caller has checked the arguments (`_batch`): the scenarios share
-    the grids and the deployment cost, and ``tables`` holds their rows.
-    Returns what a signed item pays the UAV and the GCS, shape (rows,
-    items) each (`_signed_payoffs`), and the posted ``item`` and the
-    answer ``signed``, shape (slots, rows).
+    on the (rows, items) payoff tables `batch_payoffs` built and checked:
+    seed k plays rows ``bounds[k]`` to ``bounds[k + 1]``, drawing from
+    ``rngs[k]``.  Returns the posted ``item`` and the answer ``signed``,
+    shape (slots, rows).
     """
     rows = bounds[-1]
-    types = [ty for sc in scenarios for ty in sc.eligible]
-    uav_payoff, gcs_payoff = _signed_payoffs(
-        reward_grid, size_grid, np.array([ty.c for ty in types]),
-        np.array([w for sc in scenarios for w in sc.weights]),
-        np.array([float(ty.n) for ty in types]),
-        scenarios[0].deployment_cost)
     item = np.empty((slots, rows), dtype=np.int64)
     signed = np.empty((slots, rows), dtype=bool)
     # the kernel runs a block of slots at a time, so the uniforms it reads
@@ -458,7 +446,7 @@ def _play(tables: Tables, scenarios: list[Scenario], reward_grid: np.ndarray,
                             tables.gcs_visits, tables.uav_visits,
                             EXPLORE_VISITS, EXPLORE_FLOOR, item[block],
                             signed[block])
-    return uav_payoff, gcs_payoff, item, signed
+    return item, signed
 
 
 def perturb_scenario(scenario: Scenario, rng: np.random.Generator,
@@ -503,11 +491,12 @@ def hotboot(families: Sequence[Sequence[Scenario]], episodes: int,
     ``families`` holds one family, a sequence of scenarios, per seed and
     ``rngs`` one generator per seed.  Each episode every seed picks a
     member of its family at random, and the batch's one stack, cold at
-    first, is trained on the picks in place (`_play`), neither copied nor
-    checked between episodes.  Zero episodes returns cold tables.  Every
-    member is checked before any training, by the batch rule `train`
-    shares (`_batch`), so action indices keep one meaning across the
-    whole chain; a failure raises ValidationError naming ``families``.
+    first, is trained in place on the picks' tables (`_play`), neither
+    copied nor checked between episodes.  Zero episodes returns cold
+    tables.  Every member is checked, and its tables built, once before
+    any training, by the batch rule `train` shares (`batch_payoffs`), so
+    action indices keep one meaning across the whole chain; a failure
+    raises ValidationError naming ``families``, or ValueError.
 
     Returns the one `Tables` stack `train` takes for that batch, checked
     once.  Each seed's rows are the ones a batch of its family and
@@ -522,12 +511,13 @@ def hotboot(families: Sequence[Sequence[Scenario]], episodes: int,
         raise ValidationError("families", "one family per generator")
     check_count("episodes", episodes, 0)
     check_count("slots_per_episode", slots_per_episode, 1)
-    reward_grid, size_grid, bounds = _batch(families, params, "families")
+    reward_grid, size_grid, bounds, payoffs = batch_payoffs(
+        families, params, "families")
     tables = Tables.cold(bounds[-1], reward_grid.size * size_grid.size)
     for _ in range(episodes):
         picked = [fam[int(g.integers(0, len(fam)))]
-                  for fam, g in zip(families, rngs)]
-        _play(tables, picked, reward_grid, size_grid, bounds, params,
+                  for fam, g in zip(payoffs, rngs)]
+        _play(tables, *map(np.concatenate, zip(*picked)), bounds, params,
               slots_per_episode, rngs)
     tables.check()
     return tables

@@ -30,9 +30,8 @@ from .errors import NonFiniteOutput, NotConverged, ValidationError
 from .game import Scenario, defensive_effectiveness, gcs_utility
 # unused here; kept as a module attribute for perfbench/tracing.py to wrap
 from .game import eligible_types  # noqa: F401
-from .phc import (EpisodeLog, check_payoffs, convergence_check,
-                  convergence_slot, hotboot, perturb_scenario, train,
-                  with_default_r_max)
+from .phc import (EpisodeLog, batch_payoffs, convergence_check,
+                  convergence_slot, hotboot, perturb_scenario, train)
 from .solver import (brute_force_oracle, linear_contract, menu_utilities,
                      oracle_resolution_bound, solve_complete_info,
                      solve_partial_info, uniform_contract)
@@ -420,8 +419,8 @@ def _usable_cpus() -> int:
         return 1
 
 
-def _phc_seed_group(config: ExperimentConfig, params, reference_items,
-                    out: Path, group) -> list[PhcSeedSummary]:
+def _phc_seed_group(config: ExperimentConfig, reference_items, out: Path,
+                    group) -> list[PhcSeedSummary]:
     """Train one group of seeds in one batch, write each seed's trajectory
     and return their summaries in seed order.
 
@@ -434,9 +433,9 @@ def _phc_seed_group(config: ExperimentConfig, params, reference_items,
     seeds, rngs, families = zip(*group)
     inits = None
     if run.hotboot_episodes > 0:
-        inits = hotboot(families, run.hotboot_episodes, params, rngs,
+        inits = hotboot(families, run.hotboot_episodes, config.phc, rngs,
                         run.slots_per_episode)
-    logs = train(len(seeds) * [scenario], params, run.slots, inits,
+    logs = train(len(seeds) * [scenario], config.phc, run.slots, inits,
                  rngs).logs
     summaries = []
     # the seeds' logs, of one scenario, share their code tables
@@ -531,30 +530,28 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
     are written once every group has finished.
 
     Before any group starts, each seed's generator draws its hot-boot
-    family, and the scenario and every member drawn are checked on their
-    own payoff tables (`check_payoffs`).  A run whose scenario or drawn
-    member overflows on the action grids, or that `perturb_scenario`
-    cannot perturb, is refused (ValueError) before anything is trained or
-    written.  With ``strict`` a NotConverged is raised after
+    family, the reference menu is solved, and the families are checked by
+    the batch rule `train` and `hotboot` apply (`batch_payoffs`), which
+    builds and checks every member's payoff tables.  A run that
+    `perturb_scenario` cannot perturb, or whose scenario or a drawn member
+    overflows on the action grids, is refused (ValueError) before anything
+    is trained or written.  With ``strict`` a NotConverged is raised after
     all outputs are written whenever any (seed, type) pair fails the
     trailing-window test.
     """
     out = _out_dir(config, out_dir)
     scenario = config.scenario
-    params = with_default_r_max(config.phc, scenario)
     run = config.phc_run
-    check_payoffs([scenario], params)
     # a seed's hot-boot family takes the first draws of its generator, so
     # every member is drawn and checked before any group trains
     draws = run.family_size - 1 if run.hotboot_episodes > 0 else 0
     rngs = [np.random.default_rng(seed) for seed in config.seeds]
     families = [[scenario] + [perturb_scenario(scenario, rng, run.perturbation)
                               for _ in range(draws)] for rng in rngs]
-    if draws:
-        check_payoffs([sc for family in families for sc in family[1:]],
-                      params)
     seeds = list(zip(config.seeds, rngs, families))
+    # solved first, so the solver names a scenario with no eligible type
     reference, _ = solve_partial_info(scenario)
+    batch_payoffs(families, config.phc, "families")
     reference_items = {ty.index: item
                        for ty, item in zip(scenario.types, reference.items)}
     # k contiguous groups, the larger ones first.  A fork copies only the
@@ -567,8 +564,8 @@ def run_phc(config: ExperimentConfig, out_dir=None, strict: bool = False,
     bounds = [i * size + min(i, larger) for i in range(k + 1)]
     groups = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     summaries = [summary for group in _run_groups(
-        functools.partial(_phc_seed_group, config, params, reference_items,
-                          out), groups)
+        functools.partial(_phc_seed_group, config, reference_items, out),
+        groups)
         for summary in group]
     write_text_atomic(out / "phc_summary.csv", csv_text(
         "phc_summary.csv",

@@ -396,6 +396,25 @@ class TestExitCodes:
                 "perturbed" in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("episodes", [0, 2])
+    def test_phc_without_eligible_types_is_a_solver_error(self, episodes,
+                                                          tmp_path, capsys):
+        # every delay exceeds t_max: the reference solve names it, exit 3,
+        # before the batch rule would call it a config error, and no
+        # output directory
+        raw = yaml.safe_load((DATA / "phc_single_type.yaml").read_text())
+        raw["scenario"]["types"][0]["t"] = 2.0
+        raw["phc"].update(hotboot_episodes=episodes, family_size=3,
+                          slots_per_episode=50, slots=200, window=100)
+        cfg = tmp_path / "ineligible.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        code = main(["phc", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert ("solver error: no eligible types: every delay exceeds t_max"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_phc_refusal_in_any_group_exits_3(self, cpus, tmp_path, capsys,
                                               monkeypatch):

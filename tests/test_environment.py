@@ -148,6 +148,18 @@ class TestMobility:
         with pytest.raises(ValueError):
             step_mobility(k, (1.0, 1.0, 0.0), 1.0, 1.0)
 
+    @pytest.mark.parametrize("direction", [(0.6, 0.8, 0.0, 0.0),
+                                           (0.6, 0.8)])
+    def test_direction_must_be_a_3_vector(self, direction):
+        # a unit vector of another length is refused as such, neither
+        # truncated to its first three components nor an IndexError
+        k = UavKinematics(position=(0.0, 0.0, 50.0), v_max=10.0)
+        with pytest.raises(ValueError) as err:
+            step_mobility(k, direction, 5.0, 1.0)
+        assert type(err.value) is ValueError
+        assert str(err.value) == (f"direction must have 3 components, got "
+                                  f"{len(direction)}")
+
     def test_bad_scalars_rejected(self):
         k = UavKinematics(position=(0.0, 0.0, 10.0), v_max=10.0)
         with pytest.raises(ValueError):

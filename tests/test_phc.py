@@ -12,8 +12,7 @@ from uavcontract import (InsufficientData, PhcParams, Scenario, Tables,
                          hotboot, perturb_scenario, train, with_default_r_max)
 from uavcontract import _kernels
 from uavcontract.phc import (EXPLORE_FLOOR, EXPLORE_VISITS, EpisodeLog,
-                             _check_tables, _signed_payoffs, check_payoffs,
-                             default_r_max)
+                             _check_tables, _signed_payoffs, default_r_max)
 
 import reference_kernels as ref
 from conftest import (logs_equal, make_scenario_a, make_single_type,
@@ -1436,6 +1435,34 @@ class TestValidation:
                 PhcParams(**kwargs)
             assert err.value.field == next(iter(kwargs))
 
+    @staticmethod
+    def refused(scenarios, params, message):
+        """``scenarios`` refused with ValueError matching ``message``,
+        before any slot is played, by `train` as a batch and by `hotboot`
+        as one family."""
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "train_loop",
+                          lambda *args: calls.append(args))
+            for play in (
+                    lambda: train(scenarios, params, 1, None, [
+                        np.random.default_rng(k)
+                        for k in range(len(scenarios))]),
+                    lambda: hotboot([scenarios], 1, params,
+                                    [np.random.default_rng(0)], 1)):
+                with pytest.raises(ValueError, match=message) as err:
+                    play()
+                assert type(err.value) is ValueError
+        assert calls == []
+
+    @staticmethod
+    def accepted(scenarios, params):
+        """``scenarios`` played for a slot by `train` as a batch and by
+        `hotboot` as one family."""
+        train(scenarios, params, 1, None,
+              [np.random.default_rng(k) for k in range(len(scenarios))])
+        hotboot([scenarios], 1, params, [np.random.default_rng(0)], 1)
+
     def test_overflowing_payoff_terms_are_named(self):
         # a payoff that is not finite, and a Q bound, largest |payoff|
         # over 1 - discount, that overflows, each named by type and side
@@ -1447,20 +1474,16 @@ class TestValidation:
                  "the GCS's Q bound overflows to inf"),
                 (make_single_type(c=1e307),
                  "the UAV's Q bound overflows to inf")):
-            with pytest.raises(ValueError,
-                               match=rf"^phc: type 1: {term}$") as err:
-                check_payoffs([scenario], params)
-            assert type(err.value) is ValueError
+            self.refused([scenario], params, rf"^phc: type 1: {term}$")
         # the GCS bound is today's max(value, payment) term: 2e306 * 13
         # over 0.2 stays finite, and every scenario given is read
         near = make_single_type(n=2 * 10 ** 306)
-        check_payoffs([near], params)
-        with pytest.raises(ValueError, match="the GCS's Q bound"):
-            check_payoffs([near, make_single_type(n=10 ** 307)], params)
+        self.accepted([near], params)
+        self.refused([near, make_single_type(n=10 ** 307)], params,
+                     "the GCS's Q bound")
         # r_max resolves against the first scenario, as a batch does
-        with pytest.raises(ValueError, match="the GCS's Q bound"):
-            check_payoffs([make_single_type(n=10 ** 307), near],
-                          PhcParams())
+        self.refused([make_single_type(n=10 ** 307), near], PhcParams(),
+                     "the GCS's Q bound")
 
     def test_perturbed_counts_are_bounded_as_drawn(self):
         # perturb_scenario draws max(1, round(n*f)): a count of 0 becomes
@@ -1473,12 +1496,11 @@ class TestValidation:
                         satisfaction_factor=6.0, deployment_cost=1.0,
                         s_max=13.75, t_max=1.0, vdd_demand=800.0,
                         total_uavs=5)
-        check_payoffs([zero], params)
+        self.accepted([zero], params)
         for spread in (0.0, 0.2):
             member = perturb_scenario(zero, np.random.default_rng(0), spread)
-            with pytest.raises(ValueError, match=r"^phc: type 2: a GCS "
-                               r"payoff is not finite$"):
-                check_payoffs([member], params)
+            self.refused([member], params,
+                         r"^phc: type 2: a GCS payoff is not finite$")
         three = Scenario(types=(UavType(index=1, c1=0.5, c2=0.0, t=1.3e-307,
                                         n=3),),
                          satisfaction_factor=6.0, deployment_cost=1.0,
@@ -1486,18 +1508,17 @@ class TestValidation:
                          total_uavs=3)
         assert math.isfinite(6.0 * 3 * 1.2 / 1.3e-307)
         assert 6.0 * 4 / 1.3e-307 == math.inf
-        check_payoffs([three], params)
+        self.accepted([three], params)
         rng = np.random.default_rng(0)
         counts = set()
         for _ in range(50):
             member = perturb_scenario(three, rng)
             counts.add(member.types[0].n)
             if member.types[0].n == 4:
-                with pytest.raises(ValueError, match=r"^phc: type 1: a GCS "
-                                   r"payoff is not finite$"):
-                    check_payoffs([member], params)
+                self.refused([member], params,
+                             r"^phc: type 1: a GCS payoff is not finite$")
             else:
-                check_payoffs([member], params)
+                self.accepted([member], params)
         assert counts == {2, 3, 4}
 
     def test_policy_tables_checks(self):
